@@ -219,6 +219,7 @@ def _sweep_finite(config: RunConfig) -> tuple[list[dict], list[str]]:
                 except SqccError as exc:
                     warnings += 1
                     rows.append({"T": t, "W": w, "N": n,
+                                 "V": config.modulation_variance,
                                  "eps": config.excess_noise, "beta": config.beta,
                                  "sigma": config.sigma,
                                  "strategy": config.strategy.value,
@@ -346,7 +347,11 @@ def _simulate(config: RunConfig) -> tuple[list[dict], list[str]]:
             rows.append(_simulate_row(config, d, config.seed + i))
         except SqccError as exc:
             warnings += 1
-            rows.append({"T": config.t_values[0], "d": d, "seed": config.seed + i,
+            rows.append({"T": config.t_values[0], "V": config.modulation_variance,
+                         "d": d, "eps": config.excess_noise, "beta": config.beta,
+                         "sigma": config.sigma, "strategy": config.strategy.value,
+                         "n": config.n_shots, "seed": config.seed + i,
+                         "rng": RNG_ALGORITHM, "schedule": str(config.symbol_schedule),
                          "error": str(exc)})
     if warnings:
         print(f"warning: {warnings} row(s) failed and were flagged", file=sys.stderr)
