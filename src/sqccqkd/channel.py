@@ -56,7 +56,11 @@ class ChannelParams:
     def total_excess_noise(self, displacement: float) -> float:
         """Channel excess noise plus the power-proportional phase-noise term."""
         t = self.transmissivity
-        return self.excess_noise + self.phase_noise_factor * t * displacement ** 2
+        try:
+            power = displacement ** 2
+        except OverflowError:
+            raise DomainError(f"displacement {displacement} is too large") from None
+        return self.excess_noise + self.phase_noise_factor * t * power
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,11 @@ class TestSharedState:
         assert noisy.c == quiet.c
 
 
+    def test_displacement_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            ChannelParams(0.1, 0.05).total_excess_noise(1e200)
+
+
 class TestBaselineState:
     def test_no_coupling_matches_channel_output(self):
         proto = ProtocolParams(5.0, 12.0)
