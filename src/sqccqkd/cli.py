@@ -4,29 +4,29 @@ Every run writes one header-bearing CSV (or JSON array) whose rows echo all
 inputs, so each artifact is self-describing.  Output is byte-identical for
 identical configuration and seed.  Exit codes: 0 success, 1 numeric hard
 failure, 2 usage error.
+
+``_OPTIONS`` declares every option once; ``_COMMANDS`` gives each command
+its columns, its input points and its row builder.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    ProtocolParams,
-    attenuation_db_to_transmissivity,
-    shared_state,
-)
+from .channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissivity
 from .errors import DomainError, SqccError
-from .finitekey import SecurityParams, finite_rate, optimise_v_finite
-from .keyrate import asymptotic_rate, optimise_v
+from .finitekey import SecurityParams, finite_rate_of, optimise_v_finite
+from .keyrate import Optimum, asymptotic_rate_of, optimise_v
 from .montecarlo import (
     RNG_ALGORITHM,
     discriminate_and_redisplace,
@@ -37,54 +37,147 @@ from .montecarlo import (
 from .postprocess import (
     RenormStrategy,
     postprocess_stats,
-    renormalise,
+    renormalised_moments,
     required_displacement,
 )
 
 __all__ = ["RunConfig", "run", "main"]
 
-COMMANDS = (
-    "sweep-asymptotic",
-    "sweep-finite",
-    "optimize",
-    "simulate",
-    "validate-fig2",
-    "compare-baseline",
-)
-
 OUTPUT_DIR_ENV = "SQCCQKD_OUTPUT_DIR"
+
+_DEFAULT_BLOCK = 1e8  # sweep-finite's block size when no N is given
+
+# the commands that take an option
+_RATE = ("sweep-asymptotic", "sweep-finite", "optimize", "compare-baseline")
+_GRID = _RATE + ("simulate",)
+_ALL = _GRID + ("validate-fig2",)
+_SWEEPS = ("sweep-asymptotic", "sweep-finite")
+_FINITE = ("sweep-finite", "optimize")
+_SHOTS = ("simulate", "validate-fig2")
+_SIM = ("simulate",)
+
+
+def _parse_t_grid(descriptor: str) -> list[float]:
+    """Parse 'log:lo:hi:n' or 'lin:lo:hi:n' grid descriptors."""
+    parts = descriptor.split(":")
+    if len(parts) != 4 or parts[0] not in ("log", "lin"):
+        raise argparse.ArgumentTypeError(
+            f"grid must look like log:0.01:0.9:50, got {descriptor!r}")
+    kind, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    if not (0.0 < lo < hi) or n < 2:
+        raise argparse.ArgumentTypeError(f"invalid grid bounds in {descriptor!r}")
+    if kind == "log":
+        return list(np.geomspace(lo, hi, n))
+    return list(np.linspace(lo, hi, n))
+
+
+def _symbol(text: str) -> str | int:
+    """'uniform-random' or a fixed symbol index 1..4."""
+    if text not in ("uniform-random", "1", "2", "3", "4"):
+        raise argparse.ArgumentTypeError(
+            f"symbol must be 'uniform-random' or 1..4, got {text!r}")
+    return text if text == "uniform-random" else int(text)
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option; ``dest`` is also its config-file key."""
+
+    dest: str
+    type: Callable = float  # converts the flag's text; bool makes a switch
+    many: bool = False  # takes a list
+    default: object = None  # None leaves the value unset
+    commands: tuple[str, ...] = _GRID
+    field: str = ""  # the RunConfig field it fills
+    flag: str = ""  # if not --dest
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# security option -> the SecurityParams field it sets; unset ones keep its default
+_SECURITY = {"p_f": "frame_success", "d_rx": "discretization_bits",
+             **{key: key for key in ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng",
+                                     "eps_ir", "eps_cal")}}
+
+_OPTIONS = (
+    _Option("T", many=True, default=(0.1,), field="t_values",
+            help="transmissivity value(s)"),
+    _Option("db", many=True, default=(),
+            help="attenuation value(s) in dB (converted to T)"),
+    _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
+    _Option("W", many=True, default=(0.5,), commands=_RATE, field="w_values",
+            help="classical QoS bit-error threshold(s)"),
+    _Option("eps", default=0.05, field="excess_noise", help="channel excess noise"),
+    _Option("beta", default=0.95, field="beta", help="reconciliation efficiency"),
+    _Option("sigma", default=0.0, field="sigma", help="phase-noise factor (0 disables)"),
+    _Option("strategy", str, default="b-preserving", field="strategy",
+            choices=tuple(s.value for s in RenormStrategy)),
+    _Option("mi_double", bool, default=False, field="mi_double",
+            help="double the mutual information (dual-quadrature count)"),
+    _Option("config", str, commands=_ALL, help="JSON file with flat key/value defaults"),
+    _Option("output", str, default="", commands=_ALL, field="output",
+            help="artifact file path"),
+    _Option("fmt", str, default="csv", commands=_ALL, field="fmt", flag="--format",
+            choices=("csv", "json")),
+    _Option("V", default=5.0, commands=_SWEEPS + _SIM, field="modulation_variance",
+            help="fixed modulation variance"),
+    _Option("optimize_v", bool, default=False, commands=_SWEEPS, field="optimize_v",
+            help="maximise the rate over V at each point"),
+    _Option("N", many=True, default=(), commands=_FINITE, field="block_sizes",
+            help="block size(s); optimize takes the first"),
+    _Option("p_f", commands=_FINITE, help="frame success probability"),
+    _Option("d_rx", int, commands=_FINITE, help="discretization bits"),
+    *(_Option(key, commands=_FINITE) for key in _SECURITY if key.startswith("eps_")),
+    _Option("d", many=True, default=(), commands=_SHOTS, field="d_values",
+            help="displacement(s)"),
+    _Option("n", int, default=100_000, commands=_SHOTS, field="n_shots",
+            help="shots per point"),
+    _Option("seed", int, default=42, commands=_SHOTS, field="seed"),
+    _Option("symbol", _symbol, default="uniform-random", commands=_SIM,
+            field="symbol_schedule", help="'uniform-random' or a fixed index 1..4"),
+    _Option("disclose", commands=_SIM, field="disclose_fraction",
+            help="run the estimation pipeline with this disclosed fraction"),
+    _Option("shots_output", str, default="", commands=_SIM, field="shots_output",
+            help="also dump per-shot scatter data to this CSV"),
+)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description (flags merged over config-file values)."""
+    """Fully resolved run description (flags merged over config-file values).
+
+    ``_merge`` fills each field from the option naming it in ``_OPTIONS``.
+    ``security`` carries every security option; each ``block_sizes`` entry
+    replaces its block size in turn.
+    """
 
     command: str
-    t_values: list[float] = field(default_factory=list)
-    w_values: list[float] = field(default_factory=list)
-    excess_noise: float = 0.05
-    beta: float = 0.95
-    sigma: float = 0.0
-    strategy: RenormStrategy = RenormStrategy.B_PRESERVING
-    modulation_variance: float = 5.0
-    optimize_v: bool = False
-    mi_double: bool = False
-    block_sizes: list[float] = field(default_factory=list)
-    security: SecurityParams | None = None
-    d_values: list[float] = field(default_factory=list)
-    n_shots: int = 100_000
-    seed: int = 42
-    symbol_schedule: str | int = "uniform-random"
-    disclose_fraction: float | None = None
-    output: str = ""
-    fmt: str = "csv"
-    shots_output: str = ""
+    t_values: list[float]
+    w_values: list[float]
+    excess_noise: float
+    beta: float
+    sigma: float
+    strategy: RenormStrategy
+    modulation_variance: float
+    optimize_v: bool
+    mi_double: bool
+    block_sizes: list[float]
+    security: SecurityParams
+    d_values: list[float]
+    n_shots: int
+    seed: int
+    symbol_schedule: str | int
+    disclose_fraction: float | None
+    output: str
+    fmt: str
+    shots_output: str
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"output format must be csv or json, got {self.fmt!r}")
+        self.strategy = RenormStrategy(self.strategy)
 
 
 def _fmt(value) -> str:
@@ -97,355 +190,222 @@ def _fmt(value) -> str:
 
 
 def _write_rows(rows: list[dict], columns: list[str], config: RunConfig) -> str:
-    path = config.output
-    if not path:
-        base = os.environ.get(OUTPUT_DIR_ENV, ".")
-        path = os.path.join(base, f"{config.command}.{config.fmt}")
+    path = config.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
+                                         f"{config.command}.{config.fmt}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if config.fmt == "json":
-        payload = [{k: row.get(k, "") for k in columns} for row in rows]
-        with open(path, "w", newline="") as fh:
-            json.dump(payload, fh, indent=2, default=_fmt)
+    with open(path, "w", newline="") as fh:
+        if config.fmt == "json":
+            json.dump([{k: row.get(k, "") for k in columns} for row in rows], fh,
+                      indent=2, default=_fmt)
             fh.write("\n")
-    else:
-        with open(path, "w", newline="") as fh:
+        else:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row.get(k, "")) for k in columns])
+            writer.writerows([_fmt(row.get(k, "")) for k in columns] for row in rows)
     return path
 
 
-def _channel(config: RunConfig, t: float) -> ChannelParams:
-    return ChannelParams(
-        transmissivity=t,
-        excess_noise=config.excess_noise,
-        phase_noise_factor=config.sigma,
-    )
+def _grid(config: RunConfig, **extra) -> Iterator[dict]:
+    """The T x W points of a rate command."""
+    for t in config.t_values:
+        for w in config.w_values:
+            yield {"T": t, "W": w, **extra}
 
 
-_COMMON = ["T", "W", "V", "d", "eps", "beta", "sigma", "strategy"]
-_DIAG = ["snr", "e_C", "delta", "a_d", "b_d", "c_d", "delta_v",
-         "I_AB", "chi_EB", "K", "feasible", "error"]
+def _batches(config: RunConfig, d_default: list[float], **extra) -> Iterator[dict]:
+    """One seeded Monte Carlo batch per displacement."""
+    for i, d in enumerate(config.d_values or d_default):
+        yield {"d": d, "n": config.n_shots, "seed": config.seed + i,
+               "rng": RNG_ALGORITHM, **extra}
 
 
-def _diagnostic_row(config: RunConfig, t: float, w: float, v: float) -> dict:
-    """All pipeline quantities at one (T, W, V) point."""
-    chan = _channel(config, t)
-    d = required_displacement(v, chan, w)
-    proto = ProtocolParams(v, d, config.beta)
-    row = {
-        "T": t, "W": w, "V": v, "d": d,
-        "eps": config.excess_noise, "beta": config.beta, "sigma": config.sigma,
-        "strategy": config.strategy.value, "error": "",
-    }
-    base = shared_state(proto, chan, symbol_index=1)
-    stats = postprocess_stats(proto, chan)
-    renorm = renormalise(stats, base, config.strategy)
-    rate = asymptotic_rate(proto, chan, config.strategy, w, config.mi_double)
-    row.update({
-        "snr": stats.snr, "e_C": stats.e_c, "delta": stats.delta,
-        "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
-        "delta_v": renorm.delta_v,
-        "I_AB": rate.mutual_information, "chi_EB": rate.holevo, "K": rate.rate,
-        "feasible": rate.feasible,
-    })
+def _optimum(config: RunConfig, chan: ChannelParams, w: float,
+             sec: SecurityParams | None) -> Optimum:
+    """Maximise the asymptotic rate, or with ``sec`` the finite-block rate, over V."""
+    if sec is None:
+        return optimise_v(chan, w, config.strategy, config.beta,
+                          mi_double=config.mi_double)
+    return optimise_v_finite(chan, w, sec, config.strategy, config.beta,
+                             mi_double=config.mi_double)
+
+
+def _sweep_row(config: RunConfig, p: dict) -> dict:
+    """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F."""
+    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
+    sec = dataclasses.replace(config.security, block_size=p["N"]) if "N" in p else None
+    row, v = {}, config.modulation_variance
+    if config.optimize_v:
+        opt = _optimum(config, chan, p["W"], sec)
+        row = {"v_star": opt.v_star, "k_star": opt.k_star}
+        if math.isfinite(opt.v_star):
+            v = opt.v_star
+    proto = ProtocolParams(v, required_displacement(v, chan, p["W"]), config.beta)
+    stats, renorm = renormalised_moments(proto, chan, config.strategy)
+    rate = asymptotic_rate_of(renorm, proto, chan, p["W"], config.mi_double)
+    row.update(V=v, d=proto.displacement, snr=stats.snr, e_C=stats.e_c,
+               delta=stats.delta, a_d=stats.a_d, b_d=stats.b_d, c_d=stats.c_d,
+               delta_v=renorm.delta_v, I_AB=rate.mutual_information,
+               chi_EB=rate.holevo, K=rate.rate, feasible=rate.feasible)
+    if sec is not None:
+        fin = finite_rate_of(renorm, proto, sec, config.mi_double)
+        row.update(K_PE=fin.k_pe_inf, K_F=fin.rate, ell=fin.key_length,
+                   epsilon_total=fin.epsilon_total, feasible=fin.feasible)
     return row
 
 
-def _sweep_asymptotic(config: RunConfig) -> tuple[list[dict], list[str]]:
-    columns = _COMMON + ["v_star", "k_star"] + _DIAG
-    rows, warnings = [], 0
-    for t in config.t_values:
-        for w in config.w_values:
-            try:
-                if config.optimize_v:
-                    opt = optimise_v(_channel(config, t), w, config.strategy,
-                                     config.beta, mi_double=config.mi_double)
-                    v = opt.v_star if math.isfinite(opt.v_star) \
-                        else config.modulation_variance
-                    row = _diagnostic_row(config, t, w, v)
-                    row["v_star"] = opt.v_star
-                    row["k_star"] = opt.k_star
-                else:
-                    row = _diagnostic_row(config, t, w, config.modulation_variance)
-                    row["v_star"] = ""
-                    row["k_star"] = ""
-                rows.append(row)
-            except SqccError as exc:
-                warnings += 1
-                rows.append({"T": t, "W": w, "V": config.modulation_variance,
-                             "eps": config.excess_noise, "beta": config.beta,
-                             "sigma": config.sigma,
-                             "strategy": config.strategy.value,
-                             "feasible": False, "error": str(exc)})
-    if warnings:
-        print(f"warning: {warnings} row(s) failed and were flagged", file=sys.stderr)
-    return rows, columns
+def _optimize_row(config: RunConfig, p: dict) -> dict:
+    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
+    sec = dataclasses.replace(config.security, block_size=p["N"]) if p["N"] else None
+    opt = _optimum(config, chan, p["W"], sec)
+    return {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
+            "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
 
 
-def _sweep_finite(config: RunConfig) -> tuple[list[dict], list[str]]:
-    columns = (_COMMON + ["N", "v_star", "k_star"] + _DIAG
-               + ["K_PE", "K_F", "ell", "epsilon_total"])
-    rows, warnings = [], 0
-    for n in config.block_sizes or [1e8]:
-        sec = _security(config, n)
-        for t in config.t_values:
-            for w in config.w_values:
-                try:
-                    chan = _channel(config, t)
-                    if config.optimize_v:
-                        opt = optimise_v_finite(chan, w, sec, config.strategy,
-                                                config.beta,
-                                                mi_double=config.mi_double)
-                        v = opt.v_star if math.isfinite(opt.v_star) \
-                            else config.modulation_variance
-                    else:
-                        opt = None
-                        v = config.modulation_variance
-                    row = _diagnostic_row(config, t, w, v)
-                    d = required_displacement(v, chan, w)
-                    res = finite_rate(ProtocolParams(v, d, config.beta), chan,
-                                      config.strategy, sec, config.mi_double)
-                    row.update({
-                        "N": n,
-                        "v_star": opt.v_star if opt else "",
-                        "k_star": opt.k_star if opt else "",
-                        "K_PE": res.k_pe_inf, "K_F": res.rate,
-                        "ell": res.key_length, "epsilon_total": res.epsilon_total,
-                        "feasible": res.feasible,
-                    })
-                    rows.append(row)
-                except SqccError as exc:
-                    warnings += 1
-                    rows.append({"T": t, "W": w, "N": n,
-                                 "V": config.modulation_variance,
-                                 "eps": config.excess_noise, "beta": config.beta,
-                                 "sigma": config.sigma,
-                                 "strategy": config.strategy.value,
-                                 "feasible": False, "error": str(exc)})
-    if warnings:
-        print(f"warning: {warnings} row(s) failed and were flagged", file=sys.stderr)
-    return rows, columns
+def _compare_row(config: RunConfig, p: dict) -> dict:
+    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
+    new, old = (optimise_v(chan, p["W"], config.strategy, config.beta, model=model,
+                           mi_double=config.mi_double) for model in ("sqcc", "baseline"))
+    return {"v_star_sqcc": new.v_star, "k_star_sqcc": new.k_star,
+            "v_star_baseline": old.v_star, "k_star_baseline": old.k_star,
+            "advantage": new.k_star >= old.k_star}
 
 
-def _optimize(config: RunConfig) -> tuple[list[dict], list[str]]:
-    columns = ["T", "W", "eps", "beta", "sigma", "strategy", "model", "N",
-               "v_star", "k_star", "evaluations", "bracket_low", "bracket_high"]
-    rows = []
-    for t in config.t_values:
-        for w in config.w_values:
-            chan = _channel(config, t)
-            if config.block_sizes:
-                n = config.block_sizes[0]
-                opt = optimise_v_finite(chan, w, _security(config, n),
-                                        config.strategy, config.beta,
-                                        mi_double=config.mi_double)
-                n_cell = n
-            else:
-                opt = optimise_v(chan, w, config.strategy, config.beta,
-                                 mi_double=config.mi_double)
-                n_cell = ""
-            rows.append({
-                "T": t, "W": w, "eps": config.excess_noise, "beta": config.beta,
-                "sigma": config.sigma, "strategy": config.strategy.value,
-                "model": "sqcc", "N": n_cell,
-                "v_star": opt.v_star, "k_star": opt.k_star,
-                "evaluations": opt.evaluations,
-                "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1],
-            })
-    return rows, columns
-
-
-def _compare_baseline(config: RunConfig) -> tuple[list[dict], list[str]]:
-    columns = ["T", "W", "eps", "beta", "sigma",
-               "v_star_sqcc", "k_star_sqcc", "v_star_baseline", "k_star_baseline",
-               "advantage"]
-    rows = []
-    for t in config.t_values:
-        for w in config.w_values:
-            chan = _channel(config, t)
-            new = optimise_v(chan, w, config.strategy, config.beta, model="sqcc",
-                             mi_double=config.mi_double)
-            old = optimise_v(chan, w, config.strategy, config.beta, model="baseline",
-                             mi_double=config.mi_double)
-            rows.append({
-                "T": t, "W": w, "eps": config.excess_noise, "beta": config.beta,
-                "sigma": config.sigma,
-                "v_star_sqcc": new.v_star, "k_star_sqcc": new.k_star,
-                "v_star_baseline": old.v_star, "k_star_baseline": old.k_star,
-                "advantage": new.k_star >= old.k_star,
-            })
-    return rows, columns
-
-
-_SIM_COLUMNS = (_COMMON + ["n", "seed", "rng", "schedule",
-                           "snr", "e_C", "a_d", "b_d", "c_d",
-                           "a_hat", "a_se", "b_hat", "b_se", "c_hat", "c_se",
-                           "e_C_hat", "e_C_se",
-                           "mean_bx_hat", "mean_bx_se", "mean_by_hat", "mean_by_se",
-                           "snr_hat", "delta_v_hat", "error"])
-
-
-def _simulate_row(config: RunConfig, d: float, seed: int) -> dict:
-    chan = _channel(config, config.t_values[0])
-    proto = ProtocolParams(config.modulation_variance, d, config.beta)
+def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | int):
+    """Analytic and empirical moment cells of one seeded batch, and the batch."""
+    proto = ProtocolParams(p["V"], p["d"], config.beta)
     stats = postprocess_stats(proto, chan)
-    batch = sample_joint(proto, chan, config.symbol_schedule, config.n_shots, seed)
+    batch = sample_joint(proto, chan, schedule, config.n_shots, p["seed"])
     post = discriminate_and_redisplace(batch, proto, chan)
-    moments = empirical_moments(post)
-    row = {
-        "T": chan.transmissivity, "W": "", "V": proto.modulation_variance,
-        "d": d, "eps": config.excess_noise, "beta": config.beta,
-        "sigma": config.sigma, "strategy": config.strategy.value,
-        "n": config.n_shots, "seed": seed, "rng": RNG_ALGORITHM,
-        "schedule": str(config.symbol_schedule),
+    m = empirical_moments(post)
+    cells = {
         "snr": stats.snr, "e_C": stats.e_c,
         "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
-        "a_hat": moments.a_hat, "a_se": moments.a_se,
-        "b_hat": moments.b_hat, "b_se": moments.b_se,
-        "c_hat": moments.c_hat, "c_se": moments.c_se,
-        "e_C_hat": moments.e_c_hat, "e_C_se": moments.e_c_se,
-        "mean_bx_hat": float(moments.mean_hat[2]), "mean_bx_se": float(moments.mean_se[2]),
-        "mean_by_hat": float(moments.mean_hat[3]), "mean_by_se": float(moments.mean_se[3]),
-        "snr_hat": "", "delta_v_hat": "", "error": "",
+        "a_hat": m.a_hat, "a_se": m.a_se, "b_hat": m.b_hat, "b_se": m.b_se,
+        "c_hat": m.c_hat, "c_se": m.c_se, "e_C_hat": m.e_c_hat, "e_C_se": m.e_c_se,
+        "mean_bx_hat": float(m.mean_hat[2]), "mean_bx_se": float(m.mean_se[2]),
+        "mean_by_hat": float(m.mean_hat[3]), "mean_by_se": float(m.mean_se[3]),
     }
+    return cells, batch, post
+
+
+def _simulate_row(config: RunConfig, p: dict) -> dict:
+    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
+    row, batch, post = _sampled(config, p, chan, config.symbol_schedule)
     if config.disclose_fraction:
         est = estimation_pipeline(batch, config.disclose_fraction)
-        row["snr_hat"] = est.snr_hat
-        row["delta_v_hat"] = est.delta_v_hat
+        row.update(snr_hat=est.snr_hat, delta_v_hat=est.delta_v_hat)
     if config.shots_output:
-        _dump_shots(config, batch, post)
+        with open(config.shots_output, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
+                             "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
+            for i in range(batch.n_shots):
+                writer.writerow([
+                    i,
+                    repr(float(batch.alice_outcomes[i, 0])),
+                    repr(float(batch.alice_outcomes[i, 1])),
+                    repr(float(batch.bob_outcomes[i, 0])),
+                    repr(float(batch.bob_outcomes[i, 1])),
+                    repr(float(post.bob_outcomes[i, 0])),
+                    repr(float(post.bob_outcomes[i, 1])),
+                    int(batch.true_symbols[i]),
+                    int(post.decided_symbols[i]),
+                ])
     return row
 
 
-def _dump_shots(config: RunConfig, batch, post) -> None:
-    columns = ["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
-               "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"]
-    with open(config.shots_output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(batch.n_shots):
-            writer.writerow([
-                i,
-                repr(float(batch.alice_outcomes[i, 0])),
-                repr(float(batch.alice_outcomes[i, 1])),
-                repr(float(batch.bob_outcomes[i, 0])),
-                repr(float(batch.bob_outcomes[i, 1])),
-                repr(float(post.bob_outcomes[i, 0])),
-                repr(float(post.bob_outcomes[i, 1])),
-                int(batch.true_symbols[i]),
-                int(post.decided_symbols[i]),
-            ])
-
-
-def _simulate(config: RunConfig) -> tuple[list[dict], list[str]]:
-    rows, warnings = [], 0
-    d_values = config.d_values or [config.modulation_variance]
-    for i, d in enumerate(d_values):
-        try:
-            rows.append(_simulate_row(config, d, config.seed + i))
-        except SqccError as exc:
-            warnings += 1
-            rows.append({"T": config.t_values[0], "V": config.modulation_variance,
-                         "d": d, "eps": config.excess_noise, "beta": config.beta,
-                         "sigma": config.sigma, "strategy": config.strategy.value,
-                         "n": config.n_shots, "seed": config.seed + i,
-                         "rng": RNG_ALGORITHM, "schedule": str(config.symbol_schedule),
-                         "error": str(exc)})
-    if warnings:
-        print(f"warning: {warnings} row(s) failed and were flagged", file=sys.stderr)
-    return rows, _SIM_COLUMNS
-
-
-_VALIDATE_COLUMNS = (["d", "n", "seed", "rng", "V", "T", "eps",
-                  "snr", "e_C", "a_d", "b_d", "c_d",
-                  "a_hat", "a_se", "b_hat", "b_se", "c_hat", "c_se",
-                  "e_C_hat", "e_C_se",
-                  "a_pass", "b_pass", "c_pass", "e_C_pass", "pass"])
-
-
-def _validate_fig2(config: RunConfig) -> tuple[list[dict], list[str]]:
-    """Analytic vs simulated postprocessed moments on the reference sweep.
+def _fig2_row(config: RunConfig, p: dict) -> dict:
+    """Analytic vs simulated postprocessed moments at one reference displacement.
 
     Fixed first-symbol schedule: the analytic moments describe a single
     classical sub-ensemble, and by symmetry every sub-ensemble matches.
     """
-    v, t, eps = 5.0, 0.1, 0.05
-    chan = ChannelParams(t, eps)
-    rows = []
-    for i, d in enumerate(config.d_values or [float(x) for x in range(0, 21, 2)]):
-        proto = ProtocolParams(v, d, config.beta)
-        stats = postprocess_stats(proto, chan)
-        batch = sample_joint(proto, chan, 1, config.n_shots, config.seed + i)
-        post = discriminate_and_redisplace(batch, proto, chan)
-        m = empirical_moments(post)
-        binom_se = math.sqrt(max(stats.e_c * (1.0 - stats.e_c), 1e-12)
-                             / (2 * config.n_shots))
-        checks = {
-            "a_pass": abs(m.a_hat - stats.a_d) <= 5.0 * m.a_se,
-            "b_pass": abs(m.b_hat - stats.b_d) <= 5.0 * m.b_se,
-            "c_pass": abs(m.c_hat - stats.c_d) <= 5.0 * m.c_se,
-            "e_C_pass": abs(m.e_c_hat - stats.e_c) <= 5.0 * binom_se,
-        }
-        rows.append({
-            "d": d, "n": config.n_shots, "seed": config.seed + i,
-            "rng": RNG_ALGORITHM, "V": v, "T": t, "eps": eps,
-            "snr": stats.snr, "e_C": stats.e_c,
-            "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
-            "a_hat": m.a_hat, "a_se": m.a_se,
-            "b_hat": m.b_hat, "b_se": m.b_se,
-            "c_hat": m.c_hat, "c_se": m.c_se,
-            "e_C_hat": m.e_c_hat, "e_C_se": m.e_c_se,
-            **checks,
-            "pass": all(checks.values()),
-        })
-    return rows, _VALIDATE_COLUMNS
+    row, _, _ = _sampled(config, p, ChannelParams(p["T"], p["eps"]), 1)
+    binom_se = math.sqrt(max(row["e_C"] * (1.0 - row["e_C"]), 1e-12)
+                         / (2 * config.n_shots))
+    checks = {f"{q}_pass": abs(row[f"{q}_hat"] - row[f"{q}_d"]) <= 5.0 * row[f"{q}_se"]
+              for q in "abc"}
+    checks["e_C_pass"] = abs(row["e_C_hat"] - row["e_C"]) <= 5.0 * binom_se
+    return {**row, **checks, "pass": all(checks.values())}
 
 
-def _security(config: RunConfig, block_size: float) -> SecurityParams:
-    if config.security is not None:
-        sec = config.security
-        return SecurityParams(
-            block_size=block_size,
-            frame_success=sec.frame_success,
-            discretization_bits=sec.discretization_bits,
-            eps_pe=sec.eps_pe, eps_s=sec.eps_s, eps_h=sec.eps_h,
-            eps_ent=sec.eps_ent, eps_qrng=sec.eps_qrng,
-            eps_ir=sec.eps_ir, eps_cal=sec.eps_cal,
-        )
-    return SecurityParams(block_size=block_size)
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    columns: list[str]
+    points: Callable[[RunConfig], Iterator[dict]]  # the input cells of each row
+    row: Callable[[RunConfig, dict], dict]  # the computed cells of one point
+
+
+_INPUT_COLUMNS = "T W V d eps beta sigma strategy "
+_DIAG_COLUMNS = " snr e_C delta a_d b_d c_d delta_v I_AB chi_EB K feasible error"
+_MOMENT_COLUMNS = " snr e_C a_d b_d c_d a_hat a_se b_hat b_se c_hat c_se e_C_hat e_C_se"
+# the reference operating point of the moment-validation sweep
+_FIG2 = {"V": 5.0, "T": 0.1, "eps": 0.05}
+
+_COMMANDS = {
+    "sweep-asymptotic": _Command(
+        "asymptotic rates over a grid",
+        (_INPUT_COLUMNS + "v_star k_star" + _DIAG_COLUMNS).split(),
+        _grid, _sweep_row),
+    "sweep-finite": _Command(
+        "finite-block rates over a grid",
+        (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
+         + " K_PE K_F ell epsilon_total").split(),
+        lambda c: (p for n in c.block_sizes or [_DEFAULT_BLOCK] for p in _grid(c, N=n)),
+        _sweep_row),
+    "optimize": _Command(
+        "maximise the rate over V at one point",
+        ("T W eps beta sigma strategy model N v_star k_star evaluations"
+         " bracket_low bracket_high").split(),
+        lambda c: _grid(c, model="sqcc", N=c.block_sizes[0] if c.block_sizes else ""),
+        _optimize_row),
+    "simulate": _Command(
+        "Monte Carlo moments at given displacement(s)",
+        (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"
+         " mean_bx_se mean_by_hat mean_by_se snr_hat delta_v_hat error").split(),
+        lambda c: _batches(c, [c.modulation_variance], T=c.t_values[0],
+                           schedule=str(c.symbol_schedule)),
+        _simulate_row),
+    "validate-fig2": _Command(
+        "analytic vs empirical moments on the reference sweep",
+        ("d n seed rng V T eps" + _MOMENT_COLUMNS
+         + " a_pass b_pass c_pass e_C_pass pass").split(),
+        lambda c: _batches(c, [float(x) for x in range(0, 21, 2)], **_FIG2),
+        _fig2_row),
+    "compare-baseline": _Command(
+        "optimised rate vs the prior coupling model",
+        ("T W eps beta sigma v_star_sqcc k_star_sqcc v_star_baseline k_star_baseline"
+         " advantage").split(),
+        _grid, _compare_row),
+}
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; writes the artifact file and returns the exit code."""
-    handlers = {
-        "sweep-asymptotic": _sweep_asymptotic,
-        "sweep-finite": _sweep_finite,
-        "optimize": _optimize,
-        "simulate": _simulate,
-        "validate-fig2": _validate_fig2,
-        "compare-baseline": _compare_baseline,
-    }
-    rows, columns = handlers[config.command](config)
-    path = _write_rows(rows, columns, config)
+    """Execute one command; writes the artifact file and returns the exit code.
+
+    Every row echoes the inputs.  A point whose computation raises a package
+    error becomes a flagged row: the inputs, ``feasible`` false and the
+    message in ``error``.
+    """
+    command = _COMMANDS[config.command]
+    inputs = {"V": config.modulation_variance, "eps": config.excess_noise,
+              "beta": config.beta, "sigma": config.sigma,
+              "strategy": config.strategy.value}
+    rows, failed = [], 0
+    for point in command.points(config):
+        point = {**inputs, **point}
+        try:
+            cells = command.row(config, point)
+        except SqccError as exc:
+            failed += 1
+            cells = {"feasible": False, "error": str(exc)}
+        rows.append({**point, **cells})
+    if failed:
+        print(f"warning: {failed} row(s) failed and were flagged", file=sys.stderr)
+    path = _write_rows(rows, command.columns, config)
     print(f"wrote {len(rows)} row(s) to {path}")
     return 0
-
-
-def _parse_t_grid(descriptor: str) -> list[float]:
-    """Parse 'log:lo:hi:n' or 'lin:lo:hi:n' grid descriptors."""
-    parts = descriptor.split(":")
-    if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise argparse.ArgumentTypeError(
-            f"grid must look like log:0.01:0.9:50, got {descriptor!r}"
-        )
-    kind, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
-    if not (0.0 < lo < hi) or n < 2:
-        raise argparse.ArgumentTypeError(f"invalid grid bounds in {descriptor!r}")
-    if kind == "log":
-        return list(np.geomspace(lo, hi, n))
-    return list(np.linspace(lo, hi, n))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -455,190 +415,86 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simultaneous quantum-classical CV-QKD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_w: bool = True):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--T", type=float, nargs="+", default=None,
-                           help="transmissivity value(s)")
-        group.add_argument("--db", type=float, nargs="+", default=None,
-                           help="attenuation value(s) in dB (converted to T)")
-        group.add_argument("--T-grid", dest="t_grid", type=_parse_t_grid,
-                           default=None, help="grid descriptor log:lo:hi:n")
-        if with_w:
-            p.add_argument("--W", type=float, nargs="+", default=None,
-                           help="classical QoS bit-error threshold(s)")
-        p.add_argument("--eps", type=float, default=None, help="channel excess noise")
-        p.add_argument("--beta", type=float, default=None,
-                       help="reconciliation efficiency")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="phase-noise factor (0 disables)")
-        p.add_argument("--strategy", choices=["b-preserving", "c-preserving"],
-                       default=None)
-        p.add_argument("--mi-double", action="store_true", default=None,
-                       help="double the mutual information (dual-quadrature count)")
-        p.add_argument("--config", default=None,
-                       help="JSON file with flat key/value defaults")
-        p.add_argument("--output", default=None, help="artifact file path")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-
-    p = sub.add_parser("sweep-asymptotic", help="asymptotic rates over a grid")
-    common(p)
-    p.add_argument("--V", type=float, default=None, help="fixed modulation variance")
-    p.add_argument("--optimize-v", action="store_true", default=None)
-
-    p = sub.add_parser("sweep-finite", help="finite-block rates over a grid")
-    common(p)
-    p.add_argument("--V", type=float, default=None)
-    p.add_argument("--optimize-v", action="store_true", default=None)
-    p.add_argument("--N", type=float, nargs="+", default=None, help="block size(s)")
-    _security_flags(p)
-
-    p = sub.add_parser("optimize", help="maximise the rate over V at one point")
-    common(p)
-    p.add_argument("--N", type=float, nargs="+", default=None,
-                   help="optional block size (finite-key objective)")
-    _security_flags(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo moments at given displacement(s)")
-    common(p, with_w=False)
-    p.add_argument("--V", type=float, default=None)
-    p.add_argument("--d", type=float, nargs="+", default=None)
-    p.add_argument("--n", type=int, default=None, help="shots per point")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--symbol", default=None,
-                   help="'uniform-random' or a fixed index 1..4")
-    p.add_argument("--disclose", type=float, default=None,
-                   help="run the estimation pipeline with this disclosed fraction")
-    p.add_argument("--shots-output", default=None,
-                   help="also dump per-shot scatter data to this CSV")
-
-    p = sub.add_parser("validate-fig2",
-                       help="analytic vs empirical moments on the reference sweep")
-    p.add_argument("--n", type=int, default=None, help="shots per displacement")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d", type=float, nargs="+", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-
-    p = sub.add_parser("compare-baseline",
-                       help="optimised rate vs the prior coupling model")
-    common(p)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in (o for o in _OPTIONS if name in o.commands):
+            kind = ({"action": "store_true"} if opt.type is bool else
+                    {"type": opt.type, "choices": opt.choices,
+                     "nargs": "+" if opt.many else None})
+            p.add_argument(opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
+                           default=None, help=opt.help, **kind)
     return parser
 
 
-def _security_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-f", dest="p_f", type=float, default=None,
-                   help="frame success probability")
-    p.add_argument("--d-rx", dest="d_rx", type=int, default=None,
-                   help="discretization bits")
-    for name in ("eps-pe", "eps-s", "eps-h", "eps-ent", "eps-qrng",
-                 "eps-ir", "eps-cal"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float,
-                       default=None)
+def _file_value(opt: _Option, value):
+    """A config-file value, type-checked and converted like the matching flag.
+
+    Text options and switches take JSON strings and booleans only; any
+    other value goes through the option's converter as text.
+    """
+    try:
+        if opt.many != isinstance(value, list):
+            raise TypeError("expected a list" if opt.many else "expected one value")
+        items = []
+        for item in value if opt.many else [value]:
+            if opt.type in (str, bool) and type(item) is not opt.type:
+                raise TypeError(f"expected a {opt.type.__name__}, got {item!r}")
+            items.append(opt.type(item if opt.type in (str, bool) else str(item)))
+            if opt.choices and items[-1] not in opt.choices:
+                raise ValueError(f"expected one of {opt.choices}, got {item!r}")
+    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+        raise DomainError(f"config key {opt.dest!r}: {exc}") from None
+    return items if opt.many else items[0]
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    """CLI flags override config-file values, which override built-in defaults."""
-    raw = vars(args)
-    file_values: dict = {}
-    if raw.get("config"):
-        with open(raw["config"]) as fh:
-            file_values = json.load(fh)
+    """CLI flags override config-file values, which override the table's defaults.
+
+    A null value or an empty list counts as not given.  Every value is
+    checked here, so bad input exits as a usage error before any row runs.
+    """
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    file_values = {}
+    if "config" in flags:
+        try:
+            with open(flags["config"]) as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read config file: {exc}") from None
         if not isinstance(file_values, dict):
             raise DomainError("config file must hold a flat JSON object")
+    given = {opt.dest: _file_value(opt, file_values[opt.dest]) for opt in _OPTIONS
+             if file_values.get(opt.dest) not in (None, [])}
+    given.update(flags)
 
-    def pick(key: str, default, cast=None):
-        value = raw.get(key)
-        if value is None:
-            value = file_values.get(key, default)
-        if cast is not None and value is not None:
-            value = cast(value)
-        return value
-
-    t_values = pick("T", None)
-    db_values = pick("db", None)
-    t_grid = pick("t_grid", None)
-    if isinstance(t_grid, str):
-        t_grid = _parse_t_grid(t_grid)
-    chosen = [v for v in (t_values, db_values, t_grid) if v]
-    if len(chosen) > 1:
+    if sum(k in given for k in ("T", "db", "t_grid")) > 1:
         raise DomainError("T, db and T-grid are mutually exclusive")
-    if db_values:
-        ts = [attenuation_db_to_transmissivity(v) for v in db_values]
-    elif t_grid:
-        ts = list(t_grid)
-    elif t_values:
-        ts = list(t_values)
-    else:
-        ts = [0.1]
+    if "db" in given:
+        given["T"] = [attenuation_db_to_transmissivity(v) for v in given["db"]]
+    elif "t_grid" in given:
+        given["T"] = given["t_grid"]
+    values = {opt.dest: given.get(opt.dest, opt.default) for opt in _OPTIONS}
+    values.update({opt.dest: [float(v) for v in values[opt.dest]]
+                   for opt in _OPTIONS if opt.many})
 
-    symbol = pick("symbol", "uniform-random")
-    if isinstance(symbol, str) and symbol.isdigit():
-        symbol = int(symbol)
-    if symbol != "uniform-random" and symbol not in (1, 2, 3, 4):
-        raise DomainError(f"symbol must be 'uniform-random' or 1..4, got {symbol!r}")
-
-    disclose = pick("disclose", None, lambda v: float(v) if v is not None else None)
-    if disclose is not None and not 0.0 < disclose < 1.0:
-        raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
-
-    strategy = RenormStrategy(pick("strategy", "b-preserving"))
-    block_sizes = pick("N", None) or []
-
-    sec = None
-    if any(raw.get(k) is not None or k in file_values
-           for k in ("p_f", "d_rx", "eps_pe", "eps_s", "eps_h", "eps_ent",
-                     "eps_qrng", "eps_ir", "eps_cal")):
-        sec = SecurityParams(
-            block_size=block_sizes[0] if block_sizes else 1e8,
-            frame_success=pick("p_f", 0.9964, float),
-            discretization_bits=pick("d_rx", 6, int),
-            eps_pe=pick("eps_pe", 1e-10, float),
-            eps_s=pick("eps_s", 1e-10, float),
-            eps_h=pick("eps_h", 1e-10, float),
-            eps_ent=pick("eps_ent", 1e-10, float),
-            eps_qrng=pick("eps_qrng", 1e-10, float),
-            eps_ir=pick("eps_ir", 1e-10, float),
-            eps_cal=pick("eps_cal", 1e-10, float),
-        )
-
-    t_list = [float(t) for t in ts]
-    w_list = [float(w) for w in (pick("W", None) or [0.5])]
-    eps = pick("eps", 0.05, float)
-    beta = pick("beta", 0.95, float)
-    sigma = pick("sigma", 0.0, float)
-    v = pick("V", 5.0, float)
-    # run the domain validators now so bad values exit as usage errors
-    for t in t_list:
-        ChannelParams(t, eps, sigma)
-    ProtocolParams(v, 0.0, beta)
-    for w in w_list:
+    security = SecurityParams(_DEFAULT_BLOCK, **{
+        name: given[dest] for dest, name in _SECURITY.items() if dest in given})
+    for n in values["N"]:
+        if not n >= 2:
+            raise DomainError(f"N must be >= 2, got {n}")
+    for t in values["T"]:
+        ChannelParams(t, values["eps"], values["sigma"])
+    ProtocolParams(values["V"], 0.0, values["beta"])
+    for w in values["W"]:
         if not 0.0 < w <= 0.5:
             raise DomainError(f"W must be in (0, 0.5], got {w}")
-
-    return RunConfig(
-        command=raw["command"],
-        t_values=t_list,
-        w_values=w_list,
-        excess_noise=eps,
-        beta=beta,
-        sigma=sigma,
-        strategy=strategy,
-        modulation_variance=v,
-        optimize_v=bool(pick("optimize_v", False)),
-        mi_double=bool(pick("mi_double", False)),
-        block_sizes=[float(n) for n in block_sizes],
-        security=sec,
-        d_values=[float(d) for d in (pick("d", None) or [])],
-        n_shots=pick("n", 100_000, int),
-        seed=pick("seed", 42, int),
-        symbol_schedule=symbol,
-        disclose_fraction=disclose,
-        output=pick("output", "") or "",
-        fmt=pick("fmt", "csv"),
-        shots_output=pick("shots_output", "") or "",
-    )
+    if values["seed"] < 0:
+        raise DomainError(f"seed must be >= 0, got {values['seed']}")
+    disclose = values["disclose"]
+    if disclose is not None and not 0.0 < disclose < 1.0:
+        raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
+    return RunConfig(command=flags["command"], security=security,
+                     **{opt.field: values[opt.dest] for opt in _OPTIONS if opt.field})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -646,11 +502,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge(args)
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+    except SqccError as exc:
         parser.error(str(exc))  # exits 2
     try:
         return run(config)
-    except SqccError as exc:
+    except (SqccError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams, ProtocolParams, shared_state
+from .channel import ChannelParams, ProtocolParams
 from .errors import DomainError
 from .gaussian import TwoModeGaussian
 from .keyrate import Optimum, holevo_bound, maximise_scalar, mutual_information
 from .postprocess import (
+    RenormResult,
     RenormStrategy,
-    postprocess_stats,
-    renormalise,
+    renormalised_moments,
     required_displacement,
 )
 from .special import Tolerance, beta_inv_cdf_symmetric
@@ -30,6 +30,7 @@ __all__ = [
     "delta_terms",
     "worst_case_estimators",
     "finite_rate",
+    "finite_rate_of",
     "optimise_v_finite",
 ]
 
@@ -159,9 +160,13 @@ def finite_rate(proto: ProtocolParams, chan: ChannelParams,
     analytic renormalised moments); the eavesdropper bound at the
     worst-case estimates.
     """
-    base = shared_state(proto, chan, symbol_index=1)
-    stats = postprocess_stats(proto, chan)
-    renorm = renormalise(stats, base, strategy)
+    _, renorm = renormalised_moments(proto, chan, strategy)
+    return finite_rate_of(renorm, proto, sec, mi_double)
+
+
+def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
+                   sec: SecurityParams, mi_double: bool = False) -> FiniteKeyResult:
+    """``finite_rate`` of a renormalisation already computed at (proto, chan)."""
     sp = renorm.state_prime
 
     mi = mutual_information(sp, double=mi_double)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams, ProtocolParams, qi_baseline_state, shared_state
+from .channel import ChannelParams, ProtocolParams, qi_baseline_state
 from .errors import DomainError, NumericError, PhysicalityError
 from .gaussian import (
     TwoModeGaussian,
@@ -21,9 +21,10 @@ from .gaussian import (
     symplectic_spectrum,
 )
 from .postprocess import (
+    RenormResult,
     RenormStrategy,
     postprocess_stats,
-    renormalise,
+    renormalised_moments,
     required_displacement,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "mutual_information",
     "holevo_bound",
     "asymptotic_rate",
+    "asymptotic_rate_of",
     "baseline_rate",
     "optimise_v",
 ]
@@ -106,24 +108,16 @@ def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
     An infeasible renormalisation is flagged, not raised, so parameter
     sweeps can record the region instead of aborting.
     """
-    base = shared_state(proto, chan, symbol_index=1)
-    stats = postprocess_stats(proto, chan)
-    renorm = renormalise(stats, base, strategy)
-    mi = mutual_information(renorm.state_prime, double=mi_double)
-    chi = holevo_bound(renorm.state_prime)
-    rate = proto.reconciliation_efficiency * mi - chi
-    return KeyRateResult(
-        mutual_information=mi,
-        holevo=chi,
-        rate=rate,
-        feasible=renorm.physical.passed,
-        modulation_variance=proto.modulation_variance,
-        transmissivity=chan.transmissivity,
-        excess_noise=chan.excess_noise,
-        displacement=proto.displacement,
-        qos_threshold=qos_threshold,
-        strategy=strategy,
-    )
+    _, renorm = renormalised_moments(proto, chan, strategy)
+    return asymptotic_rate_of(renorm, proto, chan, qos_threshold, mi_double)
+
+
+def asymptotic_rate_of(renorm: RenormResult, proto: ProtocolParams,
+                       chan: ChannelParams, qos_threshold: float = math.nan,
+                       mi_double: bool = False) -> KeyRateResult:
+    """``asymptotic_rate`` of a renormalisation already computed at (proto, chan)."""
+    return _rate(renorm.state_prime, renorm.physical.passed, renorm.strategy,
+                 proto, chan, qos_threshold, mi_double)
 
 
 def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
@@ -132,20 +126,27 @@ def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
     """Rate under the prior-literature coupling model (no renormalisation)."""
     e_c = postprocess_stats(proto, chan).e_c
     state = qi_baseline_state(proto, chan, e_c)
+    return _rate(state, is_physical(state).physical, None,
+                 proto, chan, qos_threshold, mi_double)
+
+
+def _rate(state: TwoModeGaussian, feasible: bool, strategy: RenormStrategy | None,
+          proto: ProtocolParams, chan: ChannelParams, qos_threshold: float,
+          mi_double: bool) -> KeyRateResult:
+    """K = beta * I_AB - chi_EB on one Gaussian-equivalent state."""
     mi = mutual_information(state, double=mi_double)
     chi = holevo_bound(state)
-    rate = proto.reconciliation_efficiency * mi - chi
     return KeyRateResult(
         mutual_information=mi,
         holevo=chi,
-        rate=rate,
-        feasible=is_physical(state).physical,
+        rate=proto.reconciliation_efficiency * mi - chi,
+        feasible=feasible,
         modulation_variance=proto.modulation_variance,
         transmissivity=chan.transmissivity,
         excess_noise=chan.excess_noise,
         displacement=proto.displacement,
         qos_threshold=qos_threshold,
-        strategy=None,
+        strategy=strategy,
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "variance_shift_factor",
     "postprocess_stats",
     "renormalise",
+    "renormalised_moments",
     "physicality_check",
     "required_displacement",
 ]
@@ -203,6 +204,14 @@ def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
         virtual_excess_noise=eps_v,
         physical=check,
     )
+
+
+def renormalised_moments(proto: ProtocolParams, chan: ChannelParams,
+                         strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
+                         ) -> tuple[PostprocessStats, RenormResult]:
+    """The closed-form chain at one operating point: moments, then their rescaling."""
+    stats = postprocess_stats(proto, chan)
+    return stats, renormalise(stats, shared_state(proto, chan, symbol_index=1), strategy)
 
 
 def _infer_transmissivity(base: TwoModeGaussian) -> float:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import sqccqkd.cli as cli
+from sqccqkd import finitekey, keyrate, postprocess
 from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
 from sqccqkd.keyrate import asymptotic_rate, optimise_v
@@ -97,7 +98,7 @@ class TestSweepCommands:
         def boom(*args, **kwargs):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli, "postprocess_stats", boom)
+        monkeypatch.setattr(cli, "renormalised_moments", boom)
         out = tmp_path / "warn.csv"
         code = cli.main(["sweep-asymptotic", "--T", "0.5", "--W", "0.5",
                          "--V", "5", "--output", str(out)])
@@ -196,3 +197,77 @@ class TestUsageErrors:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
+
+
+class TestHardenedInputs:
+    @pytest.mark.parametrize("config", [
+        {"T": 0.3}, {"N": 1e6}, {"W": "abc"}, {"n": "abc"}, {"strategy": "x"},
+        {"output": 5},
+    ], ids=lambda c: json.dumps(c))
+    def test_bad_config_value_is_usage_error_naming_key(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["optimize", "--config", str(cfg),
+                      "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--seed", "-1", "--n", "200"], "seed"),
+        (["sweep-finite", "--N", "1"], "N"),
+    ])
+    def test_bad_flag_is_usage_error_naming_key(self, tmp_path, capsys, argv, key):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"{key} must be >= " in capsys.readouterr().err
+
+
+class TestEveryCommandFlags:
+    @pytest.mark.parametrize("argv, echoed", [
+        (["optimize", "--T", "0.3", "--W", "1e-3", "--eps", "1e300"],
+         {"T": "0.3", "W": "0.001", "eps": "1e+300", "strategy": "b-preserving",
+          "model": "sqcc", "v_star": ""}),
+        (["compare-baseline", "--T", "0.3", "--W", "1e-6", "--eps", "1e300"],
+         {"T": "0.3", "W": "1e-06", "eps": "1e+300", "advantage": ""}),
+        (["simulate", "--d", "1e200", "--n", "200"],
+         {"T": "0.1", "V": "5.0", "d": "1e+200", "n": "200", "seed": "42",
+          "schedule": "uniform-random", "error": "displacement 1e+200 is too large"}),
+    ], ids=["optimize", "compare-baseline", "simulate"])
+    def test_failing_point_is_flagged_row(self, tmp_path, capsys, argv, echoed):
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert {k: row[k] for k in echoed} == echoed
+        assert "1 row(s) failed" in capsys.readouterr().err
+
+
+class TestPipelineEvaluations:
+    CHAIN = ("required_displacement", "postprocess_stats", "renormalise")
+
+    @pytest.mark.parametrize("argv, ceiling", [
+        (["sweep-asymptotic"], (1, 1, 1)),
+        (["sweep-finite", "--N", "1e8", "1e6"], (1, 2, 2)),
+    ])
+    def test_closed_form_chain_calls_per_fixed_v_row(self, tmp_path, monkeypatch,
+                                                     argv, ceiling):
+        counts = dict.fromkeys(self.CHAIN, 0)
+        for name in self.CHAIN:
+            original = getattr(postprocess, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (postprocess, keyrate, finitekey, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--T", "0.3", "0.6", "--W", "1e-3", "--V", "5",
+                         "--output", str(out)]) == 0
+        rows = read_csv(out)
+        assert all(row["error"] == "" for row in rows)
+        per_row = tuple(counts[name] / len(rows) for name in self.CHAIN)
+        assert per_row[0] == 1
+        assert all(n <= limit for n, limit in zip(per_row, ceiling))

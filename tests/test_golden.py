@@ -43,7 +43,8 @@ CASES = {
                           "--n", "2000", "--seed", "8", "--disclose", "0.1"],
     "simulate_flagged": ["simulate", "--T", "0.1", "--V", "1e300", "--d", "12",
                          "--n", "200"],
-    "validate_fig2": ["validate-fig2", "--n", "2000", "--seed", "42", "--d", "0", "10", "20"],
+    "validate_fig2": ["validate-fig2", "--n", "2000", "--seed", "42",
+                      "--d", "0", "10", "20"],
 }
 
 CONFIG = {"T": [0.4], "W": [0.5, 1e-3], "V": 2.0, "eps": 0.02, "sigma": 1e-4,
@@ -90,4 +91,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as scratch:
             for filename, data in run_case(case, pathlib.Path(scratch)).items():
                 (GOLDEN / filename).write_bytes(data)
-    (GOLDEN / "options.json").write_text(json.dumps(option_table(), indent=1, sort_keys=True) + "\n")
+    options = json.dumps(option_table(), indent=1, sort_keys=True)
+    (GOLDEN / "options.json").write_text(options + "\n")
