@@ -299,18 +299,11 @@ def _simulate_row(config: RunConfig, p: dict) -> dict:
             writer = csv.writer(fh)
             writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
                              "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
+            outcomes = (batch.alice_outcomes, batch.bob_outcomes, post.bob_outcomes)
             for i in range(batch.n_shots):
-                writer.writerow([
-                    i,
-                    repr(float(batch.alice_outcomes[i, 0])),
-                    repr(float(batch.alice_outcomes[i, 1])),
-                    repr(float(batch.bob_outcomes[i, 0])),
-                    repr(float(batch.bob_outcomes[i, 1])),
-                    repr(float(post.bob_outcomes[i, 0])),
-                    repr(float(post.bob_outcomes[i, 1])),
-                    int(batch.true_symbols[i]),
-                    int(post.decided_symbols[i]),
-                ])
+                xs = [repr(x) for xy in outcomes for x in xy[i].tolist()]
+                writer.writerow([i, *xs, int(batch.true_symbols[i]),
+                                 int(post.decided_symbols[i])])
     return row
 
 
