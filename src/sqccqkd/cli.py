@@ -71,14 +71,6 @@ def _parse_t_grid(descriptor: str) -> list[float]:
     return list(np.linspace(lo, hi, n))
 
 
-def _symbol(text: str) -> str | int:
-    """'uniform-random' or a fixed symbol index 1..4."""
-    if text not in ("uniform-random", "1", "2", "3", "4"):
-        raise argparse.ArgumentTypeError(
-            f"symbol must be 'uniform-random' or 1..4, got {text!r}")
-    return text if text == "uniform-random" else int(text)
-
-
 @dataclass(frozen=True)
 class _Option:
     """One option; ``dest`` is also its config-file key."""
@@ -103,8 +95,9 @@ _OPTIONS = (
     _Option("T", many=True, default=(0.1,), field="t_values",
             help="transmissivity value(s)"),
     _Option("db", many=True, default=(),
-            help="attenuation value(s) in dB (converted to T)"),
-    _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
+            help="attenuation value(s) in dB, converted to T (instead of --T)"),
+    _Option("t_grid", _parse_t_grid, flag="--T-grid",
+            help="grid descriptor log:lo:hi:n (instead of --T)"),
     _Option("W", many=True, default=(0.5,), commands=_RATE, field="w_values",
             help="classical QoS bit-error threshold(s)"),
     _Option("eps", default=0.05, field="excess_noise", help="channel excess noise"),
@@ -133,8 +126,9 @@ _OPTIONS = (
     _Option("n", int, default=100_000, commands=_SHOTS, field="n_shots",
             help="shots per point"),
     _Option("seed", int, default=42, commands=_SHOTS, field="seed"),
-    _Option("symbol", _symbol, default="uniform-random", commands=_SIM,
-            field="symbol_schedule", help="'uniform-random' or a fixed index 1..4"),
+    _Option("symbol", str, default="uniform-random", commands=_SIM,
+            field="symbol_schedule", choices=("uniform-random", "1", "2", "3", "4"),
+            help="'uniform-random' or a fixed index"),
     _Option("disclose", commands=_SIM, field="disclose_fraction",
             help="run the estimation pipeline with this disclosed fraction"),
     _Option("shots_output", str, default="", commands=_SIM, field="shots_output",
@@ -422,17 +416,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _file_value(opt: _Option, value):
     """A config-file value, type-checked and converted like the matching flag.
 
-    Text options and switches take JSON strings and booleans only; any
+    Switches and free-text options take JSON booleans and strings only; any
     other value goes through the option's converter as text.
     """
+    exact = opt.type is bool or opt.type is str and not opt.choices
     try:
         if opt.many != isinstance(value, list):
             raise TypeError("expected a list" if opt.many else "expected one value")
         items = []
         for item in value if opt.many else [value]:
-            if opt.type in (str, bool) and type(item) is not opt.type:
+            if exact and type(item) is not opt.type:
                 raise TypeError(f"expected a {opt.type.__name__}, got {item!r}")
-            items.append(opt.type(item if opt.type in (str, bool) else str(item)))
+            items.append(opt.type(item if exact else str(item)))
             if opt.choices and items[-1] not in opt.choices:
                 raise ValueError(f"expected one of {opt.choices}, got {item!r}")
     except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
@@ -469,6 +464,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     values = {opt.dest: given.get(opt.dest, opt.default) for opt in _OPTIONS}
     values.update({opt.dest: [float(v) for v in values[opt.dest]]
                    for opt in _OPTIONS if opt.many})
+    if values["symbol"] != "uniform-random":
+        values["symbol"] = int(values["symbol"])
 
     security = SecurityParams(_DEFAULT_BLOCK, **{
         name: given[dest] for dest, name in _SECURITY.items() if dest in given})
