@@ -2,8 +2,8 @@
 
 Every run writes one header-bearing CSV (or JSON array) whose rows echo all
 inputs, so each artifact is self-describing.  Output is byte-identical for
-identical configuration and seed.  Exit codes: 0 success, 1 numeric hard
-failure, 2 usage error.
+identical configuration and seed.  Exit codes: 0 success (a failing point
+becomes a flagged row), 1 the run could not finish, 2 usage error.
 
 ``_OPTIONS`` declares every option once; ``_COMMANDS`` gives each command
 its columns, its input points and its row builder.
@@ -56,6 +56,8 @@ _FINITE = ("sweep-finite", "optimize")
 _SHOTS = ("simulate", "validate-fig2")
 _SIM = ("simulate",)
 
+_T_ALTERNATIVES = ("T", "db", "t_grid")  # one of them gives the transmissivities
+
 
 def _parse_t_grid(descriptor: str) -> list[float]:
     """Parse 'log:lo:hi:n' or 'lin:lo:hi:n' grid descriptors."""
@@ -95,9 +97,8 @@ _OPTIONS = (
     _Option("T", many=True, default=(0.1,), field="t_values",
             help="transmissivity value(s)"),
     _Option("db", many=True, default=(),
-            help="attenuation value(s) in dB, converted to T (instead of --T)"),
-    _Option("t_grid", _parse_t_grid, flag="--T-grid",
-            help="grid descriptor log:lo:hi:n (instead of --T)"),
+            help="attenuation value(s) in dB (converted to T)"),
+    _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
     _Option("W", many=True, default=(0.5,), commands=_RATE, field="w_values",
             help="classical QoS bit-error threshold(s)"),
     _Option("eps", default=0.05, field="excess_noise", help="channel excess noise"),
@@ -404,12 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group()
         for opt in (o for o in _OPTIONS if name in o.commands):
             kind = ({"action": "store_true"} if opt.type is bool else
                     {"type": opt.type, "choices": opt.choices,
                      "nargs": "+" if opt.many else None})
-            p.add_argument(opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
-                           default=None, help=opt.help, **kind)
+            (group if opt.dest in _T_ALTERNATIVES else p).add_argument(
+                opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
+                default=None, help=opt.help, **kind)
     return parser
 
 
@@ -455,7 +458,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
              if file_values.get(opt.dest) not in (None, [])}
     given.update(flags)
 
-    if sum(k in given for k in ("T", "db", "t_grid")) > 1:
+    if sum(k in given for k in _T_ALTERNATIVES) > 1:
         raise DomainError("T, db and T-grid are mutually exclusive")
     if "db" in given:
         given["T"] = [attenuation_db_to_transmissivity(v) for v in given["db"]]
