@@ -236,7 +236,7 @@ def _sweep_row(config: RunConfig, p: dict) -> dict:
             v = opt.v_star
     proto = ProtocolParams(v, required_displacement(v, chan, p["W"]), config.beta)
     stats, renorm = renormalised_moments(proto, chan, config.strategy)
-    rate = asymptotic_rate_of(renorm, proto, chan, p["W"], config.mi_double)
+    rate = asymptotic_rate_of(renorm, proto, config.mi_double)
     row.update(V=v, d=proto.displacement, snr=stats.snr, e_C=stats.e_c,
                delta=stats.delta, a_d=stats.a_d, b_d=stats.b_d, c_d=stats.c_d,
                delta_v=renorm.delta_v, I_AB=rate.mutual_information,
@@ -454,6 +454,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"cannot read config file: {exc}") from None
         if not isinstance(file_values, dict):
             raise DomainError("config file must hold a flat JSON object")
+        unknown = [key for key in file_values if key not in {o.dest for o in _OPTIONS}]
+        if unknown:
+            raise DomainError(f"config key {unknown[0]!r} names no option")
     given = {opt.dest: _file_value(opt, file_values[opt.dest]) for opt in _OPTIONS
              if file_values.get(opt.dest) not in (None, [])}
     given.update(flags)

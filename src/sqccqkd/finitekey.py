@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from .channel import ChannelParams, ProtocolParams
 from .errors import DomainError
 from .gaussian import TwoModeGaussian
-from .keyrate import Optimum, holevo_bound, maximise_scalar, mutual_information
-from .postprocess import (
-    RenormResult,
-    RenormStrategy,
-    renormalised_moments,
-    required_displacement,
+from .keyrate import (
+    Optimum,
+    _pinned_objective,
+    holevo_bound,
+    maximise_scalar,
+    mutual_information,
 )
-from .special import Tolerance, beta_inv_cdf_symmetric
+from .postprocess import RenormResult, RenormStrategy, renormalised_moments
+from .special import beta_inv_cdf_symmetric
 
 __all__ = [
     "SecurityParams",
@@ -126,7 +127,7 @@ def delta_terms(sec: SecurityParams) -> DeltaTerms:
 
 def _confidence_shrink(z: float, n: float) -> float:
     """1 - A(z) with A(z) twice the Beta(n/2, n/2) quantile at z."""
-    return 1.0 - 2.0 * beta_inv_cdf_symmetric(z, n / 2.0, Tolerance(max_iter=400))
+    return 1.0 - 2.0 * beta_inv_cdf_symmetric(z, n / 2.0)
 
 
 def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
@@ -203,16 +204,8 @@ def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
 def optimise_v_finite(chan: ChannelParams, qos_threshold: float,
                       sec: SecurityParams,
                       strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                      beta: float = 0.95,
-                      v_low: float = 1.001, v_high: float = 1e3,
-                      coarse_points: int = 60, rel_tol: float = 1e-4,
-                      mi_double: bool = False) -> Optimum:
+                      beta: float = 0.95, mi_double: bool = False) -> Optimum:
     """Maximise the finite-block rate over the modulation variance."""
-
-    def objective(v: float) -> float:
-        d = required_displacement(v, chan, qos_threshold)
-        proto = ProtocolParams(v, d, beta)
-        res = finite_rate(proto, chan, strategy, sec, mi_double)
-        return res.rate if res.feasible else -math.inf
-
-    return maximise_scalar(objective, v_low, v_high, coarse_points, rel_tol)
+    return maximise_scalar(_pinned_objective(
+        chan, qos_threshold, beta,
+        lambda proto: finite_rate(proto, chan, strategy, sec, mi_double)))

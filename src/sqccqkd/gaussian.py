@@ -120,6 +120,9 @@ def symplectic_spectrum(state: TwoModeGaussian) -> SymplecticSpectrum:
     d1 = a * a + b * b - 2.0 * c * c
     d2 = a * b - c * c
     disc = d1 * d1 - 4.0 * d2 * d2
+    if not math.isfinite(disc):
+        raise DomainError(f"covariance a={a:.3e}, b={b:.3e}, c={c:.3e} overflows "
+                          "its symplectic invariants")
     if disc < 0.0:
         if disc < -_DISCRIMINANT_CLAMP:
             raise NumericError(

@@ -40,22 +40,18 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_V_BRACKET = (1.001, 1e3)  # the search range of V
+_LOG_V_TOL = 1e-4  # golden-section stop: bracket width in log V
 
 
 @dataclass(frozen=True)
 class KeyRateResult:
-    """Rate decomposition with the inputs that produced it echoed back."""
+    """Rate decomposition K = beta * I_AB - chi_EB and the physicality flag."""
 
     mutual_information: float
     holevo: float
     rate: float
     feasible: bool
-    modulation_variance: float
-    transmissivity: float
-    excess_noise: float
-    displacement: float
-    qos_threshold: float
-    strategy: RenormStrategy | None
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,6 @@ def holevo_bound(state: TwoModeGaussian) -> float:
 
 def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
                     strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                    qos_threshold: float = math.nan,
                     mi_double: bool = False) -> KeyRateResult:
     """Asymptotic secret-key rate of the full postprocessing pipeline.
 
@@ -109,29 +104,24 @@ def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
     sweeps can record the region instead of aborting.
     """
     _, renorm = renormalised_moments(proto, chan, strategy)
-    return asymptotic_rate_of(renorm, proto, chan, qos_threshold, mi_double)
+    return asymptotic_rate_of(renorm, proto, mi_double)
 
 
 def asymptotic_rate_of(renorm: RenormResult, proto: ProtocolParams,
-                       chan: ChannelParams, qos_threshold: float = math.nan,
                        mi_double: bool = False) -> KeyRateResult:
     """``asymptotic_rate`` of a renormalisation already computed at (proto, chan)."""
-    return _rate(renorm.state_prime, renorm.physical.passed, renorm.strategy,
-                 proto, chan, qos_threshold, mi_double)
+    return _rate(renorm.state_prime, renorm.physical.passed, proto, mi_double)
 
 
 def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
-                  qos_threshold: float = math.nan,
                   mi_double: bool = False) -> KeyRateResult:
     """Rate under the prior-literature coupling model (no renormalisation)."""
     e_c = postprocess_stats(proto, chan).e_c
     state = qi_baseline_state(proto, chan, e_c)
-    return _rate(state, is_physical(state).physical, None,
-                 proto, chan, qos_threshold, mi_double)
+    return _rate(state, is_physical(state).physical, proto, mi_double)
 
 
-def _rate(state: TwoModeGaussian, feasible: bool, strategy: RenormStrategy | None,
-          proto: ProtocolParams, chan: ChannelParams, qos_threshold: float,
+def _rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
           mi_double: bool) -> KeyRateResult:
     """K = beta * I_AB - chi_EB on one Gaussian-equivalent state."""
     mi = mutual_information(state, double=mi_double)
@@ -141,45 +131,40 @@ def _rate(state: TwoModeGaussian, feasible: bool, strategy: RenormStrategy | Non
         holevo=chi,
         rate=proto.reconciliation_efficiency * mi - chi,
         feasible=feasible,
-        modulation_variance=proto.modulation_variance,
-        transmissivity=chan.transmissivity,
-        excess_noise=chan.excess_noise,
-        displacement=proto.displacement,
-        qos_threshold=qos_threshold,
-        strategy=strategy,
     )
 
 
-def _qos_objective(chan: ChannelParams, qos_threshold: float, beta: float,
-                   strategy: RenormStrategy, model: str, mi_double: bool):
-    """Rate as a function of V alone, with d pinned by the QoS constraint."""
-    if model not in ("sqcc", "baseline"):
-        raise DomainError(f"unknown rate model {model!r}")
+def _pinned_objective(chan: ChannelParams, qos_threshold: float, beta: float, rate):
+    """V -> ``rate(proto).rate`` with d pinned by the QoS threshold; -inf if infeasible."""
 
     def objective(v: float) -> float:
         d = required_displacement(v, chan, qos_threshold)
-        proto = ProtocolParams(v, d, beta)
-        if model == "sqcc":
-            res = asymptotic_rate(proto, chan, strategy, qos_threshold, mi_double)
-        else:
-            res = baseline_rate(proto, chan, qos_threshold, mi_double)
+        res = rate(ProtocolParams(v, d, beta))
         return res.rate if res.feasible else -math.inf
 
     return objective
 
 
-def maximise_scalar(objective, v_low: float = 1.001, v_high: float = 1e3,
-                    coarse_points: int = 60, rel_tol: float = 1e-4) -> Optimum:
-    """Coarse log grid plus golden-section refinement of a scalar maximum.
+def _qos_objective(chan: ChannelParams, qos_threshold: float, beta: float,
+                   strategy: RenormStrategy, model: str, mi_double: bool):
+    """Rate as a function of V alone, with d pinned by the QoS constraint."""
+    rates = {"sqcc": lambda proto: asymptotic_rate(proto, chan, strategy, mi_double),
+             "baseline": lambda proto: baseline_rate(proto, chan, mi_double)}
+    if model not in rates:
+        raise DomainError(f"unknown rate model {model!r}")
+    return _pinned_objective(chan, qos_threshold, beta, rates[model])
+
+
+def maximise_scalar(objective, coarse_points: int = 60) -> Optimum:
+    """Coarse log grid over V in [1.001, 1e3] plus golden-section refinement.
 
     Deterministic by construction.  If no evaluated point yields a
     positive value the optimum is reported as no-key: k_star = 0 with
     v_star = nan.
     """
-    if not (1.0 <= v_low < v_high):
-        raise DomainError(f"invalid search bracket [{v_low}, {v_high}]")
-    logs = [math.log(v_low) + i * (math.log(v_high) - math.log(v_low))
-            / (coarse_points - 1) for i in range(coarse_points)]
+    log_low, log_high = (math.log(v) for v in _V_BRACKET)
+    logs = [log_low + i * (log_high - log_low) / (coarse_points - 1)
+            for i in range(coarse_points)]
     grid = [math.exp(u) for u in logs]
     values = [objective(v) for v in grid]
     evaluations = len(grid)
@@ -192,7 +177,7 @@ def maximise_scalar(objective, v_low: float = 1.001, v_high: float = 1e3,
     f1 = objective(math.exp(x1))
     f2 = objective(math.exp(x2))
     evaluations += 2
-    while (hi - lo) > rel_tol:
+    while (hi - lo) > _LOG_V_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -220,8 +205,6 @@ def maximise_scalar(objective, v_low: float = 1.001, v_high: float = 1e3,
 def optimise_v(chan: ChannelParams, qos_threshold: float,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                beta: float = 0.95, model: str = "sqcc",
-               v_low: float = 1.001, v_high: float = 1e3,
-               coarse_points: int = 60, rel_tol: float = 1e-4,
                mi_double: bool = False) -> Optimum:
     """Maximise the asymptotic rate over the modulation variance.
 
@@ -229,4 +212,4 @@ def optimise_v(chan: ChannelParams, qos_threshold: float,
     V, so the classical bit-error rate stays pinned across the search.
     """
     objective = _qos_objective(chan, qos_threshold, beta, strategy, model, mi_double)
-    return maximise_scalar(objective, v_low, v_high, coarse_points, rel_tol)
+    return maximise_scalar(objective)

@@ -37,9 +37,8 @@ RNG_ALGORITHM = "numpy-philox4x64-v1"
 
 _N_CHUNKS = 16
 
-# per-axis sign of each alphabet point, indexed by symbol - 1
-_X_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-_Y_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+# (x, y) signs of each alphabet point, indexed by symbol - 1
+_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,19 +151,20 @@ def sample_joint(proto: ProtocolParams, chan: ChannelParams,
 
 def discriminate_and_redisplace(batch: ShotBatch, proto: ProtocolParams,
                                 chan: ChannelParams) -> ShotBatch:
-    """Classify each receiver outcome by quadrant and subtract that centroid."""
-    decided = _classify(batch.bob_outcomes)
-    bob = batch.bob_outcomes - _centroids(proto, chan)[decided - 1]
-    return replace(batch, bob_outcomes=bob, decided_symbols=decided)
+    """Subtract from each raw receiver outcome the centroid of its decided quadrant."""
+    bob = batch.bob_outcomes - _centroids(proto, chan)[batch.decided_symbols - 1]
+    return replace(batch, bob_outcomes=bob)
+
+
+def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> np.ndarray:
+    """Per-shot (x, y) bit errors, shape (n, 2): the axis signs that differ."""
+    return _SIGNS[true_symbols - 1] != _SIGNS[decided_symbols - 1]
 
 
 def classical_bit_error_rate(batch: ShotBatch) -> float:
     """Per-axis (bitwise) error fraction between decided and true symbols."""
-    true_i = batch.true_symbols - 1
-    dec_i = batch.decided_symbols - 1
-    x_err = _X_SIGN[true_i] != _X_SIGN[dec_i]
-    y_err = _Y_SIGN[true_i] != _Y_SIGN[dec_i]
-    return float(np.mean(x_err) + np.mean(y_err)) / 2.0
+    errors = _bit_errors(batch.true_symbols, batch.decided_symbols)
+    return float(np.mean(errors[:, 0]) + np.mean(errors[:, 1])) / 2.0
 
 
 def symbol_error_rate(batch: ShotBatch) -> float:
@@ -214,10 +214,7 @@ def empirical_moments(batch: ShotBatch) -> EmpiricalMoments:
     for i in range(4):
         _, mean_se[i] = _chunked(joint[:, i], np.mean)
 
-    bits = np.column_stack([
-        _X_SIGN[batch.true_symbols - 1] != _X_SIGN[batch.decided_symbols - 1],
-        _Y_SIGN[batch.true_symbols - 1] != _Y_SIGN[batch.decided_symbols - 1],
-    ]).astype(float)
+    bits = _bit_errors(batch.true_symbols, batch.decided_symbols).astype(float)
     e_c_hat, e_c_se = _chunked(bits, np.mean)
 
     return EmpiricalMoments(
@@ -277,7 +274,7 @@ def estimation_pipeline(batch: ShotBatch, disclose_fraction: float = 0.1,
             f"disclosed sample too small: {m} shots (need >= 100)"
         )
 
-    decided = _classify(batch.bob_outcomes)
+    decided = batch.decided_symbols
     centroid_hat = np.zeros((4, 2))
     for k in range(4):
         mask = decided == k + 1
@@ -286,10 +283,7 @@ def estimation_pipeline(batch: ShotBatch, disclose_fraction: float = 0.1,
 
     bob_post = batch.bob_outcomes - centroid_hat[decided - 1]
 
-    true_i = batch.true_symbols[:m] - 1
-    dec_i = decided[:m] - 1
-    errors = int(np.sum(_X_SIGN[true_i] != _X_SIGN[dec_i])
-                 + np.sum(_Y_SIGN[true_i] != _Y_SIGN[dec_i]))
+    errors = int(_bit_errors(batch.true_symbols[:m], decided[:m]).sum())
     comparisons = 2 * m
     e_c_point = errors / comparisons
     if errors == comparisons:
@@ -303,7 +297,7 @@ def estimation_pipeline(batch: ShotBatch, disclose_fraction: float = 0.1,
     snr_hat = _snr_from_error_rate(min(e_c_bound, 0.5))
     shift = variance_shift_factor(snr_point)
 
-    post = replace(batch, bob_outcomes=bob_post, decided_symbols=decided)
+    post = replace(batch, bob_outcomes=bob_post)
     b_d_hat = conditional_variance(post) - 1.0
     b_hat = (b_d_hat + 1.0) / (1.0 + shift) - 1.0
     delta_v_hat = (b_d_hat + 1.0) / (b_hat + 1.0)

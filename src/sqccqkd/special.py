@@ -29,19 +29,17 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _CF_TINY = 1e-300
+_NORMAL_HALF_N = 1e6  # Beta(half_n, half_n) above this half_n is taken as normal
 
 
 @dataclass(frozen=True)
 class Tolerance:
     """Explicit convergence budget for iterative routines."""
 
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_iter < 1:
@@ -263,11 +261,10 @@ def beta_quantile(z: float, a: float, b: float,
 
 
 def beta_inv_cdf_symmetric(z: float, half_n: float,
-                           tol: Tolerance = DEFAULT_TOLERANCE,
-                           normal_threshold: float = 1e6) -> float:
+                           tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Inverse CDF of Beta(half_n, half_n).
 
-    Below ``normal_threshold`` the quantile is found by bisection on
+    Up to half_n = 1e6 the quantile is found by bisection on
     :func:`beta_reg`; above it the distribution is indistinguishable
     from Normal(1/2, 1/(8*half_n + 4)) at double precision and the
     closed-form quantile is used instead.
@@ -280,7 +277,7 @@ def beta_inv_cdf_symmetric(z: float, half_n: float,
         raise DomainError(f"half_n must be >= 0.5, got {half_n}")
     if z == 0.5:
         return 0.5
-    if half_n > normal_threshold:
+    if half_n > _NORMAL_HALF_N:
         return 0.5 + normal_quantile(z) / math.sqrt(8.0 * half_n + 4.0)
     if z > 0.5:
         return 1.0 - _bisect_beta(1.0 - z, half_n, half_n, 0.0, 0.5, tol)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import sqccqkd.cli as cli
-from sqccqkd import finitekey, keyrate, postprocess
+from sqccqkd import finitekey, keyrate, montecarlo, postprocess
 from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
 from sqccqkd.keyrate import asymptotic_rate, optimise_v
@@ -149,6 +149,14 @@ class TestConfigPrecedence:
         assert float(row["T"]) == 0.4     # file value survives
         assert float(row["eps"]) == 0.02
 
+    def test_other_commands_keys_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": [0.4], "seed": 3, "d": [1.0], "disclose": 0.5}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep-asymptotic", "--config", str(cfg),
+                         "--output", str(out)]) == 0
+        assert read_csv(out)[0]["T"] == "0.4"
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
         assert cli.main(["optimize", "--T", "0.5", "--W", "0.5"]) == 0
@@ -202,7 +210,7 @@ class TestUsageErrors:
 class TestHardenedInputs:
     @pytest.mark.parametrize("config", [
         {"T": 0.3}, {"N": 1e6}, {"W": "abc"}, {"n": "abc"}, {"strategy": "x"},
-        {"output": 5},
+        {"output": 5}, {"format": "json", "T-grid": "log:0.1:0.9:3"},
     ], ids=lambda c: json.dumps(c))
     def test_bad_config_value_is_usage_error_naming_key(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -234,7 +242,10 @@ class TestEveryCommandFlags:
         (["simulate", "--d", "1e200", "--n", "200"],
          {"T": "0.1", "V": "5.0", "d": "1e+200", "n": "200", "seed": "42",
           "schedule": "uniform-random", "error": "displacement 1e+200 is too large"}),
-    ], ids=["optimize", "compare-baseline", "simulate"])
+        (["sweep-asymptotic", "--T", "0.1", "--eps", "1e300"],
+         {"eps": "1e+300", "feasible": "false", "error": "covariance a=5.000e+00, "
+          "b=1.000e+299, c=1.549e+00 overflows its symplectic invariants"}),
+    ], ids=["optimize", "compare-baseline", "simulate", "sweep-asymptotic-overflow"])
     def test_failing_point_is_flagged_row(self, tmp_path, capsys, argv, echoed):
         out = tmp_path / "o.csv"
         assert cli.main([*argv, "--output", str(out)]) == 0
@@ -271,3 +282,17 @@ class TestPipelineEvaluations:
         per_row = tuple(counts[name] / len(rows) for name in self.CHAIN)
         assert per_row[0] == 1
         assert all(n <= limit for n, limit in zip(per_row, ceiling))
+
+    def test_one_classification_per_disclosed_batch(self, tmp_path, monkeypatch):
+        calls = []
+        original = montecarlo._classify
+
+        def counted(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(montecarlo, "_classify", counted)
+        assert cli.main(["simulate", "--T", "0.1", "--V", "5", "--d", "12", "0",
+                         "--n", "2000", "--disclose", "0.1",
+                         "--output", str(tmp_path / "o.csv")]) == 0
+        assert calls == [2000, 2000]

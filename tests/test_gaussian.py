@@ -65,6 +65,13 @@ class TestSymplecticSpectrum:
         assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(spec.d1,
                                                                       rel=1e-10)
 
+    def test_overflow_is_a_domain_error_not_a_verdict(self):
+        """An overflowing covariance is named, not read as a vacuum violation."""
+        state = TwoModeGaussian(np.zeros(4), 5.0, 1e299, 1.5)
+        for check in (symplectic_spectrum, is_physical):
+            with pytest.raises(DomainError, match="overflows"):
+                check(state)
+
 
 class TestConditionalEigenvalue:
     def test_pure_state_gives_vacuum(self):

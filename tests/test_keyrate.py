@@ -180,9 +180,12 @@ class TestOptimiseV:
         assert opt.k_star == ref == 0.0
 
     def test_grid_density_invariance(self):
+        from sqccqkd.keyrate import _qos_objective, maximise_scalar
         chan = ChannelParams(0.7, 0.05)
-        k60 = optimise_v(chan, 1e-3, coarse_points=60).k_star
-        k240 = optimise_v(chan, 1e-3, coarse_points=240).k_star
+        obj = _qos_objective(chan, 1e-3, 0.95, RenormStrategy.B_PRESERVING,
+                             "sqcc", False)
+        k60 = maximise_scalar(obj, 60).k_star
+        k240 = maximise_scalar(obj, 240).k_star
         assert k240 == pytest.approx(k60, rel=1e-5)
 
     def test_sandwich_bound(self):

@@ -270,11 +270,9 @@ class TestInverseRoundtrips:
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
-        assert tol.abs_tol == 1e-12 and tol.rel_tol == 1e-10 and tol.max_iter == 200
+        assert tol.rel_tol == 1e-10 and tol.max_iter == 200
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            Tolerance(abs_tol=0.0)
         with pytest.raises(DomainError):
             Tolerance(rel_tol=-1.0)
         with pytest.raises(DomainError):
