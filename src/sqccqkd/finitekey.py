@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .channel import ChannelParams, ProtocolParams
 from .errors import DomainError
@@ -79,6 +80,22 @@ class SecurityParams:
         return (self.eps_qrng + self.eps_h + self.eps_s + self.eps_ir
                 + self.eps_ent + self.eps_pe + self.eps_cal)
 
+    @cached_property
+    def _estimator_margins(self) -> tuple[float, float]:
+        """(delta_var, delta_cov) of ``worst_case_estimators``.
+
+        They depend on (N, eps_pe) alone, so the two Beta quantile
+        bisections run once per instance rather than once per rate
+        evaluation.  The cache lives in the instance ``__dict__``:
+        ``dataclasses.replace`` builds a fresh instance without it.
+        """
+        n = self.block_size
+        shrink_var = _confidence_shrink(self.eps_pe / 12.0, n)
+        shrink_cov = _confidence_shrink(self.eps_pe ** 2 / 1296.0, n)
+        delta_var = ((1.0 + shrink_var)
+                     * (1.0 + 240.0 / self.eps_pe * math.exp(-n / 32.0)) - 1.0)
+        return delta_var, 0.5 * shrink_var + shrink_cov
+
 
 @dataclass(frozen=True)
 class DeltaTerms:
@@ -92,21 +109,13 @@ class DeltaTerms:
 
 @dataclass(frozen=True)
 class FiniteKeyResult:
-    """Finite-block key length and everything that went into it."""
+    """Finite-block key length, its rate and the PE-asymptotic rate behind it."""
 
-    delta_aep: float
-    delta_ent: float
-    delta_s: float
-    delta_h: float
-    sigma_a_max: float
-    sigma_b_max: float
-    sigma_c_min: float
     k_pe_inf: float
     key_length: float
     rate: float
     epsilon_total: float
     feasible: bool
-    block_size: float
 
 
 def delta_terms(sec: SecurityParams) -> DeltaTerms:
@@ -140,11 +149,7 @@ def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
     """
     if c_hat == 0.0:
         raise DomainError("worst-case correlation estimate undefined for c = 0")
-    n = sec.block_size
-    shrink_var = _confidence_shrink(sec.eps_pe / 12.0, n)
-    shrink_cov = _confidence_shrink(sec.eps_pe ** 2 / 1296.0, n)
-    delta_var = (1.0 + shrink_var) * (1.0 + 240.0 / sec.eps_pe * math.exp(-n / 32.0)) - 1.0
-    delta_cov = 0.5 * shrink_var + shrink_cov
+    delta_var, delta_cov = sec._estimator_margins
     sigma_a = (1.0 + delta_var) * a_hat
     sigma_b = (1.0 + delta_var) * b_hat
     sigma_c = (1.0 - 2.0 * math.sqrt(a_hat * b_hat / c_hat ** 2) * delta_cov) * c_hat
@@ -185,19 +190,11 @@ def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
             + d.s / n
             + d.h / n)
     return FiniteKeyResult(
-        delta_aep=d.aep,
-        delta_ent=d.ent,
-        delta_s=d.s,
-        delta_h=d.h,
-        sigma_a_max=sig_a,
-        sigma_b_max=sig_b,
-        sigma_c_min=sig_c,
         k_pe_inf=k_pe,
         key_length=rate * n,
         rate=rate,
         epsilon_total=sec.epsilon_total(),
         feasible=renorm.physical.passed,
-        block_size=n,
     )
 
 

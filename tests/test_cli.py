@@ -283,6 +283,33 @@ class TestPipelineEvaluations:
         assert per_row[0] == 1
         assert all(n <= limit for n, limit in zip(per_row, ceiling))
 
+    @pytest.fixture
+    def quantile_calls(self, monkeypatch):
+        calls = []
+        original = finitekey.beta_inv_cdf_symmetric
+
+        def counted(z, half_n, *args, **kwargs):
+            calls.append(half_n)
+            return original(z, half_n, *args, **kwargs)
+
+        monkeypatch.setattr(finitekey, "beta_inv_cdf_symmetric", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["optimize", "--T", "0.6", "--N", "1e6"], 1),
+        (["optimize", "--T", "0.6"], 0),
+        (["sweep-finite", "--optimize-v", "--T", "0.3", "0.6", "--N", "1e8", "1e4"], 4),
+    ], ids=["optimize-N", "optimize-asymptotic", "sweep-finite-optimize-v"])
+    def test_two_beta_quantiles_per_finite_row(self, tmp_path, quantile_calls,
+                                               argv, rows):
+        """The optimiser and the row's K^F share one pair of quantiles per block size."""
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--W", "1e-3", "--output", str(out)]) == 0
+        assert len(quantile_calls) == 2 * rows
+        # a second run in the same process pays for its own quantiles
+        assert cli.main([*argv, "--W", "1e-3", "--output", str(out)]) == 0
+        assert len(quantile_calls) == 4 * rows
+
     def test_one_classification_per_disclosed_batch(self, tmp_path, monkeypatch):
         calls = []
         original = montecarlo._classify

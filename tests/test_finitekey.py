@@ -1,5 +1,6 @@
 """Finite-size penalties, worst-case estimators, composable key length."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,27 @@ class TestWorstCaseEstimators:
         assert sigma_a == pytest.approx(5.003366296100311, rel=1e-10)
         assert sigma_b == pytest.approx(1.4059459292041874, rel=1e-10)
         assert sigma_c == pytest.approx(1.5421152608395363, rel=1e-10)
+
+    @pytest.mark.parametrize("n, expected", [
+        (1e4, (5.336256888833759, 1.4994881857622864, 0.8422325046686798)),
+        (1e6, (5.033662588122922, 1.4144591872625412, 1.4783541172571322)),
+    ])
+    def test_bisection_blocks_frozen(self, n, expected):
+        """Below N = 2e6 the Beta quantiles come from bisection, not the normal limit."""
+        got = worst_case_estimators(5.0, 1.405, 1.5492, sec_at(n))
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("change", [{"block_size": 1e6}, {"eps_pe": 1e-6}])
+    def test_replaced_params_recompute_margins(self, change):
+        """A replaced SecurityParams carries no margins cached on its source."""
+        sec = sec_at(1e4)
+        worst_case_estimators(5.0, 1.405, 1.5492, sec)
+        replaced = dataclasses.replace(sec, **change)
+        fresh = SecurityParams(**{**dataclasses.asdict(sec), **change})
+        assert (worst_case_estimators(5.0, 1.405, 1.5492, replaced)
+                == worst_case_estimators(5.0, 1.405, 1.5492, fresh))
+        assert (worst_case_estimators(5.0, 1.405, 1.5492, replaced)
+                != worst_case_estimators(5.0, 1.405, 1.5492, sec))
 
     def test_normal_branch_cross_check(self):
         """delta_Var at N=1e8 equals the closed-form tail estimate."""
