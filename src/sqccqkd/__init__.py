@@ -9,10 +9,8 @@ with a seeded Monte Carlo engine validating the closed-form model.
 
 from .channel import (
     ChannelParams,
-    PHASE_NOISE_PRESET,
     ProtocolParams,
     attenuation_db_to_transmissivity,
-    mean_photon_number,
     qi_baseline_state,
     shared_state,
 )
@@ -57,12 +55,10 @@ from .montecarlo import (
     EstimationResult,
     RNG_ALGORITHM,
     ShotBatch,
-    classical_bit_error_rate,
     discriminate_and_redisplace,
     empirical_moments,
     estimation_pipeline,
     sample_joint,
-    symbol_error_rate,
 )
 from .postprocess import (
     CheckResult,
@@ -70,7 +66,6 @@ from .postprocess import (
     RenormResult,
     RenormStrategy,
     error_rate_from_snr,
-    physicality_check,
     postprocess_stats,
     renormalise,
     required_displacement,
@@ -78,15 +73,11 @@ from .postprocess import (
     variance_shift_factor,
 )
 from .special import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
     beta_inv_cdf_symmetric,
     beta_quantile,
     beta_reg,
-    erf,
     erfc,
     erfc_inv,
-    normal_cdf,
     normal_quantile,
 )
 

@@ -20,17 +20,11 @@ from .gaussian import TwoModeGaussian
 __all__ = [
     "ChannelParams",
     "ProtocolParams",
-    "PHASE_NOISE_PRESET",
     "qpsk_symbol",
     "shared_state",
     "qi_baseline_state",
-    "mean_photon_number",
     "attenuation_db_to_transmissivity",
 ]
-
-# named preset for the power-proportional phase-noise factor
-PHASE_NOISE_PRESET = 1e-4
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -136,19 +130,6 @@ def qi_baseline_state(proto: ProtocolParams, chan: ChannelParams,
         b=t * (v + eps_prime - 1.0) + 1.0,
         c=math.sqrt(t * (v * v - 1.0)),
     )
-
-
-def mean_photon_number(chan: ChannelParams) -> float:
-    """Mean photon number of the thermal input realising the channel noise."""
-    t = chan.transmissivity
-    eps = chan.excess_noise
-    if t == 1.0:
-        if eps > 0.0:
-            raise DomainError(
-                "a lossless channel admits no thermal input for excess_noise > 0"
-            )
-        return 0.0
-    return t * eps / (2.0 * (1.0 - t))
 
 
 def attenuation_db_to_transmissivity(db: float) -> float:

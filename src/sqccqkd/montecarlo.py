@@ -26,8 +26,6 @@ __all__ = [
     "EstimationResult",
     "sample_joint",
     "discriminate_and_redisplace",
-    "classical_bit_error_rate",
-    "symbol_error_rate",
     "empirical_moments",
     "estimation_pipeline",
 ]
@@ -51,7 +49,6 @@ class ShotBatch:
     bob_outcomes: np.ndarray
     true_symbols: np.ndarray
     decided_symbols: np.ndarray
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 @dataclass(frozen=True)
@@ -159,17 +156,6 @@ def discriminate_and_redisplace(batch: ShotBatch, proto: ProtocolParams,
 def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> np.ndarray:
     """Per-shot (x, y) bit errors, shape (n, 2): the axis signs that differ."""
     return _SIGNS[true_symbols - 1] != _SIGNS[decided_symbols - 1]
-
-
-def classical_bit_error_rate(batch: ShotBatch) -> float:
-    """Per-axis (bitwise) error fraction between decided and true symbols."""
-    errors = _bit_errors(batch.true_symbols, batch.decided_symbols)
-    return float(np.mean(errors[:, 0]) + np.mean(errors[:, 1])) / 2.0
-
-
-def symbol_error_rate(batch: ShotBatch) -> float:
-    """Fraction of shots whose decided symbol differs from the sent one."""
-    return float(np.mean(batch.decided_symbols != batch.true_symbols))
 
 
 def _chunked(values: np.ndarray, stat) -> tuple[float, float]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelParams, ProtocolParams, shared_state
 from .errors import DomainError, NumericError
-from .gaussian import PhysicalityVerdict, TwoModeGaussian, is_physical
+from .gaussian import TwoModeGaussian, is_physical
 from .special import erfc, erfc_inv
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "postprocess_stats",
     "renormalise",
     "renormalised_moments",
-    "physicality_check",
     "required_displacement",
 ]
 
@@ -87,7 +86,6 @@ class CheckResult:
 
     passed: bool
     margin: float
-    state_verdict: PhysicalityVerdict
 
     def __bool__(self) -> bool:
         return self.passed
@@ -232,24 +230,18 @@ def _infer_excess_noise(base: TwoModeGaussian) -> float:
 
 def _check(strategy: RenormStrategy, state_prime: TwoModeGaussian,
            base: TwoModeGaussian) -> CheckResult:
+    """Does the rescaling emulate a legitimate physical operation?
+
+    B_PRESERVING must not grow the correlation (margin = c - c'),
+    C_PRESERVING must not shrink the receiver variance (margin = b' - b),
+    and the rescaled state must pass the uncertainty-principle test.
+    """
     if strategy is RenormStrategy.B_PRESERVING:
         margin = base.c - state_prime.c
     else:
         margin = state_prime.b - base.b
-    verdict = is_physical(state_prime)
-    passed = margin >= -_MARGIN_TOL and verdict.physical
-    return CheckResult(passed=passed, margin=margin, state_verdict=verdict)
-
-
-def physicality_check(result: RenormResult, base: TwoModeGaussian) -> CheckResult:
-    """Verify the rescaling emulates a legitimate physical operation.
-
-    For B_PRESERVING the correlation must not grow (margin = c - c',
-    equivalently T_v <= 1); for C_PRESERVING the receiver variance must
-    not shrink (margin = b' - b).  The rescaled state itself must also
-    pass the uncertainty-principle test.
-    """
-    return _check(result.strategy, result.state_prime, base)
+    passed = margin >= -_MARGIN_TOL and is_physical(state_prime).physical
+    return CheckResult(passed=passed, margin=margin)
 
 
 def required_displacement(modulation_variance: float, chan: ChannelParams,

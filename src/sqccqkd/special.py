@@ -1,26 +1,21 @@
 """Self-contained special-function kernel.
 
-Error functions and their inverses, the regularized incomplete beta
-function and its symmetric-parameter inverse CDF, and the standard
-normal quantile.  Everything downstream (bit-error rates, confidence
+The complementary error function and its inverse, the regularized
+incomplete beta function and its symmetric-parameter inverse CDF, and
+the standard normal quantile.  Everything downstream (bit-error rates, confidence
 bounds, worst-case covariance estimators) is built on these scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
-    "erf",
     "erfc",
     "erfc_inv",
     "normal_quantile",
-    "normal_cdf",
     "beta_reg",
     "beta_inv_cdf_symmetric",
     "beta_quantile",
@@ -30,23 +25,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _CF_TINY = 1e-300
 _NORMAL_HALF_N = 1e6  # Beta(half_n, half_n) above this half_n is taken as normal
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Explicit convergence budget for iterative routines."""
-
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Near x = 1/2 the incomplete-beta continued fraction needs ~sqrt(a) terms.
+_CF_MAX_TERMS = 20_000
+_BISECT_REL_TOL = 1e-10  # relative residual that ends a Beta quantile bisection
+_BISECT_STEPS = 200
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -54,11 +36,6 @@ def _require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    return math.erf(_require_finite("x", x))
 
 
 def erfc(x: float) -> float:
@@ -77,11 +54,6 @@ _NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
          3.754408661907416e+00)
 _NQ_P_LOW = 0.02425
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc."""
-    return 0.5 * math.erfc(-_require_finite("x", x) / _SQRT2)
 
 
 def _normal_quantile_estimate(p: float) -> float:
@@ -147,7 +119,7 @@ def erfc_inv(y: float) -> float:
     return _erfc_inv_positive(y)
 
 
-def _beta_cont_frac(x: float, a: float, b: float, max_iter: int) -> float:
+def _beta_cont_frac(x: float, a: float, b: float) -> float:
     """Modified-Lentz continued fraction for the incomplete beta integral."""
     qab = a + b
     qap = a + 1.0
@@ -158,7 +130,7 @@ def _beta_cont_frac(x: float, a: float, b: float, max_iter: int) -> float:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _CF_MAX_TERMS + 1):
         m2 = 2 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -187,7 +159,7 @@ def _beta_cont_frac(x: float, a: float, b: float, max_iter: int) -> float:
     )
 
 
-def beta_reg(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def beta_reg(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Continued-fraction evaluation with the log-beta prefactor; the
@@ -208,25 +180,19 @@ def beta_reg(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -
     ln_pre = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
               + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_pre) * _beta_cont_frac(x, a, b, tol.max_iter) / a
-    return 1.0 - math.exp(ln_pre) * _beta_cont_frac(1.0 - x, b, a, tol.max_iter) / b
+        return math.exp(ln_pre) * _beta_cont_frac(x, a, b) / a
+    return 1.0 - math.exp(ln_pre) * _beta_cont_frac(1.0 - x, b, a) / b
 
 
-# Forward evaluations inside the inverses need a deeper iteration budget than
-# the public default: near x = 1/2 the fraction needs ~sqrt(a) terms.
-_CF_DEEP = Tolerance(max_iter=20_000)
-
-
-def _bisect_beta(z: float, a: float, b: float, lo: float, hi: float,
-                 tol: Tolerance) -> float:
+def _bisect_beta(z: float, a: float, b: float, lo: float, hi: float) -> float:
     """Solve I_x(a, b) = z for x in [lo, hi] by bisection.
 
     Converges on interval collapse; a relative residual below
-    ``tol.rel_tol`` exits early.  An absolute criterion would be
+    ``_BISECT_REL_TOL`` exits early.  An absolute criterion would be
     meaningless for deep-tail quantiles where z itself is tiny.
     """
-    flo = beta_reg(lo, a, b, _CF_DEEP) - z
-    fhi = beta_reg(hi, a, b, _CF_DEEP) - z
+    flo = beta_reg(lo, a, b) - z
+    fhi = beta_reg(hi, a, b) - z
     if flo > 0.0 or fhi < 0.0:
         raise ConvergenceError(
             f"beta inverse bracket does not straddle z={z:g} for a={a:g}, b={b:g}",
@@ -235,33 +201,31 @@ def _bisect_beta(z: float, a: float, b: float, lo: float, hi: float,
     mid = 0.5 * (lo + hi)
     resid = math.inf
     scale = min(z, 1.0 - z)  # the informative tail mass near either endpoint
-    for _ in range(max(tol.max_iter, 100)):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        resid = beta_reg(mid, a, b, _CF_DEEP) - z
+        resid = beta_reg(mid, a, b) - z
         if resid < 0.0:
             lo = mid
         else:
             hi = mid
-        if abs(resid) <= tol.rel_tol * scale or (hi - lo) < 2e-16 * max(mid, 1e-10):
+        if abs(resid) <= _BISECT_REL_TOL * scale or (hi - lo) < 2e-16 * max(mid, 1e-10):
             return mid
     raise ConvergenceError(
         f"beta inverse bisection stalled for a={a:g}, b={b:g}", residual=abs(resid)
     )
 
 
-def beta_quantile(z: float, a: float, b: float,
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def beta_quantile(z: float, a: float, b: float) -> float:
     """Quantile of the Beta(a, b) distribution: x with I_x(a, b) = z."""
     z = _require_finite("z", z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"beta_quantile requires 0 < z < 1, got {z}")
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
-    return _bisect_beta(z, a, b, 0.0, 1.0, tol)
+    return _bisect_beta(z, a, b, 0.0, 1.0)
 
 
-def beta_inv_cdf_symmetric(z: float, half_n: float,
-                           tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def beta_inv_cdf_symmetric(z: float, half_n: float) -> float:
     """Inverse CDF of Beta(half_n, half_n).
 
     Up to half_n = 1e6 the quantile is found by bisection on
@@ -280,5 +244,5 @@ def beta_inv_cdf_symmetric(z: float, half_n: float,
     if half_n > _NORMAL_HALF_N:
         return 0.5 + normal_quantile(z) / math.sqrt(8.0 * half_n + 4.0)
     if z > 0.5:
-        return 1.0 - _bisect_beta(1.0 - z, half_n, half_n, 0.0, 0.5, tol)
-    return _bisect_beta(z, half_n, half_n, 0.0, 0.5, tol)
+        return 1.0 - _bisect_beta(1.0 - z, half_n, half_n, 0.0, 0.5)
+    return _bisect_beta(z, half_n, half_n, 0.0, 0.5)

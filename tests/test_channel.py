@@ -7,10 +7,8 @@ import pytest
 
 from sqccqkd.channel import (
     ChannelParams,
-    PHASE_NOISE_PRESET,
     ProtocolParams,
     attenuation_db_to_transmissivity,
-    mean_photon_number,
     qi_baseline_state,
     qpsk_symbol,
     shared_state,
@@ -78,10 +76,10 @@ class TestSharedState:
         proto = ProtocolParams(5.0, 10.0)
         quiet = shared_state(proto, ChannelParams(0.2, 0.05), 1)
         noisy = shared_state(
-            proto, ChannelParams(0.2, 0.05, PHASE_NOISE_PRESET), 1)
+            proto, ChannelParams(0.2, 0.05, 1e-4), 1)
         # eps grows by sigma * T * d^2, and b by T times that
         assert noisy.b - quiet.b == pytest.approx(
-            0.2 * (PHASE_NOISE_PRESET * 0.2 * 100.0), rel=1e-12)
+            0.2 * (1e-4 * 0.2 * 100.0), rel=1e-12)
         assert noisy.c == quiet.c
 
 
@@ -113,21 +111,6 @@ class TestBaselineState:
     def test_probability_domain(self):
         with pytest.raises(DomainError):
             qi_baseline_state(ProtocolParams(5.0, 1.0), ChannelParams(0.1, 0.05), 0.6)
-
-
-class TestMeanPhotonNumber:
-    def test_zero_noise(self):
-        assert mean_photon_number(ChannelParams(0.5, 0.0)) == 0.0
-
-    def test_values(self):
-        assert mean_photon_number(ChannelParams(0.5, 0.05)) == pytest.approx(0.025)
-        assert mean_photon_number(ChannelParams(0.1, 0.05)) == pytest.approx(
-            0.1 * 0.05 / 1.8)
-
-    def test_lossless_with_noise_rejected(self):
-        with pytest.raises(DomainError):
-            mean_photon_number(ChannelParams(1.0, 0.1))
-        assert mean_photon_number(ChannelParams(1.0, 0.0)) == 0.0
 
 
 class TestParamValidation:

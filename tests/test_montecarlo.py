@@ -12,13 +12,11 @@ import pytest
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.errors import DomainError
 from sqccqkd.montecarlo import (
-    classical_bit_error_rate,
     conditional_variance,
     discriminate_and_redisplace,
     empirical_moments,
     estimation_pipeline,
     sample_joint,
-    symbol_error_rate,
 )
 from sqccqkd.postprocess import postprocess_stats, renormalise, RenormStrategy
 
@@ -78,7 +76,7 @@ class TestDiscrimination:
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
         batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 200_000, 13)
         post = discriminate_and_redisplace(batch, REF_PROTO, REF_CHAN)
-        e_hat = classical_bit_error_rate(post)
+        e_hat = empirical_moments(post).e_c_hat
         se = math.sqrt(stats.e_c * (1 - stats.e_c) / (2 * 200_000))
         assert abs(e_hat - stats.e_c) < 5 * se
 
@@ -87,17 +85,17 @@ class TestDiscrimination:
         proto = ProtocolParams(5.0, 0.0)
         batch = sample_joint(proto, REF_CHAN, "uniform-random", 100_000, 14)
         post = discriminate_and_redisplace(batch, proto, REF_CHAN)
-        assert abs(classical_bit_error_rate(post) - 0.5) < 5 * math.sqrt(
+        assert abs(empirical_moments(post).e_c_hat - 0.5) < 5 * math.sqrt(
             0.25 / 200_000)
-        assert abs(symbol_error_rate(post) - 0.75) < 5 * math.sqrt(
-            0.1875 / 100_000)
+        symbol_errors = np.mean(post.decided_symbols != post.true_symbols)
+        assert abs(symbol_errors - 0.75) < 5 * math.sqrt(0.1875 / 100_000)
 
     def test_decoupled_regime_error_free(self):
         chan = ChannelParams(0.5, 0.05)
         proto = ProtocolParams(3.0, 50.0)  # snr ~ 280
         batch = sample_joint(proto, chan, "uniform-random", 100_000, 15)
         post = discriminate_and_redisplace(batch, proto, chan)
-        assert classical_bit_error_rate(post) == 0.0
+        assert empirical_moments(post).e_c_hat == 0.0
 
     def test_decision_no_op_on_redisplaced_batch(self):
         batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 50_000, 16)

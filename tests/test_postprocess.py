@@ -15,8 +15,8 @@ from sqccqkd.errors import DomainError
 from sqccqkd.gaussian import TwoModeGaussian, is_physical
 from sqccqkd.postprocess import (
     RenormStrategy,
+    _check,
     error_rate_from_snr,
-    physicality_check,
     postprocess_stats,
     renormalise,
     required_displacement,
@@ -227,9 +227,9 @@ class TestPhysicalityCheck:
         state = shared_state(REF_PROTO, REF_CHAN, 1)
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
         res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
-        check = physicality_check(res, state)
-        assert check.passed
-        assert check.margin == pytest.approx(state.c - res.state_prime.c, abs=1e-15)
+        assert res.physical.passed
+        assert res.physical.margin == pytest.approx(state.c - res.state_prime.c,
+                                                    abs=1e-15)
 
     def test_constructed_violation(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
@@ -237,13 +237,7 @@ class TestPhysicalityCheck:
         res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
         inflated = TwoModeGaussian(res.state_prime.mean, state.a, state.b,
                                    state.c * 1.05)
-        bad = type(res)(
-            strategy=res.strategy, delta_v=res.delta_v, state_prime=inflated,
-            effective_transmissivity=res.effective_transmissivity,
-            effective_excess_noise=res.effective_excess_noise,
-            virtual_transmissivity=res.virtual_transmissivity,
-            virtual_excess_noise=res.virtual_excess_noise, physical=res.physical)
-        check = physicality_check(bad, state)
+        check = _check(res.strategy, inflated, state)
         assert not check.passed
         assert check.margin == pytest.approx(-0.05 * state.c, rel=1e-12)
 
