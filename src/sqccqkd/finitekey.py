@@ -15,13 +15,7 @@ from functools import cached_property
 from .channel import ChannelParams, ProtocolParams
 from .errors import DomainError
 from .gaussian import TwoModeGaussian
-from .keyrate import (
-    Optimum,
-    _pinned_objective,
-    holevo_bound,
-    maximise_scalar,
-    mutual_information,
-)
+from .keyrate import Optimum, _pinned_objective, _rate, maximise_scalar
 from .postprocess import RenormResult, RenormStrategy, renormalised_moments
 from .special import beta_inv_cdf_symmetric
 
@@ -174,12 +168,9 @@ def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
                    sec: SecurityParams, mi_double: bool = False) -> FiniteKeyResult:
     """``finite_rate`` of a renormalisation already computed at (proto, chan)."""
     sp = renorm.state_prime
-
-    mi = mutual_information(sp, double=mi_double)
     sig_a, sig_b, sig_c = worst_case_estimators(sp.a, sp.b, sp.c, sec)
     worst = TwoModeGaussian(mean=sp.mean, a=sig_a, b=sig_b, c=sig_c)
-    chi_worst = holevo_bound(worst)
-    k_pe = proto.reconciliation_efficiency * mi - chi_worst
+    k_pe = _rate(sp, renorm.physical.passed, proto, mi_double, eve=worst).rate
 
     d = delta_terms(sec)
     n = sec.block_size

@@ -122,10 +122,14 @@ def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
 
 
 def _rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
-          mi_double: bool) -> KeyRateResult:
-    """K = beta * I_AB - chi_EB on one Gaussian-equivalent state."""
+          mi_double: bool, eve: TwoModeGaussian | None = None) -> KeyRateResult:
+    """K = beta * I_AB - chi_EB, with I_AB on ``state`` and chi_EB on ``eve``.
+
+    ``eve`` defaults to ``state``; the finite-key rate passes the state
+    widened to its worst-case covariance estimates.
+    """
     mi = mutual_information(state, double=mi_double)
-    chi = holevo_bound(state)
+    chi = holevo_bound(state if eve is None else eve)
     return KeyRateResult(
         mutual_information=mi,
         holevo=chi,
