@@ -90,6 +90,11 @@ class SecurityParams:
                      * (1.0 + 240.0 / self.eps_pe * math.exp(-n / 32.0)) - 1.0)
         return delta_var, 0.5 * shrink_var + shrink_cov
 
+    @cached_property
+    def _delta_terms(self) -> DeltaTerms:
+        """``delta_terms(self)``, computed once per instance like the margins."""
+        return delta_terms(self)
+
 
 @dataclass(frozen=True)
 class DeltaTerms:
@@ -172,7 +177,7 @@ def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
     worst = TwoModeGaussian(mean=sp.mean, a=sig_a, b=sig_b, c=sig_c)
     k_pe = _rate(sp, renorm.physical.passed, proto, mi_double, eve=worst).rate
 
-    d = delta_terms(sec)
+    d = sec._delta_terms
     n = sec.block_size
     p_f = sec.frame_success
     rate = (p_f * k_pe

@@ -310,6 +310,24 @@ class TestPipelineEvaluations:
         assert cli.main([*argv, "--W", "1e-3", "--output", str(out)]) == 0
         assert len(quantile_calls) == 4 * rows
 
+    def test_one_delta_terms_per_finite_row(self, tmp_path, monkeypatch):
+        """The finite-size penalties are computed once per row, not per evaluation."""
+        calls = []
+        original = finitekey.delta_terms
+
+        def counted(sec):
+            calls.append(sec.block_size)
+            return original(sec)
+
+        monkeypatch.setattr(finitekey, "delta_terms", counted)
+        argv = ["optimize", "--T", "0.6", "--W", "1e-3", "--N", "1e6",
+                "--output", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 0
+        assert calls == [1e6]
+        # a second run in the same process computes its own penalties
+        assert cli.main(argv) == 0
+        assert calls == [1e6, 1e6]
+
     def test_one_classification_per_disclosed_batch(self, tmp_path, monkeypatch):
         calls = []
         original = montecarlo._classify
