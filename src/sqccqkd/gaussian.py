@@ -129,12 +129,10 @@ def symplectic_spectrum(state: TwoModeGaussian) -> SymplecticSpectrum:
                 f"negative symplectic discriminant {disc:.3e} beyond tolerance"
             )
         disc = 0.0
-    root = math.sqrt(disc)
-    sq1 = max((d1 + root) / 2.0, 0.0)
-    sq2 = max((d1 - root) / 2.0, 0.0)
-    return SymplecticSpectrum(
-        lambda1=math.sqrt(sq1), lambda2=math.sqrt(sq2), d1=d1, d2=d2
-    )
+    lam1 = math.sqrt(max((d1 + math.sqrt(disc)) / 2.0, 0.0))
+    # lambda1 * lambda2 = |d2|; (d1 - root) / 2 would cancel at large noise
+    lam2 = abs(d2) / lam1 if lam1 > 0.0 else 0.0
+    return SymplecticSpectrum(lambda1=lam1, lambda2=lam2, d1=d1, d2=d2)
 
 
 def conditional_eigenvalue(state: TwoModeGaussian) -> float:
