@@ -109,6 +109,13 @@ class TestSweepCommands:
         assert "1 row(s) failed" in capsys.readouterr().err
 
 
+    def test_large_noise_row_is_feasible(self, tmp_path):
+        out = tmp_path / "noisy.csv"
+        assert cli.main(["sweep-asymptotic", "--eps", "1e40", "--output", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert row["feasible"] == "true" and row["error"] == ""
+
+
 class TestSimulateCommand:
     def test_empirical_columns_and_shots_dump(self, tmp_path):
         out = tmp_path / "sim.csv"

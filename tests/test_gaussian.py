@@ -65,6 +65,14 @@ class TestSymplecticSpectrum:
         assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(spec.d1,
                                                                       rel=1e-10)
 
+    def test_large_noise_keeps_second_eigenvalue(self):
+        """At eps = 1e40 lambda2 survives: (d1 - root) / 2 would cancel it to 0."""
+        state = shared_state(ProtocolParams(5.0, 0.0), ChannelParams(0.1, 1e40), 1)
+        spec = symplectic_spectrum(state)
+        assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-12)
+        assert spec.lambda2 == pytest.approx(5.0, rel=1e-12)
+        assert is_physical(state).physical
+
     def test_overflow_is_a_domain_error_not_a_verdict(self):
         """An overflowing covariance is named, not read as a vacuum violation."""
         state = TwoModeGaussian(np.zeros(4), 5.0, 1e299, 1.5)
