@@ -345,7 +345,7 @@ _COMMANDS = {
     "optimize": _Command(
         "maximise the rate over V at one point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
-         " bracket_low bracket_high").split(),
+         " bracket_low bracket_high error").split(),
         lambda c: _grid(c, model="sqcc", N=c.block_sizes[0] if c.block_sizes else ""),
         _optimize_row),
     "simulate": _Command(
@@ -358,13 +358,13 @@ _COMMANDS = {
     "validate-fig2": _Command(
         "analytic vs empirical moments on the reference sweep",
         ("d n seed rng V T eps" + _MOMENT_COLUMNS
-         + " a_pass b_pass c_pass e_C_pass pass").split(),
+         + " a_pass b_pass c_pass e_C_pass pass error").split(),
         lambda c: _batches(c, [float(x) for x in range(0, 21, 2)], **_FIG2),
         _fig2_row),
     "compare-baseline": _Command(
         "optimised rate vs the prior coupling model",
         ("T W eps beta sigma v_star_sqcc k_star_sqcc v_star_baseline k_star_baseline"
-         " advantage").split(),
+         " advantage error").split(),
         _grid, _compare_row),
 }
 
