@@ -243,16 +243,23 @@ class TestEveryCommandFlags:
     @pytest.mark.parametrize("argv, echoed", [
         (["optimize", "--T", "0.3", "--W", "1e-3", "--eps", "1e300"],
          {"T": "0.3", "W": "0.001", "eps": "1e+300", "strategy": "b-preserving",
-          "model": "sqcc", "v_star": ""}),
+          "model": "sqcc", "v_star": "", "error": "covariance a=1.001e+00, "
+          "b=3.000e+299, c=2.403e-02 overflows its symplectic invariants"}),
         (["compare-baseline", "--T", "0.3", "--W", "1e-6", "--eps", "1e300"],
-         {"T": "0.3", "W": "1e-06", "eps": "1e+300", "advantage": ""}),
+         {"T": "0.3", "W": "1e-06", "eps": "1e+300", "advantage": "",
+          "error": "covariance a=1.001e+00, b=3.000e+299, c=2.450e-02 overflows "
+          "its symplectic invariants"}),
         (["simulate", "--d", "1e200", "--n", "200"],
          {"T": "0.1", "V": "5.0", "d": "1e+200", "n": "200", "seed": "42",
           "schedule": "uniform-random", "error": "displacement 1e+200 is too large"}),
+        (["validate-fig2", "--d", "1e200", "--n", "200"],
+         {"d": "1e+200", "n": "200", "seed": "42", "T": "0.1", "pass": "",
+          "error": "displacement 1e+200 is too large"}),
         (["sweep-asymptotic", "--T", "0.1", "--eps", "1e300"],
          {"eps": "1e+300", "feasible": "false", "error": "covariance a=5.000e+00, "
           "b=1.000e+299, c=1.549e+00 overflows its symplectic invariants"}),
-    ], ids=["optimize", "compare-baseline", "simulate", "sweep-asymptotic-overflow"])
+    ], ids=["optimize", "compare-baseline", "simulate", "validate-fig2",
+            "sweep-asymptotic-overflow"])
     def test_failing_point_is_flagged_row(self, tmp_path, capsys, argv, echoed):
         out = tmp_path / "o.csv"
         assert cli.main([*argv, "--output", str(out)]) == 0
