@@ -167,6 +167,12 @@ class TestIsPhysical:
         assert not verdict.physical
         assert verdict.margin == pytest.approx(0.2, abs=1e-12)
 
+    def test_zero_symplectic_invariant_root(self):
+        """d1 = -2 * |d2| gives lambda1 = 0: flagged, not a division error."""
+        verdict = is_physical(TwoModeGaussian(np.zeros(4), 1.0, 1.0, 2.0))
+        assert not verdict.physical
+        assert verdict.reason == "symplectic" and verdict.margin == 1.0
+
     def test_channel_states_always_physical(self):
         assert all(is_physical(s).physical for s in random_channel_states(200, 3))
 
