@@ -2,8 +2,9 @@
 
 The complementary error function and its inverse, the regularized
 incomplete beta function and its symmetric-parameter inverse CDF, and
-the standard normal quantile.  Everything downstream (bit-error rates, confidence
-bounds, worst-case covariance estimators) is built on these scalars.
+the standard normal quantile.  Everything downstream (bit-error rates,
+confidence bounds, worst-case covariance estimators) is built on these
+scalars.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _CF_TINY = 1e-300
 _NORMAL_HALF_N = 1e6  # Beta(half_n, half_n) above this half_n is taken as normal
-# Near x = 1/2 the incomplete-beta continued fraction needs ~sqrt(a) terms.
-_CF_MAX_TERMS = 20_000
+_CF_MAX_TERMS = 20_000  # near x = 1/2 the continued fraction needs ~sqrt(a) terms
 _BISECT_REL_TOL = 1e-10  # relative residual that ends a Beta quantile bisection
 _BISECT_STEPS = 200
 
