@@ -26,8 +26,6 @@ from .finitekey import (
     FiniteKeyResult,
     SecurityParams,
     delta_terms,
-    finite_rate,
-    optimise_v_finite,
     worst_case_estimators,
 )
 from .gaussian import (
@@ -46,7 +44,9 @@ from .keyrate import (
     Optimum,
     asymptotic_rate,
     baseline_rate,
+    finite_rate,
     holevo_bound,
+    key_rate,
     mutual_information,
     optimise_v,
 )

@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissivity
 from .errors import DomainError, SqccError
-from .finitekey import SecurityParams, finite_rate_of, optimise_v_finite
-from .keyrate import Optimum, asymptotic_rate_of, optimise_v
+from .finitekey import SecurityParams
+from .keyrate import key_rate, optimise_v
 from .montecarlo import (
     RNG_ALGORITHM,
     discriminate_and_redisplace,
@@ -214,35 +214,27 @@ def _batches(config: RunConfig, d_default: list[float], **extra) -> Iterator[dic
                "rng": RNG_ALGORITHM, **extra}
 
 
-def _optimum(config: RunConfig, chan: ChannelParams, w: float,
-             sec: SecurityParams | None) -> Optimum:
-    """Maximise the asymptotic rate, or with ``sec`` the finite-block rate, over V."""
-    if sec is None:
-        return optimise_v(chan, w, config.strategy, config.beta,
-                          mi_double=config.mi_double)
-    return optimise_v_finite(chan, w, sec, config.strategy, config.beta,
-                             mi_double=config.mi_double)
-
-
 def _sweep_row(config: RunConfig, p: dict) -> dict:
     """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F."""
     chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
     sec = dataclasses.replace(config.security, block_size=p["N"]) if "N" in p else None
     row, v = {}, config.modulation_variance
     if config.optimize_v:
-        opt = _optimum(config, chan, p["W"], sec)
+        opt = optimise_v(chan, p["W"], config.strategy, config.beta,
+                         mi_double=config.mi_double, sec=sec)
         row = {"v_star": opt.v_star, "k_star": opt.k_star}
         if math.isfinite(opt.v_star):
             v = opt.v_star
     proto = ProtocolParams(v, required_displacement(v, chan, p["W"]), config.beta)
     stats, renorm = renormalised_moments(proto, chan, config.strategy)
-    rate = asymptotic_rate_of(renorm, proto, config.mi_double)
+    state, feasible = renorm.state_prime, renorm.physical.passed
+    rate = key_rate(state, feasible, proto, config.mi_double)
     row.update(V=v, d=proto.displacement, snr=stats.snr, e_C=stats.e_c,
                delta=stats.delta, a_d=stats.a_d, b_d=stats.b_d, c_d=stats.c_d,
                delta_v=renorm.delta_v, I_AB=rate.mutual_information,
                chi_EB=rate.holevo, K=rate.rate, feasible=rate.feasible)
     if sec is not None:
-        fin = finite_rate_of(renorm, proto, sec, config.mi_double)
+        fin = key_rate(state, feasible, proto, config.mi_double, sec)
         row.update(K_PE=fin.k_pe_inf, K_F=fin.rate, ell=fin.key_length,
                    epsilon_total=fin.epsilon_total, feasible=fin.feasible)
     return row
@@ -251,7 +243,8 @@ def _sweep_row(config: RunConfig, p: dict) -> dict:
 def _optimize_row(config: RunConfig, p: dict) -> dict:
     chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
     sec = dataclasses.replace(config.security, block_size=p["N"]) if p["N"] else None
-    opt = _optimum(config, chan, p["W"], sec)
+    opt = optimise_v(chan, p["W"], config.strategy, config.beta,
+                     mi_double=config.mi_double, sec=sec)
     return {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
             "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
 

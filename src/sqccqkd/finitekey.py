@@ -1,9 +1,9 @@
-"""Composable finite-size key length: penalty terms, worst-case estimators, K^F.
+"""Composable finite-size statistics: security parameters, worst-case estimators, penalties.
 
-The finite-block rate subtracts entropy-smoothing, discretization and
-hashing penalties from the asymptotic rate evaluated at worst-case
-covariance estimates, so the quoted key length fails with probability at
-most the summed epsilon budget.
+The finite-block rate (``keyrate.key_rate`` with a ``SecurityParams``)
+subtracts entropy-smoothing, discretization and hashing penalties from the
+rate at worst-case covariance estimates, so the quoted key length fails
+with probability at most the summed epsilon budget.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .channel import ChannelParams, ProtocolParams
 from .errors import DomainError
-from .gaussian import TwoModeGaussian
-from .keyrate import Optimum, _pinned_objective, _rate, maximise_scalar
-from .postprocess import RenormResult, RenormStrategy, renormalised_moments
 from .special import beta_inv_cdf_symmetric
 
 __all__ = [
@@ -25,9 +21,6 @@ __all__ = [
     "FiniteKeyResult",
     "delta_terms",
     "worst_case_estimators",
-    "finite_rate",
-    "finite_rate_of",
-    "optimise_v_finite",
 ]
 
 
@@ -154,51 +147,3 @@ def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
     sigma_c = (1.0 - 2.0 * math.sqrt(a_hat * b_hat / c_hat ** 2) * delta_cov) * c_hat
     return sigma_a, sigma_b, sigma_c
 
-
-def finite_rate(proto: ProtocolParams, chan: ChannelParams,
-                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                sec: SecurityParams = SecurityParams(block_size=1e8),
-                mi_double: bool = False) -> FiniteKeyResult:
-    """Finite-block secret-key rate K^F = l / N.
-
-    Mutual information is taken at the mean covariance estimates (the
-    analytic renormalised moments); the eavesdropper bound at the
-    worst-case estimates.
-    """
-    _, renorm = renormalised_moments(proto, chan, strategy)
-    return finite_rate_of(renorm, proto, sec, mi_double)
-
-
-def finite_rate_of(renorm: RenormResult, proto: ProtocolParams,
-                   sec: SecurityParams, mi_double: bool = False) -> FiniteKeyResult:
-    """``finite_rate`` of a renormalisation already computed at (proto, chan)."""
-    sp = renorm.state_prime
-    sig_a, sig_b, sig_c = worst_case_estimators(sp.a, sp.b, sp.c, sec)
-    worst = TwoModeGaussian(mean=sp.mean, a=sig_a, b=sig_b, c=sig_c)
-    k_pe = _rate(sp, renorm.physical.passed, proto, mi_double, eve=worst).rate
-
-    d = sec._delta_terms
-    n = sec.block_size
-    p_f = sec.frame_success
-    rate = (p_f * k_pe
-            - math.sqrt(p_f / n) * d.aep
-            - math.sqrt(p_f * math.log2(p_f * n) / n) * d.ent
-            + d.s / n
-            + d.h / n)
-    return FiniteKeyResult(
-        k_pe_inf=k_pe,
-        key_length=rate * n,
-        rate=rate,
-        epsilon_total=sec.epsilon_total(),
-        feasible=renorm.physical.passed,
-    )
-
-
-def optimise_v_finite(chan: ChannelParams, qos_threshold: float,
-                      sec: SecurityParams,
-                      strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                      beta: float = 0.95, mi_double: bool = False) -> Optimum:
-    """Maximise the finite-block rate over the modulation variance."""
-    return maximise_scalar(_pinned_objective(
-        chan, qos_threshold, beta,
-        lambda proto: finite_rate(proto, chan, strategy, sec, mi_double)))

@@ -1,9 +1,10 @@
-"""Asymptotic secret-key rate and the scalar search over modulation variance.
+"""Secret-key rates, asymptotic and finite-block, and the search over modulation variance.
 
 Rates follow the reverse-reconciliation recipe: K = beta * I_AB - chi_EB,
 with both information quantities evaluated on the Gaussian-equivalent
-state after postprocessing and renormalisation.  The residual mean is
-recorded on the state but never enters the entropies.
+state after postprocessing and renormalisation; the finite-block rate
+takes chi_EB at worst-case estimates and subtracts ``finitekey``'s
+penalties.  The residual mean never enters the entropies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, ProtocolParams, qi_baseline_state
 from .errors import DomainError, NumericError, PhysicalityError
+from .finitekey import FiniteKeyResult, SecurityParams, worst_case_estimators
 from .gaussian import (
     TwoModeGaussian,
     conditional_eigenvalue,
@@ -21,7 +23,6 @@ from .gaussian import (
     symplectic_spectrum,
 )
 from .postprocess import (
-    RenormResult,
     RenormStrategy,
     postprocess_stats,
     renormalised_moments,
@@ -33,9 +34,10 @@ __all__ = [
     "Optimum",
     "mutual_information",
     "holevo_bound",
+    "key_rate",
     "asymptotic_rate",
-    "asymptotic_rate_of",
     "baseline_rate",
+    "finite_rate",
     "optimise_v",
 ]
 
@@ -95,6 +97,56 @@ def holevo_bound(state: TwoModeGaussian) -> float:
     return chi
 
 
+def key_rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
+             mi_double: bool = False,
+             sec: SecurityParams | None = None) -> KeyRateResult | FiniteKeyResult:
+    """K = beta * I_AB - chi_EB of ``state``; with ``sec``, the finite-block K^F = l / N.
+
+    With ``sec``, chi_EB is taken at the worst-case covariance estimates of
+    ``state`` and the finite-size penalties are subtracted.
+    """
+    eve = state
+    if sec is not None:
+        sig_a, sig_b, sig_c = worst_case_estimators(state.a, state.b, state.c, sec)
+        eve = TwoModeGaussian(mean=state.mean, a=sig_a, b=sig_b, c=sig_c)
+    mi = mutual_information(state, double=mi_double)
+    chi = holevo_bound(eve)
+    k = proto.reconciliation_efficiency * mi - chi
+    if sec is None:
+        return KeyRateResult(mutual_information=mi, holevo=chi, rate=k,
+                             feasible=feasible)
+
+    d = sec._delta_terms
+    n = sec.block_size
+    p_f = sec.frame_success
+    rate = (p_f * k
+            - math.sqrt(p_f / n) * d.aep
+            - math.sqrt(p_f * math.log2(p_f * n) / n) * d.ent
+            + d.s / n
+            + d.h / n)
+    return FiniteKeyResult(
+        k_pe_inf=k,
+        key_length=rate * n,
+        rate=rate,
+        epsilon_total=sec.epsilon_total(),
+        feasible=feasible,
+    )
+
+
+def _sqcc_state(proto: ProtocolParams, chan: ChannelParams,
+                strategy: RenormStrategy) -> tuple[TwoModeGaussian, bool]:
+    """The renormalised SQCC state and whether the renormalisation passed."""
+    _, renorm = renormalised_moments(proto, chan, strategy)
+    return renorm.state_prime, renorm.physical.passed
+
+
+def _baseline_state(proto: ProtocolParams, chan: ChannelParams,
+                    strategy: RenormStrategy) -> tuple[TwoModeGaussian, bool]:
+    """The prior-literature state (bit errors as excess noise; no renormalisation)."""
+    state = qi_baseline_state(proto, chan, postprocess_stats(proto, chan).e_c)
+    return state, is_physical(state).physical
+
+
 def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
                     strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                     mi_double: bool = False) -> KeyRateResult:
@@ -103,60 +155,41 @@ def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
     An infeasible renormalisation is flagged, not raised, so parameter
     sweeps can record the region instead of aborting.
     """
-    _, renorm = renormalised_moments(proto, chan, strategy)
-    return asymptotic_rate_of(renorm, proto, mi_double)
-
-
-def asymptotic_rate_of(renorm: RenormResult, proto: ProtocolParams,
-                       mi_double: bool = False) -> KeyRateResult:
-    """``asymptotic_rate`` of a renormalisation already computed at (proto, chan)."""
-    return _rate(renorm.state_prime, renorm.physical.passed, proto, mi_double)
+    return key_rate(*_sqcc_state(proto, chan, strategy), proto, mi_double)
 
 
 def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
                   mi_double: bool = False) -> KeyRateResult:
     """Rate under the prior-literature coupling model (no renormalisation)."""
-    e_c = postprocess_stats(proto, chan).e_c
-    state = qi_baseline_state(proto, chan, e_c)
-    return _rate(state, is_physical(state).physical, proto, mi_double)
+    return key_rate(*_baseline_state(proto, chan, None), proto, mi_double)
 
 
-def _rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
-          mi_double: bool, eve: TwoModeGaussian | None = None) -> KeyRateResult:
-    """K = beta * I_AB - chi_EB, with I_AB on ``state`` and chi_EB on ``eve``.
-
-    ``eve`` defaults to ``state``; the finite-key rate passes the state
-    widened to its worst-case covariance estimates.
-    """
-    mi = mutual_information(state, double=mi_double)
-    chi = holevo_bound(state if eve is None else eve)
-    return KeyRateResult(
-        mutual_information=mi,
-        holevo=chi,
-        rate=proto.reconciliation_efficiency * mi - chi,
-        feasible=feasible,
-    )
-
-
-def _pinned_objective(chan: ChannelParams, qos_threshold: float, beta: float, rate):
-    """V -> ``rate(proto).rate`` with d pinned by the QoS threshold; -inf if infeasible."""
-
-    def objective(v: float) -> float:
-        d = required_displacement(v, chan, qos_threshold)
-        res = rate(ProtocolParams(v, d, beta))
-        return res.rate if res.feasible else -math.inf
-
-    return objective
+def finite_rate(proto: ProtocolParams, chan: ChannelParams,
+                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
+                sec: SecurityParams = SecurityParams(block_size=1e8),
+                mi_double: bool = False) -> FiniteKeyResult:
+    """Finite-block secret-key rate K^F = l / N of the full pipeline."""
+    return key_rate(*_sqcc_state(proto, chan, strategy), proto, mi_double, sec)
 
 
 def _qos_objective(chan: ChannelParams, qos_threshold: float, beta: float,
-                   strategy: RenormStrategy, model: str, mi_double: bool):
-    """Rate as a function of V alone, with d pinned by the QoS constraint."""
-    rates = {"sqcc": lambda proto: asymptotic_rate(proto, chan, strategy, mi_double),
-             "baseline": lambda proto: baseline_rate(proto, chan, mi_double)}
-    if model not in rates:
+                   strategy: RenormStrategy, model: str, mi_double: bool,
+                   sec: SecurityParams | None = None):
+    """Rate as a function of V alone, with d pinned by the QoS constraint.
+
+    ``model`` picks the coupling model and ``sec`` the finite-block rate;
+    an infeasible point scores -inf.
+    """
+    state_of = {"sqcc": _sqcc_state, "baseline": _baseline_state}.get(model)
+    if state_of is None:
         raise DomainError(f"unknown rate model {model!r}")
-    return _pinned_objective(chan, qos_threshold, beta, rates[model])
+
+    def objective(v: float) -> float:
+        proto = ProtocolParams(v, required_displacement(v, chan, qos_threshold), beta)
+        res = key_rate(*state_of(proto, chan, strategy), proto, mi_double, sec)
+        return res.rate if res.feasible else -math.inf
+
+    return objective
 
 
 def maximise_scalar(objective, coarse_points: int = 60) -> Optimum:
@@ -209,11 +242,11 @@ def maximise_scalar(objective, coarse_points: int = 60) -> Optimum:
 def optimise_v(chan: ChannelParams, qos_threshold: float,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                beta: float = 0.95, model: str = "sqcc",
-               mi_double: bool = False) -> Optimum:
-    """Maximise the asymptotic rate over the modulation variance.
+               mi_double: bool = False, sec: SecurityParams | None = None) -> Optimum:
+    """Maximise the asymptotic rate, or with ``sec`` the finite-block rate, over V.
 
     The displacement is re-derived from the QoS threshold at every trial
     V, so the classical bit-error rate stays pinned across the search.
     """
-    objective = _qos_objective(chan, qos_threshold, beta, strategy, model, mi_double)
-    return maximise_scalar(objective)
+    return maximise_scalar(_qos_objective(chan, qos_threshold, beta, strategy, model,
+                                          mi_double, sec))

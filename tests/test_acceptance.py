@@ -13,8 +13,8 @@ import pytest
 
 import sqccqkd.cli as cli
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
-from sqccqkd.finitekey import SecurityParams, finite_rate, optimise_v_finite
-from sqccqkd.keyrate import _qos_objective, asymptotic_rate, optimise_v
+from sqccqkd.finitekey import SecurityParams
+from sqccqkd.keyrate import _qos_objective, asymptotic_rate, finite_rate, optimise_v
 from sqccqkd.montecarlo import (
     discriminate_and_redisplace,
     empirical_moments,
@@ -201,7 +201,7 @@ def test_criterion_7_finite_key_behaviour():
     sec8 = SecurityParams(block_size=1e8)
     positive = []
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-        opt = optimise_v_finite(ChannelParams(t, 0.05), 1e-3, sec8)
+        opt = optimise_v(ChannelParams(t, 0.05), 1e-3, sec=sec8)
         if opt.k_star > 0.0:
             positive.append((t, opt.k_star))
     some_positive = bool(positive)

@@ -8,15 +8,9 @@ import pytest
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
-from sqccqkd.finitekey import (
-    SecurityParams,
-    delta_terms,
-    finite_rate,
-    optimise_v_finite,
-    worst_case_estimators,
-)
+from sqccqkd.finitekey import SecurityParams, delta_terms, worst_case_estimators
 from sqccqkd.gaussian import TwoModeGaussian
-from sqccqkd.keyrate import asymptotic_rate, holevo_bound, optimise_v
+from sqccqkd.keyrate import asymptotic_rate, finite_rate, holevo_bound, optimise_v
 from sqccqkd.postprocess import required_displacement
 
 
@@ -161,14 +155,14 @@ class TestFiniteRate:
 class TestOptimiseVFinite:
     def test_limit_matches_asymptotic_optimum(self):
         chan = ChannelParams(0.4, 0.05)
-        fin = optimise_v_finite(chan, 0.5, sec_at(1e16))
+        fin = optimise_v(chan, 0.5, sec=sec_at(1e16))
         asym = optimise_v(chan, 0.5)
         assert fin.k_star == pytest.approx(0.9964 * asym.k_star, rel=1e-3)
 
     def test_never_exceeds_scaled_asymptotic(self):
         for t, w in ((0.3, 0.5), (0.7, 1e-3), (0.9, 1e-6)):
             chan = ChannelParams(t, 0.05)
-            fin = optimise_v_finite(chan, w, sec_at(1e8))
+            fin = optimise_v(chan, w, sec=sec_at(1e8))
             asym = optimise_v(chan, w)
             assert fin.k_star <= 0.9964 * asym.k_star + 1e-9
 
@@ -176,7 +170,7 @@ class TestOptimiseVFinite:
         from oracles import brute_force_optimum
         chan = ChannelParams(0.75, 0.03)
         sec = sec_at(1e8)
-        opt = optimise_v_finite(chan, 1e-3, sec)
+        opt = optimise_v(chan, 1e-3, sec=sec)
 
         def objective(v):
             d = required_displacement(v, chan, 1e-3)
@@ -189,6 +183,6 @@ class TestOptimiseVFinite:
         """The reference block size yields key at both QoS settings somewhere."""
         sec = sec_at(1e8)
         for w in (0.5, 1e-3):
-            rates = [optimise_v_finite(ChannelParams(t, 0.05), w, sec).k_star
+            rates = [optimise_v(ChannelParams(t, 0.05), w, sec=sec).k_star
                      for t in (0.3, 0.9)]
             assert any(k > 0.0 for k in rates)
