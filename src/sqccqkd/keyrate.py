@@ -231,12 +231,10 @@ def maximise_scalar(objective, coarse_points: int = 60) -> Optimum:
         (f2, math.exp(x2)),
     ]
     k_best, v_best = max(candidates, key=lambda kv: kv[0])
-    bracket = (math.exp(lo), math.exp(hi))
     if not (k_best > 0.0) or not math.isfinite(k_best):
-        return Optimum(v_star=math.nan, k_star=0.0,
-                       evaluations=evaluations, bracket=bracket)
-    return Optimum(v_star=v_best, k_star=k_best,
-                   evaluations=evaluations, bracket=bracket)
+        k_best, v_best = 0.0, math.nan
+    return Optimum(v_star=v_best, k_star=k_best, evaluations=evaluations,
+                   bracket=(math.exp(lo), math.exp(hi)))
 
 
 def optimise_v(chan: ChannelParams, qos_threshold: float,
