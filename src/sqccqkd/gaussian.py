@@ -32,6 +32,7 @@ __all__ = [
 _DISCRIMINANT_CLAMP = 1e-12
 _G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,8 @@ def g_function(x: float) -> float:
         return 0.0
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
-    return xp * math.log2(xp) - xm * math.log2(xm)
+    # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x
+    return math.log2(xp) + xm * math.log1p(1.0 / xm) / _LN2
 
 
 def measurement_distribution(state: TwoModeGaussian) -> MeasurementDistribution:

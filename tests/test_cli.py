@@ -114,6 +114,7 @@ class TestSweepCommands:
         assert cli.main(["sweep-asymptotic", "--eps", "1e40", "--output", str(out)]) == 0
         row = read_csv(out)[0]
         assert row["feasible"] == "true" and row["error"] == ""
+        assert float(row["chi_EB"]) > 129.0 and float(row["K"]) < 0.0
 
 
 class TestSimulateCommand:

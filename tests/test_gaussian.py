@@ -120,6 +120,14 @@ class TestGFunction:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(v >= 0.0 for v in vals)
 
+    @pytest.mark.parametrize("x", [1e4, 1e12, 1e16, 1e39])
+    def test_large_argument_series(self, x):
+        """No cancellation at large x: matches log2(xp) + xm log2(1 + 1/xm) expanded."""
+        xp, xm = (x + 1.0) / 2.0, (x - 1.0) / 2.0
+        series = math.log2(xp) + (1.0 - 1.0 / (2.0 * xm) + 1.0 / (3.0 * xm ** 2)
+                                  - 1.0 / (4.0 * xm ** 3)) / math.log(2.0)
+        assert g_function(x) == pytest.approx(series, rel=1e-13)
+
     def test_clamp_window(self):
         assert g_function(1.0 - 5e-13) == 0.0
         with pytest.raises(DomainError):
