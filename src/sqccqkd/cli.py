@@ -106,7 +106,7 @@ _OPTIONS = (
     _Option("sigma", default=0.0, field="sigma", help="phase-noise factor (0 disables)"),
     _Option("strategy", str, default="b-preserving", field="strategy",
             choices=tuple(s.value for s in RenormStrategy)),
-    _Option("mi_double", bool, default=False, field="mi_double",
+    _Option("mi_double", bool, default=False, commands=_RATE, field="mi_double",
             help="double the mutual information (dual-quadrature count)"),
     _Option("config", str, commands=_ALL, help="JSON file with flat key/value defaults"),
     _Option("output", str, default="", commands=_ALL, field="output",

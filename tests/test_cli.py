@@ -209,7 +209,8 @@ class TestUsageErrors:
         for argv in (["optimize", "--T", "0"],
                      ["optimize", "--T", "0.5", "--W", "0.7"],
                      ["optimize", "--T", "0.5", "--beta", "1.5"],
-                     ["sweep-asymptotic", "--T", "0.5", "--V", "0.5"]):
+                     ["sweep-asymptotic", "--T", "0.5", "--V", "0.5"],
+                     ["simulate", "--T", "0.1", "--mi-double"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
