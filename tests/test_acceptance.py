@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, each printed as its own pass/fail line.
+"""Acceptance gate: eleven criteria, each printed as its own pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Tolerances are pinned here and nowhere else.
@@ -280,3 +280,28 @@ def test_criterion_10_determinism(tmp_path):
     report(10, identical,
            f"two validate-fig2 --seed 42 runs byte-identical "
            f"({first.stat().st_size} bytes)")
+
+
+def test_criterion_11_finite_key_advantage():
+    """The finite-key SQCC rate is never below the prior model's where either has key."""
+    t0 = time.monotonic()
+    keyed, violations, sqcc_keyed = 0, [], set()
+    for n in (1e6, 1e8, 1e10):
+        sec = SecurityParams(block_size=n)
+        for w in (1e-3, 1e-6):
+            for t in np.geomspace(0.01, 0.9, 24):
+                chan = ChannelParams(float(t), 0.05)
+                new = optimise_v(chan, w, sec=sec).k_star
+                old = optimise_v(chan, w, model="baseline", sec=sec).k_star
+                if new > 0.0 or old > 0.0:
+                    keyed += 1
+                    if new < old - 1e-12:
+                        violations.append((n, w, float(t)))
+                if new > 0.0:
+                    sqcc_keyed.add(n)
+    elapsed = time.monotonic() - t0
+    passed = not violations and {1e8, 1e10} <= sqcc_keyed
+    report(11, passed,
+           f"K_F(SQCC) >= K_F(baseline) at all {keyed} keyed points of 24 T x 2 W x "
+           f"N in {{1e6, 1e8, 1e10}} (violations {violations}); SQCC key at N = "
+           f"{sorted(sqcc_keyed)}; runtime {elapsed:.1f}s")

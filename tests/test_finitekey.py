@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from sqccqkd.channel import ChannelParams, ProtocolParams
+from sqccqkd.channel import ChannelParams, ProtocolParams, qi_baseline_state
 from sqccqkd.errors import DomainError
 from sqccqkd.finitekey import SecurityParams, delta_terms, worst_case_estimators
 from sqccqkd.gaussian import TwoModeGaussian
-from sqccqkd.keyrate import asymptotic_rate, finite_rate, holevo_bound, optimise_v
-from sqccqkd.postprocess import required_displacement
+from sqccqkd.keyrate import (
+    asymptotic_rate,
+    finite_rate,
+    holevo_bound,
+    key_rate,
+    optimise_v,
+)
+from sqccqkd.postprocess import postprocess_stats, required_displacement
 
 
 def sec_at(n: float, **kwargs) -> SecurityParams:
@@ -166,15 +172,21 @@ class TestOptimiseVFinite:
             asym = optimise_v(chan, w)
             assert fin.k_star <= 0.9964 * asym.k_star + 1e-9
 
-    def test_brute_force_oracle(self):
+    # on this channel the baseline has no key at W = 1e-3, so it is checked at 1e-6
+    @pytest.mark.parametrize("model, w", [("sqcc", 1e-3), ("baseline", 1e-6)],
+                             ids=["sqcc", "baseline"])
+    def test_brute_force_oracle(self, model, w):
         from oracles import brute_force_optimum
         chan = ChannelParams(0.75, 0.03)
         sec = sec_at(1e8)
-        opt = optimise_v(chan, 1e-3, sec=sec)
+        opt = optimise_v(chan, w, model=model, sec=sec)
 
         def objective(v):
-            d = required_displacement(v, chan, 1e-3)
-            return finite_rate(ProtocolParams(v, d, 0.95), chan, sec=sec).rate
+            proto = ProtocolParams(v, required_displacement(v, chan, w), 0.95)
+            if model == "sqcc":
+                return finite_rate(proto, chan, sec=sec).rate
+            state = qi_baseline_state(proto, chan, postprocess_stats(proto, chan).e_c)
+            return key_rate(state, True, proto, sec=sec).rate
 
         ref = brute_force_optimum(objective, n_points=3000)
         assert opt.k_star == pytest.approx(ref, rel=1e-5)
