@@ -37,7 +37,7 @@ from .montecarlo import (
 from .postprocess import (
     RenormStrategy,
     postprocess_stats,
-    renormalised_moments,
+    renormalise,
     required_displacement,
 )
 
@@ -226,7 +226,8 @@ def _sweep_row(config: RunConfig, p: dict) -> dict:
         if math.isfinite(opt.v_star):
             v = opt.v_star
     proto = ProtocolParams(v, required_displacement(v, chan, p["W"]), config.beta)
-    stats, renorm = renormalised_moments(proto, chan, config.strategy)
+    renorm = renormalise(proto, chan, config.strategy)
+    stats = renorm.stats
     state, feasible = renorm.state_prime, renorm.physical.passed
     rate = key_rate(state, feasible, proto, config.mi_double)
     row.update(V=v, d=proto.displacement, snr=stats.snr, e_C=stats.e_c,

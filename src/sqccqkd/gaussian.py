@@ -105,11 +105,15 @@ class MeasurementDistribution:
 
 @dataclass(frozen=True)
 class PhysicalityVerdict:
-    """Outcome of an uncertainty-principle check; margin is the worst violation."""
+    """Outcome of an uncertainty-principle check; margin is the worst violation.
+
+    A physical verdict carries the symplectic spectrum it was judged on.
+    """
 
     physical: bool
     margin: float
     reason: str = field(default="")
+    spectrum: SymplecticSpectrum | None = None
 
     def __bool__(self) -> bool:
         return self.physical
@@ -185,5 +189,5 @@ def is_physical(state: TwoModeGaussian) -> PhysicalityVerdict:
         violations["symplectic"] = math.inf
     reason, worst = max(violations.items(), key=lambda kv: kv[1])
     if worst <= _PHYSICALITY_SLACK:
-        return PhysicalityVerdict(physical=True, margin=0.0)
+        return PhysicalityVerdict(physical=True, margin=0.0, spectrum=spectrum)
     return PhysicalityVerdict(physical=False, margin=worst, reason=reason)

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 from .channel import ChannelParams, ProtocolParams, qi_baseline_state
 from .errors import DomainError, NumericError, PhysicalityError
 from .finitekey import FiniteKeyResult, SecurityParams, worst_case_estimators
-from .gaussian import (
-    TwoModeGaussian,
-    conditional_eigenvalue,
-    g_function,
-    is_physical,
-    symplectic_spectrum,
-)
+from .gaussian import TwoModeGaussian, conditional_eigenvalue, g_function, is_physical
 from .postprocess import (
     RenormStrategy,
     postprocess_stats,
-    renormalised_moments,
+    renormalise,
     required_displacement,
 )
 
@@ -87,7 +81,7 @@ def holevo_bound(state: TwoModeGaussian) -> float:
             f"holevo bound needs a physical state; {verdict.reason} violates "
             f"the vacuum limit by {verdict.margin:.3e}"
         )
-    spectrum = symplectic_spectrum(state)
+    spectrum = verdict.spectrum
     lam3 = conditional_eigenvalue(state)
     chi = g_function(spectrum.lambda1) + g_function(spectrum.lambda2) - g_function(lam3)
     if chi < 0.0:
@@ -136,7 +130,7 @@ def key_rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
 def _sqcc_state(proto: ProtocolParams, chan: ChannelParams,
                 strategy: RenormStrategy) -> tuple[TwoModeGaussian, bool]:
     """The renormalised SQCC state and whether the renormalisation passed."""
-    _, renorm = renormalised_moments(proto, chan, strategy)
+    renorm = renormalise(proto, chan, strategy)
     return renorm.state_prime, renorm.physical.passed
 
 

@@ -35,6 +35,8 @@ RNG_ALGORITHM = "numpy-philox4x64-v1"
 
 _N_CHUNKS = 16
 
+_EPS_PE = 1e-10  # failure probability of the disclosed-bit error-rate bound
+
 # (x, y) signs of each alphabet point, indexed by symbol - 1
 _SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -239,15 +241,15 @@ def conditional_variance(batch: ShotBatch) -> float:
     return total / dof
 
 
-def estimation_pipeline(batch: ShotBatch, disclose_fraction: float = 0.1,
-                        eps_pe: float = 1e-10) -> EstimationResult:
+def estimation_pipeline(batch: ShotBatch,
+                        disclose_fraction: float = 0.1) -> EstimationResult:
     """Receiver-side estimation chain on a raw sampled batch.
 
     Steps: locate the four outcome centroids from the raw data, re-displace
     against the estimated centroids, bound the bit-error rate from a
     disclosed fraction of the classical bits (one-sided binomial tail at
-    confidence 1 - eps_pe), invert it to a certified SNR floor, and rescale
-    with the variance-shift factor inferred from the point estimate.
+    confidence 1 - ``_EPS_PE``), invert it to a certified SNR floor, and
+    rescale with the variance-shift factor inferred from the point estimate.
     """
     if not 0.0 < disclose_fraction < 1.0:
         raise DomainError(
@@ -276,8 +278,8 @@ def estimation_pipeline(batch: ShotBatch, disclose_fraction: float = 0.1,
         e_c_bound = 1.0
     else:
         # exact one-sided binomial tail inversion; errors = 0 reduces to
-        # the rule-of-three style bound 1 - eps_pe**(1/comparisons)
-        e_c_bound = beta_quantile(1.0 - eps_pe, errors + 1, comparisons - errors)
+        # the rule-of-three style bound 1 - _EPS_PE**(1/comparisons)
+        e_c_bound = beta_quantile(1.0 - _EPS_PE, errors + 1, comparisons - errors)
 
     snr_point = _snr_from_error_rate(e_c_point)
     snr_hat = _snr_from_error_rate(min(e_c_bound, 0.5))

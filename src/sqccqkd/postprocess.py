@@ -30,7 +30,6 @@ __all__ = [
     "variance_shift_factor",
     "postprocess_stats",
     "renormalise",
-    "renormalised_moments",
     "required_displacement",
 ]
 
@@ -46,7 +45,10 @@ class RenormStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class PostprocessStats:
-    """Gaussian-order statistics after discrimination and re-displacement."""
+    """Gaussian-order statistics after discrimination and re-displacement.
+
+    ``base`` is the shared state (first alphabet symbol) they derive from.
+    """
 
     snr: float
     e_c: float
@@ -55,6 +57,7 @@ class PostprocessStats:
     b_d: float
     c_d: float
     mean_d: np.ndarray
+    base: TwoModeGaussian
 
     def __post_init__(self):
         object.__setattr__(self, "mean_d", np.asarray(self.mean_d, dtype=float))
@@ -62,7 +65,7 @@ class PostprocessStats:
 
 @dataclass(frozen=True)
 class RenormResult:
-    """Rescaled state plus the effective channel it is equivalent to.
+    """Postprocessed moments, their rescaled state and its effective channel.
 
     ``effective_transmissivity``/``effective_excess_noise`` describe the
     single bosonic channel reproducing the rescaled covariance: (T, eps +
@@ -70,6 +73,7 @@ class RenormResult:
     for the variance-preserving one.
     """
 
+    stats: PostprocessStats
     strategy: RenormStrategy
     delta_v: float
     state_prime: TwoModeGaussian
@@ -149,20 +153,25 @@ def postprocess_stats(proto: ProtocolParams, chan: ChannelParams) -> Postprocess
         b_d=b_d,
         c_d=c_d,
         mean_d=np.array([0.0, 0.0, residual, residual]),
+        base=state,
     )
 
 
-def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
+def renormalise(proto: ProtocolParams, chan: ChannelParams,
                 strategy: RenormStrategy = RenormStrategy.B_PRESERVING) -> RenormResult:
-    """Rescale the postprocessed moments by 1/sqrt(Delta_V).
+    """Postprocessed moments at one operating point, rescaled by 1/sqrt(Delta_V).
 
     B_PRESERVING restores the receiver variance (Delta_V = (b_d+1)/(b+1));
     C_PRESERVING restores the cross correlation (Delta_V = (1-delta)^2).
-    The attached effective channel reproduces the rescaled (b', c') exactly
-    when re-composed, which is the property the physicality check rests on.
+    The attached effective channel, built on the physical (T, eps_tot) of
+    ``chan``, reproduces the rescaled (b', c') exactly when re-composed,
+    which is the property the physicality check rests on.
     """
+    stats = postprocess_stats(proto, chan)
+    base = stats.base
     b, c = base.b, base.c
-    t = _infer_transmissivity(base)
+    t = chan.transmissivity
+    eps_tot = chan.total_excess_noise(proto.displacement)
     if strategy is RenormStrategy.B_PRESERVING:
         delta_v = (stats.b_d + 1.0) / (b + 1.0)
         if delta_v <= 0.0:
@@ -174,7 +183,7 @@ def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
         t_v = (1.0 - stats.delta) ** 2 / delta_v
         eps_v = (b - 1.0) * (1.0 / t_v - 1.0)
         eff_t = t * t_v
-        eff_eps = _infer_excess_noise(base) + eps_v / t
+        eff_eps = eps_tot + eps_v / t
     elif strategy is RenormStrategy.C_PRESERVING:
         delta_v = (1.0 - stats.delta) ** 2
         if delta_v <= 0.0:
@@ -184,7 +193,7 @@ def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
         t_v = 1.0
         eps_v = 0.0
         eff_t = t
-        eff_eps = _infer_excess_noise(base) + (b_prime - b) / t
+        eff_eps = eps_tot + (b_prime - b) / t
     else:
         raise DomainError(f"unknown renormalisation strategy {strategy!r}")
 
@@ -193,6 +202,7 @@ def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
     state_prime = TwoModeGaussian(mean=mean_prime, a=stats.a_d, b=b_prime, c=c_prime)
     check = _check(strategy, state_prime, base)
     return RenormResult(
+        stats=stats,
         strategy=strategy,
         delta_v=delta_v,
         state_prime=state_prime,
@@ -202,30 +212,6 @@ def renormalise(stats: PostprocessStats, base: TwoModeGaussian,
         virtual_excess_noise=eps_v,
         physical=check,
     )
-
-
-def renormalised_moments(proto: ProtocolParams, chan: ChannelParams,
-                         strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                         ) -> tuple[PostprocessStats, RenormResult]:
-    """The closed-form chain at one operating point: moments, then their rescaling."""
-    stats = postprocess_stats(proto, chan)
-    return stats, renormalise(stats, shared_state(proto, chan, symbol_index=1), strategy)
-
-
-def _infer_transmissivity(base: TwoModeGaussian) -> float:
-    """Recover T from the covariance triple of the shared state."""
-    v = base.a
-    if v <= 1.0:
-        return 1.0
-    return base.c ** 2 / (v * v - 1.0)
-
-
-def _infer_excess_noise(base: TwoModeGaussian) -> float:
-    """Recover the input-referred excess noise from the covariance triple."""
-    t = _infer_transmissivity(base)
-    if t == 0.0:
-        return 0.0
-    return (base.b - 1.0) / t - (base.a - 1.0)
 
 
 def _check(strategy: RenormStrategy, state_prime: TwoModeGaussian,

@@ -169,9 +169,8 @@ def test_criterion_5_physicality_suite(advantage_grid):
                 d = required_displacement(v, chan, w)
                 proto = ProtocolParams(v, d, 0.95)
                 state = shared_state(proto, chan, 1)
-                stats = postprocess_stats(proto, chan)
-                res_b = renormalise(stats, state, RenormStrategy.B_PRESERVING)
-                res_c = renormalise(stats, state, RenormStrategy.C_PRESERVING)
+                res_b = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
+                res_c = renormalise(proto, chan, RenormStrategy.C_PRESERVING)
                 checks += 1
                 if not (res_b.state_prime.c <= state.c + 1e-12
                         and res_b.virtual_transmissivity <= 1.0 + 1e-12

@@ -98,7 +98,7 @@ class TestSweepCommands:
         def boom(*args, **kwargs):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli, "renormalised_moments", boom)
+        monkeypatch.setattr(cli, "renormalise", boom)
         out = tmp_path / "warn.csv"
         code = cli.main(["sweep-asymptotic", "--T", "0.5", "--W", "0.5",
                          "--V", "5", "--output", str(out)])
@@ -271,11 +271,11 @@ class TestEveryCommandFlags:
 
 
 class TestPipelineEvaluations:
-    CHAIN = ("required_displacement", "postprocess_stats", "renormalise")
+    CHAIN = ("required_displacement", "postprocess_stats", "renormalise", "shared_state")
 
     @pytest.mark.parametrize("argv, ceiling", [
-        (["sweep-asymptotic"], (1, 1, 1)),
-        (["sweep-finite", "--N", "1e8", "1e6"], (1, 2, 2)),
+        (["sweep-asymptotic"], (1, 1, 1, 1)),
+        (["sweep-finite", "--N", "1e8", "1e6"], (1, 2, 2, 1)),
     ])
     def test_closed_form_chain_calls_per_fixed_v_row(self, tmp_path, monkeypatch,
                                                      argv, ceiling):

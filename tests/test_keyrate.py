@@ -1,10 +1,12 @@
 """Information quantities, asymptotic rates, model comparison, V-optimisation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from sqccqkd import gaussian
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.errors import PhysicalityError
 from sqccqkd.gaussian import TwoModeGaussian, g_function
@@ -67,6 +69,23 @@ class TestHolevoBound:
     def test_unphysical_rejected(self):
         with pytest.raises(PhysicalityError):
             holevo_bound(triple(1.0, 0.8, 0.0))
+
+    def test_one_spectrum_per_holevo_bound(self, monkeypatch):
+        calls = []
+        original = gaussian.symplectic_spectrum
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("sqccqkd")
+                    and getattr(module, "symplectic_spectrum", None) is original):
+                monkeypatch.setattr(module, "symplectic_spectrum", counted)
+        states = [triple(5.0, 1.405, math.sqrt(2.4)), triple(5.0, 3.0, 0.0)]
+        for state in states:
+            holevo_bound(state)
+        assert len(calls) == len(states)
 
 
 class TestAsymptoticRate:

@@ -153,7 +153,7 @@ class TestSubShotNoiseHazard:
         post = discriminate_and_redisplace(batch, proto, REF_CHAN)
         m = empirical_moments(post)
         assert m.b_hat < 1.0  # illegitimate before rescaling
-        renorm = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+        renorm = renormalise(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
         rescaled = post.bob_outcomes / math.sqrt(renorm.delta_v)
         b_rescaled = (np.var(rescaled[:, 0], ddof=1)
                       + np.var(rescaled[:, 1], ddof=1)) / 2.0 - 1.0

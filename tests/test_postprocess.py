@@ -131,9 +131,8 @@ class TestRenormalise:
     def test_zero_displacement_identity(self):
         proto = ProtocolParams(5.0, 0.0)
         state = shared_state(proto, REF_CHAN, 1)
-        stats = postprocess_stats(proto, REF_CHAN)
         for strategy in RenormStrategy:
-            res = renormalise(stats, state, strategy)
+            res = renormalise(proto, REF_CHAN, strategy)
             assert res.delta_v == pytest.approx(1.0, abs=1e-15)
             assert res.state_prime.b == pytest.approx(state.b, abs=1e-14)
             assert res.state_prime.c == pytest.approx(state.c, abs=1e-14)
@@ -143,8 +142,7 @@ class TestRenormalise:
 
     def test_b_preserving_frozen(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         assert res.delta_v == pytest.approx(0.8615514083626141, rel=1e-12)
         assert res.state_prime.b == state.b
         assert res.state_prime.c == pytest.approx(1.1532986031165338, rel=1e-12)
@@ -162,8 +160,7 @@ class TestRenormalise:
 
     def test_c_preserving_frozen(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(stats, state, RenormStrategy.C_PRESERVING)
+        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.C_PRESERVING)
         assert res.delta_v == pytest.approx(0.4774781329510931, rel=1e-12)
         assert res.state_prime.c == state.c
         assert res.state_prime.b == pytest.approx(3.3395309525605435, rel=1e-12)
@@ -175,11 +172,26 @@ class TestRenormalise:
         assert res.physical.passed
 
     def test_mean_rescaled(self):
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         expected = stats.mean_d[2] / math.sqrt(res.delta_v)
         assert res.state_prime.mean[2] == pytest.approx(expected, rel=1e-14)
+
+    def test_effective_channel_at_unit_variance(self):
+        """At V = 1 (c = 0) the effective channel still rests on the physical T.
+
+        Only T_eff * eps_eff enters b there, so the composition test cannot
+        see a wrong split between the two.
+        """
+        proto = ProtocolParams(1.0, 5.0)
+        res_c = renormalise(proto, REF_CHAN, RenormStrategy.C_PRESERVING)
+        res_b = renormalise(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
+        assert res_c.effective_transmissivity == 0.1
+        assert res_b.effective_transmissivity == 0.1 * res_b.virtual_transmissivity
+        for res in (res_c, res_b):
+            near = renormalise(ProtocolParams(1.0 + 1e-9, 5.0), REF_CHAN, res.strategy)
+            assert res.effective_excess_noise == pytest.approx(
+                near.effective_excess_noise, rel=1e-6)
 
     def test_composition_reproduces_rescaled_covariance(self):
         """Arbiter: the two-channel composition must reproduce (b', c') exactly.
@@ -196,9 +208,7 @@ class TestRenormalise:
             d = rng.uniform(0.5, 25.0)
             proto = ProtocolParams(v, d)
             chan = ChannelParams(t, eps)
-            state = shared_state(proto, chan, 1)
-            stats = postprocess_stats(proto, chan)
-            res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+            res = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
             t_tot = res.effective_transmissivity
             eps_tot = res.effective_excess_noise
             b_comp = t_tot * (v + eps_tot - 1.0) + 1.0
@@ -216,7 +226,7 @@ class TestRenormalise:
                 proto = ProtocolParams(v, d)
                 state = shared_state(proto, chan, 1)
                 stats = postprocess_stats(proto, chan)
-                res = renormalise(stats, state, RenormStrategy.C_PRESERVING)
+                res = renormalise(proto, chan, RenormStrategy.C_PRESERVING)
                 eps_eff = (res.state_prime.b - state.b) / t
                 approx = 2.0 * d * d * stats.e_c * (1.0 + 2.0 * stats.delta)
                 assert eps_eff == pytest.approx(approx, rel=0.05)
@@ -225,16 +235,14 @@ class TestRenormalise:
 class TestPhysicalityCheck:
     def test_reference_margin(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         assert res.physical.passed
         assert res.physical.margin == pytest.approx(state.c - res.state_prime.c,
                                                     abs=1e-15)
 
     def test_constructed_violation(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         inflated = TwoModeGaussian(res.state_prime.mean, state.a, state.b,
                                    state.c * 1.05)
         check = _check(res.strategy, inflated, state)
@@ -248,13 +256,11 @@ class TestPhysicalityCheck:
             proto = ProtocolParams(10 ** rng.uniform(0.01, 1.7),
                                    rng.uniform(0.0, 30.0))
             chan = ChannelParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, 0.2))
-            state = shared_state(proto, chan, 1)
-            stats = postprocess_stats(proto, chan)
             for strategy in RenormStrategy:
-                res = renormalise(stats, state, strategy)
+                res = renormalise(proto, chan, strategy)
                 assert res.physical.passed
                 assert is_physical(res.state_prime).physical
-            res_b = renormalise(stats, state, RenormStrategy.B_PRESERVING)
+            res_b = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
             assert res_b.virtual_transmissivity <= 1.0 + 1e-12
 
 
