@@ -184,14 +184,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """JSON has no NaN or infinity: a non-finite float is written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_rows(rows: list[dict], columns: list[str], config: RunConfig) -> str:
     path = config.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
                                          f"{config.command}.{config.fmt}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         if config.fmt == "json":
-            json.dump([{k: row.get(k, "") for k in columns} for row in rows], fh,
-                      indent=2, default=_fmt)
+            json.dump([{k: _json_cell(row.get(k, "")) for k in columns} for row in rows],
+                      fh, indent=2, default=_fmt, allow_nan=False)
             fh.write("\n")
         else:
             writer = csv.writer(fh)

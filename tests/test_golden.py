@@ -36,6 +36,8 @@ CASES = {
     "optimize": ["optimize", "--T", "0.6", "--W", "1e-3", "--eps", "0.05"],
     "optimize_finite": ["optimize", "--T", "0.6", "0.2", "--W", "1e-3", "--N", "1e8",
                         "--d-rx", "5"],
+    "optimize_finite_json": ["optimize", "--T", "0.6", "--W", "1e-3", "--N", "1e8",
+                             "--format", "json"],
     "compare_baseline": ["compare-baseline", "--T", "0.3", "--W", "1e-6", "1e-3"],
     "simulate_shots": ["simulate", "--T", "0.1", "--V", "5", "--d", "12", "--n", "200",
                        "--seed", "7", "--symbol", "1", "--shots-output", "{shots}"],
