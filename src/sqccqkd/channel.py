@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import Checks, DomainError
 from .gaussian import TwoModeGaussian
+from .special import _square
 
 __all__ = [
     "ChannelParams",
@@ -47,14 +48,14 @@ class ChannelParams:
                 f"phase_noise_factor must be >= 0, got {self.phase_noise_factor}"
             )
 
+    @np.errstate(all="ignore")
     def total_excess_noise(self, displacement: float) -> float:
         """Channel excess noise plus the power-proportional phase-noise term."""
-        t = self.transmissivity
-        try:
-            power = displacement ** 2
-        except OverflowError:
-            raise DomainError(f"displacement {displacement} is too large") from None
-        return self.excess_noise + self.phase_noise_factor * t * power
+        checks = Checks()
+        eps_tot = _total_excess_noise(checks, self.excess_noise, self.phase_noise_factor,
+                                      self.transmissivity, displacement)
+        checks.raise_first()
+        return float(eps_tot)
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,38 @@ class ProtocolParams:
     reconciliation_efficiency: float = 0.95
 
     def __post_init__(self):
-        if not (self.modulation_variance >= 1.0
-                and math.isfinite(self.modulation_variance)):
-            raise DomainError(
-                f"modulation_variance must be >= 1, got {self.modulation_variance}"
-            )
-        if not (self.displacement >= 0.0 and math.isfinite(self.displacement)):
-            raise DomainError(f"displacement must be >= 0, got {self.displacement}")
-        if not (0.0 < self.reconciliation_efficiency <= 1.0):
-            raise DomainError(
-                "reconciliation_efficiency must be in (0, 1], "
-                f"got {self.reconciliation_efficiency}"
-            )
+        checks = Checks()
+        _check_protocol(checks, self.modulation_variance, self.displacement,
+                        self.reconciliation_efficiency)
+        checks.raise_first()
+
+
+def _check_protocol(checks: Checks, v, d, beta) -> None:
+    """``ProtocolParams`` validation over arrays."""
+    checks.add(np.logical_not((v >= 1.0) & np.isfinite(v)), DomainError,
+               "modulation_variance must be >= 1, got {}", v)
+    checks.add(np.logical_not((d >= 0.0) & np.isfinite(d)), DomainError,
+               "displacement must be >= 0, got {}", d)
+    checks.add(np.logical_not((0.0 < beta) & (beta <= 1.0)), DomainError,
+               "reconciliation_efficiency must be in (0, 1], got {}", beta)
+
+
+def _total_excess_noise(checks: Checks, eps, sigma, t, d):
+    """``ChannelParams.total_excess_noise`` over arrays."""
+    power = _square(d)
+    checks.add(np.isinf(power) & np.isfinite(d), DomainError,
+               "displacement {} is too large", d)
+    return eps + sigma * t * power
+
+
+def _covariance(v, t, eps_tot):
+    """(b, c) of the shared state over arrays; a = V."""
+    return t * (v + eps_tot - 1.0) + 1.0, np.sqrt(t * (v * v - 1.0))
+
+
+def _baseline_noise(eps_tot, d, e_c):
+    """The prior model's excess noise: bit errors as 4 d^2 e_c on top of eps_tot."""
+    return eps_tot + 4.0 * d * d * e_c
 
 
 def qpsk_symbol(displacement: float, symbol_index: int) -> complex:
@@ -102,11 +123,12 @@ def shared_state(proto: ProtocolParams, chan: ChannelParams,
     eps_tot = chan.total_excess_noise(d)
     sym = qpsk_symbol(d, symbol_index)
     sqrt_t = math.sqrt(t)
+    b, c = _covariance(v, t, eps_tot)
     return TwoModeGaussian(
         mean=np.array([0.0, 0.0, sqrt_t * sym.real, sqrt_t * sym.imag]),
         a=v,
-        b=t * (v + eps_tot - 1.0) + 1.0,
-        c=math.sqrt(t * (v * v - 1.0)),
+        b=float(b),
+        c=float(c),
     )
 
 
@@ -121,15 +143,10 @@ def qi_baseline_state(proto: ProtocolParams, chan: ChannelParams,
     if not (0.0 <= e_c <= 0.5):
         raise DomainError(f"e_c must be in [0, 0.5], got {e_c}")
     v = proto.modulation_variance
-    t = chan.transmissivity
-    d = proto.displacement
-    eps_prime = chan.total_excess_noise(d) + 4.0 * d * d * e_c
-    return TwoModeGaussian(
-        mean=np.zeros(4),
-        a=v,
-        b=t * (v + eps_prime - 1.0) + 1.0,
-        c=math.sqrt(t * (v * v - 1.0)),
-    )
+    eps_prime = _baseline_noise(chan.total_excess_noise(proto.displacement),
+                                proto.displacement, e_c)
+    b, c = _covariance(v, chan.transmissivity, eps_prime)
+    return TwoModeGaussian(mean=np.zeros(4), a=v, b=float(b), c=float(c))
 
 
 def attenuation_db_to_transmissivity(db: float) -> float:

@@ -6,7 +6,9 @@ identical configuration and seed.  Exit codes: 0 success (a failing point
 becomes a flagged row), 1 the run could not finish, 2 usage error.
 
 ``_OPTIONS`` declares every option once; ``_COMMANDS`` gives each command
-its columns, its input points and its row builder.
+its columns, its input points and the batch step computing their cells.
+The rate commands evaluate all their points together, through the
+lockstep V search and one kernel call for the diagnostics.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissivity
 from .errors import DomainError, SqccError
 from .finitekey import SecurityParams
-from .keyrate import key_rate, optimise_v
+from .keyrate import optimise_rows, rate_rows
 from .montecarlo import (
     RNG_ALGORITHM,
     discriminate_and_redisplace,
@@ -34,12 +36,7 @@ from .montecarlo import (
     estimation_pipeline,
     sample_joint,
 )
-from .postprocess import (
-    RenormStrategy,
-    postprocess_stats,
-    renormalise,
-    required_displacement,
-)
+from .postprocess import RenormStrategy, postprocess_stats
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -219,49 +216,81 @@ def _batches(config: RunConfig, d_default: list[float], **extra) -> Iterator[dic
                "rng": RNG_ALGORITHM, **extra}
 
 
-def _sweep_row(config: RunConfig, p: dict) -> dict:
+def _rate_inputs(config: RunConfig, points: list[dict]):
+    """Each point's channel, threshold and, where it has a block size N, SecurityParams."""
+    chans = [ChannelParams(p["T"], config.excess_noise, config.sigma) for p in points]
+    secs = [dataclasses.replace(config.security, block_size=p["N"]) for p in points
+            if p.get("N")]  # every point of a command has an N, or none has
+    return chans, [p["W"] for p in points], secs or None
+
+
+def _sweep_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
     """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F."""
-    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
-    sec = dataclasses.replace(config.security, block_size=p["N"]) if "N" in p else None
-    row, v = {}, config.modulation_variance
+    chans, thresholds, secs = _rate_inputs(config, points)
+    out = [{} for _ in points]
+    v = [config.modulation_variance] * len(points)
     if config.optimize_v:
-        opt = optimise_v(chan, p["W"], config.strategy, config.beta,
-                         mi_double=config.mi_double, sec=sec)
-        row = {"v_star": opt.v_star, "k_star": opt.k_star}
-        if math.isfinite(opt.v_star):
-            v = opt.v_star
-    proto = ProtocolParams(v, required_displacement(v, chan, p["W"]), config.beta)
-    renorm = renormalise(proto, chan, config.strategy)
-    stats = renorm.stats
-    state, feasible = renorm.state_prime, renorm.physical.passed
-    rate = key_rate(state, feasible, proto, config.mi_double)
-    row.update(V=v, d=proto.displacement, snr=stats.snr, e_C=stats.e_c,
-               delta=stats.delta, a_d=stats.a_d, b_d=stats.b_d, c_d=stats.c_d,
-               delta_v=renorm.delta_v, I_AB=rate.mutual_information,
-               chi_EB=rate.holevo, K=rate.rate, feasible=rate.feasible)
-    if sec is not None:
-        fin = key_rate(state, feasible, proto, config.mi_double, sec)
-        row.update(K_PE=fin.k_pe_inf, K_F=fin.rate, ell=fin.key_length,
-                   epsilon_total=fin.epsilon_total, feasible=fin.feasible)
-    return row
+        opts = optimise_rows(chans, thresholds, config.strategy, config.beta,
+                             mi_double=config.mi_double, secs=secs)
+        for i, opt in enumerate(opts):
+            if isinstance(opt, SqccError):
+                out[i] = opt
+                continue
+            out[i] = {"v_star": opt.v_star, "k_star": opt.k_star}
+            if math.isfinite(opt.v_star):
+                v[i] = opt.v_star
+    live = [i for i, row in enumerate(out) if isinstance(row, dict)]
+    if not live:
+        return out
+    cells, checks = rate_rows([chans[i] for i in live], [thresholds[i] for i in live],
+                              [v[i] for i in live], config.strategy, config.beta,
+                              config.mi_double, secs and [secs[i] for i in live])
+    cells = {name: values.tolist() for name, values in cells.items()}
+    for j, i in enumerate(live):
+        error = checks.error(j)
+        if error is not None:
+            out[i] = error
+            continue
+        out[i].update((name, values[j]) for name, values in cells.items())
+        if secs:
+            out[i]["epsilon_total"] = secs[i].epsilon_total()
+    return out
 
 
-def _optimize_row(config: RunConfig, p: dict) -> dict:
-    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
-    sec = dataclasses.replace(config.security, block_size=p["N"]) if p["N"] else None
-    opt = optimise_v(chan, p["W"], config.strategy, config.beta,
-                     mi_double=config.mi_double, sec=sec)
-    return {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
-            "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
+def _optimize_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
+    chans, thresholds, secs = _rate_inputs(config, points)
+    opts = optimise_rows(chans, thresholds, config.strategy, config.beta,
+                         mi_double=config.mi_double, secs=secs)
+    return [opt if isinstance(opt, SqccError) else
+            {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
+             "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
+            for opt in opts]
 
 
-def _compare_row(config: RunConfig, p: dict) -> dict:
-    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
-    new, old = (optimise_v(chan, p["W"], config.strategy, config.beta, model=model,
-                           mi_double=config.mi_double) for model in ("sqcc", "baseline"))
-    return {"v_star_sqcc": new.v_star, "k_star_sqcc": new.k_star,
-            "v_star_baseline": old.v_star, "k_star_baseline": old.k_star,
-            "advantage": new.k_star >= old.k_star}
+def _compare_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
+    chans, thresholds, _ = _rate_inputs(config, points)
+    new, old = (optimise_rows(chans, thresholds, config.strategy, config.beta,
+                              model=model, mi_double=config.mi_double)
+                for model in ("sqcc", "baseline"))
+    return [n if isinstance(n, SqccError) else o if isinstance(o, SqccError) else
+            {"v_star_sqcc": n.v_star, "k_star_sqcc": n.k_star,
+             "v_star_baseline": o.v_star, "k_star_baseline": o.k_star,
+             "advantage": n.k_star >= o.k_star}
+            for n, o in zip(new, old)]
+
+
+def _each(row: Callable[[RunConfig, dict], dict]):
+    """The batch step that computes each point on its own with ``row``."""
+    def rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
+        out = []
+        for point in points:
+            try:
+                out.append(row(config, point))
+            except SqccError as exc:
+                out.append(exc)
+        return out
+
+    return rows
 
 
 def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | int):
@@ -321,7 +350,8 @@ class _Command:
     help: str
     columns: list[str]
     points: Callable[[RunConfig], Iterator[dict]]  # the input cells of each row
-    row: Callable[[RunConfig, dict], dict]  # the computed cells of one point
+    # the computed cells of each point, or the error that flags it
+    rows: Callable[[RunConfig, list[dict]], list[dict | SqccError]]
 
 
 _INPUT_COLUMNS = "T W V d eps beta sigma strategy "
@@ -334,59 +364,61 @@ _COMMANDS = {
     "sweep-asymptotic": _Command(
         "asymptotic rates over a grid",
         (_INPUT_COLUMNS + "v_star k_star" + _DIAG_COLUMNS).split(),
-        _grid, _sweep_row),
+        _grid, _sweep_rows),
     "sweep-finite": _Command(
         "finite-block rates over a grid",
         (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
          + " K_PE K_F ell epsilon_total").split(),
         lambda c: (p for n in c.block_sizes or [_DEFAULT_BLOCK] for p in _grid(c, N=n)),
-        _sweep_row),
+        _sweep_rows),
     "optimize": _Command(
         "maximise the rate over V at one point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
          " bracket_low bracket_high error").split(),
         lambda c: _grid(c, model="sqcc", N=c.block_sizes[0] if c.block_sizes else ""),
-        _optimize_row),
+        _optimize_rows),
     "simulate": _Command(
         "Monte Carlo moments at given displacement(s)",
         (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"
          " mean_bx_se mean_by_hat mean_by_se snr_hat delta_v_hat error").split(),
         lambda c: _batches(c, [c.modulation_variance], T=c.t_values[0],
                            schedule=str(c.symbol_schedule)),
-        _simulate_row),
+        _each(_simulate_row)),
     "validate-fig2": _Command(
         "analytic vs empirical moments on the reference sweep",
         ("d n seed rng V T eps" + _MOMENT_COLUMNS
          + " a_pass b_pass c_pass e_C_pass pass error").split(),
         lambda c: _batches(c, [float(x) for x in range(0, 21, 2)], **_FIG2),
-        _fig2_row),
+        _each(_fig2_row)),
     "compare-baseline": _Command(
         "optimised rate vs the prior coupling model",
         ("T W eps beta sigma v_star_sqcc k_star_sqcc v_star_baseline k_star_baseline"
          " advantage error").split(),
-        _grid, _compare_row),
+        _grid, _compare_rows),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; writes the artifact file and returns the exit code.
 
-    Every row echoes the inputs.  A point whose computation raises a package
-    error becomes a flagged row: the inputs, ``feasible`` false and the
-    message in ``error``.
+    Every row echoes the inputs.  A point whose computation fails with a
+    package error becomes a flagged row: the inputs, ``feasible`` false and
+    the message in ``error``.  An error of the whole batch flags every row.
     """
     command = _COMMANDS[config.command]
     inputs = {"V": config.modulation_variance, "eps": config.excess_noise,
               "beta": config.beta, "sigma": config.sigma,
               "strategy": config.strategy.value}
+    points = [{**inputs, **point} for point in command.points(config)]
+    try:
+        results = command.rows(config, points)
+    except SqccError as exc:
+        results = [exc] * len(points)
     rows, failed = [], 0
-    for point in command.points(config):
-        point = {**inputs, **point}
-        try:
-            cells = command.row(config, point)
-        except SqccError as exc:
+    for point, cells in zip(points, results):
+        if isinstance(cells, SqccError):
             failed += 1
-            cells = {"feasible": False, "error": str(exc)}
+            cells = {"feasible": False, "error": str(cells)}
         rows.append({**point, **cells})
     if failed:
         print(f"warning: {failed} row(s) failed and were flagged", file=sys.stderr)

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
-from .special import beta_inv_cdf_symmetric
+import numpy as np
+
+from .errors import Checks, DomainError
+from .special import _square, beta_inv_cdf_symmetric
 
 __all__ = [
     "SecurityParams",
@@ -131,6 +133,20 @@ def _confidence_shrink(z: float, n: float) -> float:
     return 1.0 - 2.0 * beta_inv_cdf_symmetric(z, n / 2.0)
 
 
+def _check_correlation(checks: Checks, c_hat) -> None:
+    checks.add(c_hat == 0.0, DomainError,
+               "worst-case correlation estimate undefined for c = 0")
+
+
+def _worst_case(a_hat, b_hat, c_hat, delta_var, delta_cov):
+    """``worst_case_estimators`` over arrays, from the margins of each element."""
+    sigma_a = (1.0 + delta_var) * a_hat
+    sigma_b = (1.0 + delta_var) * b_hat
+    sigma_c = (1.0 - 2.0 * np.sqrt(a_hat * b_hat / _square(c_hat)) * delta_cov) * c_hat
+    return sigma_a, sigma_b, sigma_c
+
+
+@np.errstate(all="ignore")
 def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
                           sec: SecurityParams) -> tuple[float, float, float]:
     """Confidence-interval extremes of the covariance triple.
@@ -139,11 +155,8 @@ def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
     direction that enlarges the eavesdropper bound.  The true values lie
     outside these extremes with probability at most eps_pe.
     """
-    if c_hat == 0.0:
-        raise DomainError("worst-case correlation estimate undefined for c = 0")
-    delta_var, delta_cov = sec._estimator_margins
-    sigma_a = (1.0 + delta_var) * a_hat
-    sigma_b = (1.0 + delta_var) * b_hat
-    sigma_c = (1.0 - 2.0 * math.sqrt(a_hat * b_hat / c_hat ** 2) * delta_cov) * c_hat
-    return sigma_a, sigma_b, sigma_c
-
+    checks = Checks()
+    _check_correlation(checks, c_hat)
+    checks.raise_first()
+    sigmas = _worst_case(np.float64(a_hat), b_hat, c_hat, *sec._estimator_margins)
+    return tuple(float(x) for x in sigmas)

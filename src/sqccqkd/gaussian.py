@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PhysicalityError
+from .errors import Checks, DomainError, NumericError, PhysicalityError
+from .special import _log1p, _log2, _where
 
 __all__ = [
     "TwoModeGaussian",
@@ -33,6 +35,7 @@ _DISCRIMINANT_CLAMP = 1e-12
 _G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
 _LN2 = math.log(2.0)
+_REASONS = np.array(["a", "b", "symplectic"])  # the violations is_physical names
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,9 @@ class TwoModeGaussian:
             raise DomainError(f"mean must be a 4-vector, got shape {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise DomainError("mean must be finite")
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        checks = Checks()
+        _check_finite(checks, self.a, self.b, self.c)
+        checks.raise_first()
         object.__setattr__(self, "mean", mean)
 
     def covariance(self) -> np.ndarray:
@@ -119,49 +122,105 @@ class PhysicalityVerdict:
         return self.physical
 
 
-def symplectic_spectrum(state: TwoModeGaussian) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of the two-mode covariance matrix."""
-    a, b, c = state.a, state.b, state.c
+def _check_finite(checks: Checks, a, b, c) -> None:
+    """The covariance entries of a state must be finite."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        checks.add(~np.isfinite(value), DomainError, f"{name} must be finite")
+
+
+class _Verdict(NamedTuple):
+    """``is_physical`` over arrays; ``overflow`` marks where it raises instead."""
+
+    physical: np.ndarray
+    worst: np.ndarray
+    reason: np.ndarray  # index into _REASONS
+    spectrum: SymplecticSpectrum
+    overflow: np.ndarray
+
+
+def _spectrum(a, b, c):
+    """Symplectic spectrum over arrays and its discriminant, before clamping.
+
+    The eigenvalues mean nothing where the discriminant is not finite (the
+    invariants overflow) or is negative beyond the clamp.
+    """
     d1 = a * a + b * b - 2.0 * c * c
     d2 = a * b - c * c
     disc = d1 * d1 - 4.0 * d2 * d2
-    if not math.isfinite(disc):
-        raise DomainError(f"covariance a={a:.3e}, b={b:.3e}, c={c:.3e} overflows "
-                          "its symplectic invariants")
-    if disc < 0.0:
-        if disc < -_DISCRIMINANT_CLAMP:
-            raise NumericError(
-                f"negative symplectic discriminant {disc:.3e} beyond tolerance"
-            )
-        disc = 0.0
-    lam1 = math.sqrt(max((d1 + math.sqrt(disc)) / 2.0, 0.0))
+    half = (d1 + np.sqrt(_where(disc < 0.0, 0.0, disc))) / 2.0
+    lam1 = np.sqrt(_where(0.0 > half, 0.0, half))
     # lambda1 * lambda2 = |d2|; (d1 - root) / 2 would cancel at large noise
-    lam2 = abs(d2) / lam1 if lam1 > 0.0 else 0.0
-    return SymplecticSpectrum(lambda1=lam1, lambda2=lam2, d1=d1, d2=d2)
+    lam2 = _where(lam1 > 0.0, np.abs(d2) / lam1, 0.0)
+    return SymplecticSpectrum(lambda1=lam1, lambda2=lam2, d1=d1, d2=d2), disc
 
 
-def conditional_eigenvalue(state: TwoModeGaussian) -> float:
-    """Symplectic eigenvalue of mode A conditioned on heterodyne of mode B."""
-    lam3 = state.a - state.c * state.c / (state.b + 1.0)
-    if lam3 < 1.0 - _PHYSICALITY_SLACK:
-        raise PhysicalityError(
-            f"conditional eigenvalue {lam3:.12g} below the vacuum limit"
-        )
-    return max(lam3, 1.0) if lam3 < 1.0 else lam3
+def _check_overflow(checks: Checks, overflow, a, b, c) -> None:
+    checks.add(overflow, DomainError, "covariance a={:.3e}, b={:.3e}, c={:.3e} overflows "
+               "its symplectic invariants", a, b, c)
 
 
-def g_function(x: float) -> float:
-    """Von Neumann entropy (bits) of a thermal mode with symplectic eigenvalue x."""
-    if not math.isfinite(x):
-        raise DomainError(f"g_function argument must be finite, got {x}")
-    if x < 1.0 - _G_CLAMP:
-        raise DomainError(f"g_function requires x >= 1, got {x}")
-    if x <= 1.0:
-        return 0.0
+def _physicality(a, b, c) -> _Verdict:
+    """The verdict of ``is_physical`` over arrays, and where its spectrum overflows."""
+    spectrum, disc = _spectrum(a, b, c)
+    # the first largest violation names the verdict, as max() over (a, b, symplectic)
+    worst = 1.0 - a
+    reason = np.zeros(np.shape(worst), dtype=np.intp)
+    symplectic = _where(disc < -_DISCRIMINANT_CLAMP, math.inf, 1.0 - spectrum.lambda2)
+    for index, violation in ((1, 1.0 - b), (2, symplectic)):
+        larger = violation > worst
+        worst = _where(larger, violation, worst)
+        reason = _where(larger, index, reason)
+    return _Verdict(worst <= _PHYSICALITY_SLACK, worst, reason, spectrum,
+                    ~np.isfinite(disc))
+
+
+def _conditional(checks: Checks, a, b, c):
+    """``conditional_eigenvalue`` over arrays."""
+    lam3 = a - c * c / (b + 1.0)
+    checks.add(lam3 < 1.0 - _PHYSICALITY_SLACK, PhysicalityError,
+               "conditional eigenvalue {:.12g} below the vacuum limit", lam3)
+    return _where(lam3 < 1.0, 1.0, lam3)
+
+
+def _entropy(checks: Checks, x):
+    """``g_function`` over arrays."""
+    checks.add(~np.isfinite(x), DomainError, "g_function argument must be finite, got {}", x)
+    checks.add(x < 1.0 - _G_CLAMP, DomainError, "g_function requires x >= 1, got {}", x)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
     # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x
-    return math.log2(xp) + xm * math.log1p(1.0 / xm) / _LN2
+    return _where(x <= 1.0, 0.0, _log2(xp) + xm * _log1p(1.0 / xm) / _LN2)
+
+
+@np.errstate(all="ignore")
+def symplectic_spectrum(state: TwoModeGaussian) -> SymplecticSpectrum:
+    """Symplectic eigenvalues of the two-mode covariance matrix."""
+    a, b, c = _floats(state)
+    checks = Checks()
+    spectrum, disc = _spectrum(a, b, c)
+    _check_overflow(checks, ~np.isfinite(disc), a, b, c)
+    checks.add(disc < -_DISCRIMINANT_CLAMP, NumericError,
+               "negative symplectic discriminant {:.3e} beyond tolerance", disc)
+    checks.raise_first()
+    return _scalar_spectrum(spectrum)
+
+
+@np.errstate(all="ignore")
+def conditional_eigenvalue(state: TwoModeGaussian) -> float:
+    """Symplectic eigenvalue of mode A conditioned on heterodyne of mode B."""
+    checks = Checks()
+    lam3 = _conditional(checks, *_floats(state))
+    checks.raise_first()
+    return float(lam3)
+
+
+@np.errstate(all="ignore")
+def g_function(x: float) -> float:
+    """Von Neumann entropy (bits) of a thermal mode with symplectic eigenvalue x."""
+    checks = Checks()
+    value = _entropy(checks, np.float64(x))
+    checks.raise_first()
+    return float(value)
 
 
 def measurement_distribution(state: TwoModeGaussian) -> MeasurementDistribution:
@@ -176,18 +235,26 @@ def measurement_distribution(state: TwoModeGaussian) -> MeasurementDistribution:
     )
 
 
+@np.errstate(all="ignore")
 def is_physical(state: TwoModeGaussian) -> PhysicalityVerdict:
     """Uncertainty-principle test: both symplectic eigenvalues at or above vacuum."""
-    violations = {
-        "a": 1.0 - state.a,
-        "b": 1.0 - state.b,
-    }
-    try:
-        spectrum = symplectic_spectrum(state)
-        violations["symplectic"] = 1.0 - spectrum.lambda2
-    except NumericError:
-        violations["symplectic"] = math.inf
-    reason, worst = max(violations.items(), key=lambda kv: kv[1])
-    if worst <= _PHYSICALITY_SLACK:
-        return PhysicalityVerdict(physical=True, margin=0.0, spectrum=spectrum)
-    return PhysicalityVerdict(physical=False, margin=worst, reason=reason)
+    a, b, c = _floats(state)
+    verdict = _physicality(a, b, c)
+    checks = Checks()
+    _check_overflow(checks, verdict.overflow, a, b, c)
+    checks.raise_first()
+    if verdict.physical:
+        return PhysicalityVerdict(physical=True, margin=0.0,
+                                  spectrum=_scalar_spectrum(verdict.spectrum))
+    return PhysicalityVerdict(physical=False, margin=float(verdict.worst),
+                              reason=str(_REASONS[verdict.reason]))
+
+
+def _floats(state: TwoModeGaussian) -> tuple:
+    """The covariance triple as numpy floats, which divide by zero without raising."""
+    return np.float64(state.a), np.float64(state.b), np.float64(state.c)
+
+
+def _scalar_spectrum(spectrum: SymplecticSpectrum) -> SymplecticSpectrum:
+    return SymplecticSpectrum(*(float(x) for x in (spectrum.lambda1, spectrum.lambda2,
+                                                    spectrum.d1, spectrum.d2)))

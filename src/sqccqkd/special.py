@@ -4,12 +4,15 @@ The complementary error function and its inverse, the regularized
 incomplete beta function and its symmetric-parameter inverse CDF, and
 the standard normal quantile.  Everything downstream (bit-error rates,
 confidence bounds, worst-case covariance estimators) is built on these
-scalars.
+scalars.  The array kernels call libm elementwise through the helpers at
+the end, so an array result equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -246,3 +249,53 @@ def beta_inv_cdf_symmetric(z: float, half_n: float) -> float:
     if z > 0.5:
         return 1.0 - _bisect_beta(1.0 - z, half_n, half_n, 0.0, 0.5)
     return _bisect_beta(z, half_n, half_n, 0.0, 0.5)
+
+
+def _elementwise(fn, outside: float):
+    """``fn`` applied to each element of an array, or to a scalar, as float64.
+
+    numpy's own exp/log family has SIMD versions that differ from libm in
+    the last bit on some CPUs, and numpy squares ``x ** 2`` where Python
+    calls libm ``pow``; calling the Python function on each element keeps
+    array results equal to scalar ones on every machine.  An element
+    outside ``fn``'s domain, or whose result overflows, gives ``outside``.
+    A scalar gives a numpy scalar, which later arithmetic handles faster
+    than a 0-d array.
+    """
+    def guarded(x):
+        try:
+            return fn(x)
+        except (ValueError, OverflowError):
+            return outside
+
+    def apply(x):
+        if not isinstance(x, np.ndarray):
+            return np.float64(guarded(float(x)))
+        items = x.ravel().tolist()
+        try:
+            values = np.fromiter(map(fn, items), float, len(items))
+        except (ValueError, OverflowError):
+            values = np.fromiter(map(guarded, items), float, len(items))
+        return values.reshape(x.shape)
+
+    return apply
+
+
+def _where(condition, x, y):
+    """``np.where`` that keeps a scalar condition's result a scalar.
+
+    ``x`` and ``y`` are no larger than ``condition``, as when they are the
+    operands the condition was computed from.  A Python float result
+    becomes a numpy float, which divides by zero without raising.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, x, y)
+    result = x if condition else y
+    return np.float64(result) if type(result) is float else result
+
+
+_erfc = _elementwise(math.erfc, math.nan)
+_exp = _elementwise(math.exp, math.inf)
+_log2 = _elementwise(math.log2, math.nan)
+_log1p = _elementwise(math.log1p, math.nan)
+_square = _elementwise(lambda x: x ** 2, math.inf)

@@ -139,7 +139,17 @@ def rate_from_triple(a: float, b: float, c: float, beta: float) -> tuple:
 
 def brute_force_optimum(objective, n_points: int = 10_000,
                         v_low: float = 1.001, v_high: float = 1e3) -> float:
-    """Dense-grid maximum used as the optimiser oracle."""
+    """Dense-grid maximum used as the optimiser oracle.
+
+    An objective that takes an array of V is evaluated in one call; any
+    other objective point by point.
+    """
     grid = np.geomspace(v_low, v_high, n_points)
-    best = max(objective(v) for v in grid)
+    try:
+        values = np.asarray(objective(grid), dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != grid.shape:
+        values = np.array([objective(v) for v in grid])
+    best = max(values.tolist())
     return max(best, 0.0)

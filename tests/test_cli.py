@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import sqccqkd.cli as cli
@@ -98,7 +99,7 @@ class TestSweepCommands:
         def boom(*args, **kwargs):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli, "renormalise", boom)
+        monkeypatch.setattr(cli, "rate_rows", boom)
         out = tmp_path / "warn.csv"
         code = cli.main(["sweep-asymptotic", "--T", "0.5", "--W", "0.5",
                          "--V", "5", "--output", str(out)])
@@ -271,33 +272,46 @@ class TestEveryCommandFlags:
 
 
 class TestPipelineEvaluations:
-    CHAIN = ("required_displacement", "postprocess_stats", "renormalise", "shared_state")
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The element count of each ``keyrate.rate_cells`` call."""
+        calls = []
+        original = keyrate.rate_cells
+
+        def counted(v, *args, **kwargs):
+            calls.append(np.size(v))
+            return original(v, *args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "rate_cells", counted)
+        return calls
 
     @pytest.mark.parametrize("argv, ceiling", [
-        (["sweep-asymptotic"], (1, 1, 1, 1)),
-        (["sweep-finite", "--N", "1e8", "1e6"], (1, 2, 2, 1)),
+        (["sweep-asymptotic"], {"rate_cells": 1}),
+        (["sweep-finite", "--N", "1e8", "1e6"], {"rate_cells": 1}),
     ])
-    def test_closed_form_chain_calls_per_fixed_v_row(self, tmp_path, monkeypatch,
+    def test_closed_form_chain_calls_per_fixed_v_row(self, tmp_path, kernel_calls,
                                                      argv, ceiling):
-        counts = dict.fromkeys(self.CHAIN, 0)
-        for name in self.CHAIN:
-            original = getattr(postprocess, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in (postprocess, keyrate, finitekey, cli):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        """A fixed-V sweep evaluates all its rows in one kernel call."""
         out = tmp_path / "o.csv"
         assert cli.main([*argv, "--T", "0.3", "0.6", "--W", "1e-3", "--V", "5",
                          "--output", str(out)]) == 0
         rows = read_csv(out)
         assert all(row["error"] == "" for row in rows)
-        per_row = tuple(counts[name] / len(rows) for name in self.CHAIN)
-        assert per_row[0] == 1
-        assert all(n <= limit for n, limit in zip(per_row, ceiling))
+        assert {"rate_cells": len(kernel_calls)} == ceiling
+        assert kernel_calls == [len(rows)]
+
+    @pytest.mark.parametrize("argv, ceiling", [
+        (["sweep-asymptotic", "--optimize-v"], 25),
+        (["compare-baseline"], 50),
+    ], ids=["sweep-asymptotic-optimize-v", "compare-baseline"])
+    def test_kernel_calls_per_rate_command(self, tmp_path, kernel_calls, argv, ceiling):
+        """The README grid runs in a few array calls, not one call per V per row."""
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--W", "0.5", "1e-3", "--T-grid", "log:0.01:0.9:50",
+                         "--output", str(out)]) == 0
+        assert len(read_csv(out)) == 100
+        assert len(kernel_calls) <= ceiling
+        assert kernel_calls[0] == 100 * 60  # the coarse grids of all rows at once
 
     @pytest.fixture
     def quantile_calls(self, monkeypatch):

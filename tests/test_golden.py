@@ -6,8 +6,12 @@ After an intended output change, regenerate the files and review their diff:
 """
 
 import argparse
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -79,6 +83,72 @@ def test_artifact_bytes(name, tmp_path):
     assert sorted(written) == expected
     for filename, data in written.items():
         assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+# the commands whose bytes come from the rate kernel
+RATE_CASES = sorted(name for name, argv in CASES.items()
+                    if argv[0] not in ("simulate", "validate-fig2"))
+
+
+def _avx512_dispatch() -> list[str]:
+    """numpy's AVX-512-level dispatch targets that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name == "X86_V4" or name.startswith("AVX512"))
+            and umath.__cpu_features__.get(name)]
+
+
+# the README grid: 7,900 evaluations per model, enough that a SIMD exp or log
+# would change some bytes.  T is listed, as --T-grid takes it from np.geomspace.
+README_GRID = ["--W", "0.5", "1e-3", "--T", *(repr(0.01 * 90.0 ** (i / 49))
+                                               for i in range(50))]
+README_RUNS = [["sweep-asymptotic", *README_GRID, "--optimize-v"],
+               ["compare-baseline", *README_GRID]]
+
+
+def readme_digests(workdir: pathlib.Path) -> list[str]:
+    """SHA-256 of the artifact of each README run."""
+    digests = []
+    for i, argv in enumerate(README_RUNS):
+        out = workdir / f"readme{i}.csv"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    return digests
+
+
+def test_rate_bytes_without_avx512(tmp_path):
+    """The rate artifacts do not depend on which SIMD kernels numpy dispatches to.
+
+    numpy's AVX-512 exp/log differ from libm in the last bit, so a kernel
+    using them would write other bytes on other CPUs.  With those targets
+    disabled, the rate cases must still match the golden files and the
+    README runs the bytes written here.
+    """
+    features = _avx512_dispatch()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    script = f"""
+import pathlib, sys, tempfile
+sys.path[:0] = {[str(pathlib.Path(__file__).parent)]!r}
+import test_golden
+assert not any(test_golden._avx512_dispatch()), "features still enabled"
+for name in test_golden.RATE_CASES:
+    with tempfile.TemporaryDirectory() as scratch:
+        for filename, data in test_golden.run_case(name, pathlib.Path(scratch)).items():
+            if data != (test_golden.GOLDEN / filename).read_bytes():
+                print("differs:", filename)
+with tempfile.TemporaryDirectory() as scratch:
+    print("readme:", *test_golden.readme_digests(pathlib.Path(scratch)))
+"""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "differs" not in done.stdout, done.stdout
+    assert f"readme: {' '.join(readme_digests(tmp_path))}" in done.stdout
 
 
 def test_subcommand_options():

@@ -1,7 +1,6 @@
 """Information quantities, asymptotic rates, model comparison, V-optimisation."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,12 +9,15 @@ from sqccqkd import gaussian
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.errors import PhysicalityError
 from sqccqkd.gaussian import TwoModeGaussian, g_function
+from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
+    _FiniteTerms,
     asymptotic_rate,
     baseline_rate,
     holevo_bound,
     mutual_information,
     optimise_v,
+    rate_cells,
 )
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
@@ -71,22 +73,29 @@ class TestHolevoBound:
             holevo_bound(triple(1.0, 0.8, 0.0))
 
     def test_one_spectrum_per_holevo_bound(self, monkeypatch):
+        """One spectrum per state: per bound, and per state in the kernel."""
         calls = []
-        original = gaussian.symplectic_spectrum
+        original = gaussian._spectrum
 
-        def counted(state):
-            calls.append(state)
-            return original(state)
+        def counted(a, b, c):
+            calls.append(np.size(a))
+            return original(a, b, c)
 
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("sqccqkd")
-                    and getattr(module, "symplectic_spectrum", None) is original):
-                monkeypatch.setattr(module, "symplectic_spectrum", counted)
+        monkeypatch.setattr(gaussian, "_spectrum", counted)
         states = [triple(5.0, 1.405, math.sqrt(2.4)), triple(5.0, 3.0, 0.0)]
         for state in states:
             holevo_bound(state)
         assert len(calls) == len(states)
-
+        # the rescaled (or prior-model) state is judged once and bounded with that
+        # spectrum; the finite-block rate adds the worst-case state
+        v = np.geomspace(1.5, 50.0, 7)
+        sec = SecurityParams(block_size=1e8)
+        for kwargs, spectra in (({}, 1), ({"model": "baseline"}, 1),
+                                ({"finite": _FiniteTerms.of([sec]).take(0)}, 2)):
+            calls.clear()
+            _, checks = rate_cells(v, 3.0, 0.3, 0.05, 0.0, **kwargs)
+            assert not checks.code.any()
+            assert calls == [v.size] * spectra
 
 class TestAsymptoticRate:
     def test_zero_displacement_equals_plain_heterodyne(self):
