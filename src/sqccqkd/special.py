@@ -30,7 +30,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _CF_TINY = 1e-300
 _NORMAL_HALF_N = 1e6  # Beta(half_n, half_n) above this half_n is taken as normal
 _CF_MAX_TERMS = 20_000  # near x = 1/2 the continued fraction needs ~sqrt(a) terms
-_BISECT_REL_TOL = 1e-10  # relative residual that ends a Beta quantile bisection
+_BISECT_REL_TOL = 1e-10  # relative residual that ends a Beta quantile search
 _BISECT_STEPS = 200
 
 
@@ -187,12 +187,15 @@ def beta_reg(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(ln_pre) * _beta_cont_frac(1.0 - x, b, a) / b
 
 
-def _bisect_beta(z: float, a: float, b: float, lo: float, hi: float) -> float:
-    """Solve I_x(a, b) = z for x in [lo, hi] by bisection.
+def _invert_beta(z: float, a: float, b: float, lo: float, hi: float) -> float:
+    """Solve I_x(a, b) = z for x in [lo, hi] by safeguarded Halley steps.
 
-    Converges on interval collapse; a relative residual below
-    ``_BISECT_REL_TOL`` exits early.  An absolute criterion would be
-    meaningless for deep-tail quantiles where z itself is tiny.
+    Starts from the normal approximation of Beta(a, b).  Each evaluation
+    narrows the bracket; a Halley step that would leave it, or that is not
+    at most half the step before, is replaced by bisection.  Converges on
+    interval collapse; a relative residual below ``_BISECT_REL_TOL`` exits
+    early.  An absolute criterion would be meaningless for deep-tail
+    quantiles where z itself is tiny.
     """
     flo = beta_reg(lo, a, b) - z
     fhi = beta_reg(hi, a, b) - z
@@ -201,18 +204,32 @@ def _bisect_beta(z: float, a: float, b: float, lo: float, hi: float) -> float:
             f"beta inverse bracket does not straddle z={z:g} for a={a:g}, b={b:g}",
             residual=min(abs(flo), abs(fhi)),
         )
-    mid = 0.5 * (lo + hi)
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    mean = a / (a + b)
+    x = mean + normal_quantile(z) * math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     resid = math.inf
+    step = last_step = hi - lo
     scale = min(z, 1.0 - z)  # the informative tail mass near either endpoint
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        resid = beta_reg(mid, a, b) - z
+        resid = beta_reg(x, a, b) - z
         if resid < 0.0:
-            lo = mid
+            lo = x
         else:
-            hi = mid
-        if abs(resid) <= _BISECT_REL_TOL * scale or (hi - lo) < 2e-16 * max(mid, 1e-10):
-            return mid
+            hi = x
+        if abs(resid) <= _BISECT_REL_TOL * scale or (hi - lo) < 2e-16 * max(x, 1e-10):
+            return x
+        # Halley on I_x - z: u = f / f', and f'' / f' is the log-density's slope
+        density = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_beta)
+        u = resid / density if density > 0.0 else math.inf
+        halley = u / (1.0 - 0.5 * u * ((a - 1.0) / x - (b - 1.0) / (1.0 - x)))
+        last_step, step = step, halley
+        x_new = x - halley
+        if not (lo < x_new < hi and abs(halley) <= 0.5 * abs(last_step)):
+            x_new = 0.5 * (lo + hi)
+            step = hi - lo
+        x = x_new
     raise ConvergenceError(
         f"beta inverse bisection stalled for a={a:g}, b={b:g}", residual=abs(resid)
     )
@@ -225,14 +242,14 @@ def beta_quantile(z: float, a: float, b: float) -> float:
         raise DomainError(f"beta_quantile requires 0 < z < 1, got {z}")
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
-    return _bisect_beta(z, a, b, 0.0, 1.0)
+    return _invert_beta(z, a, b, 0.0, 1.0)
 
 
 def beta_inv_cdf_symmetric(z: float, half_n: float) -> float:
     """Inverse CDF of Beta(half_n, half_n).
 
-    Up to half_n = 1e6 the quantile is found by bisection on
-    :func:`beta_reg`; above it the distribution is indistinguishable
+    Up to half_n = 1e6 the quantile is found by safeguarded Halley steps
+    on :func:`beta_reg`; above it the distribution is indistinguishable
     from Normal(1/2, 1/(8*half_n + 4)) at double precision and the
     closed-form quantile is used instead.
     """
@@ -247,8 +264,8 @@ def beta_inv_cdf_symmetric(z: float, half_n: float) -> float:
     if half_n > _NORMAL_HALF_N:
         return 0.5 + normal_quantile(z) / math.sqrt(8.0 * half_n + 4.0)
     if z > 0.5:
-        return 1.0 - _bisect_beta(1.0 - z, half_n, half_n, 0.0, 0.5)
-    return _bisect_beta(z, half_n, half_n, 0.0, 0.5)
+        return 1.0 - _invert_beta(1.0 - z, half_n, half_n, 0.0, 0.5)
+    return _invert_beta(z, half_n, half_n, 0.0, 0.5)
 
 
 def _elementwise(fn, outside: float):

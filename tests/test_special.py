@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+from sqccqkd import special
 from sqccqkd.errors import DomainError
 from sqccqkd.special import (
     beta_inv_cdf_symmetric,
@@ -215,6 +216,22 @@ class TestBetaInvSymmetric:
         value = beta_inv_cdf_symmetric(z, 5e7)
         expected = 0.5 + normal_quantile(z) / math.sqrt(8 * 5e7 + 4.0)
         assert value == expected
+
+    @pytest.mark.parametrize("n", [1e4, 1e5, 1e6, 2e6])
+    @pytest.mark.parametrize("z", [1e-10 / 12.0, 1e-20 / 1296.0], ids=["var", "cov"])
+    def test_few_beta_reg_calls(self, monkeypatch, n, z):
+        """The finite-key quantiles take at most 6 evaluations of I_x, bracket included."""
+        calls = []
+        original = special.beta_reg
+
+        def counted(x, a, b):
+            calls.append(x)
+            return original(x, a, b)
+
+        monkeypatch.setattr(special, "beta_reg", counted)
+        x = beta_inv_cdf_symmetric(z, n / 2.0)
+        assert len(calls) <= 6
+        assert abs(original(x, n / 2.0, n / 2.0) - z) <= 1e-10 * z
 
     def test_reflection(self):
         x_lo = beta_inv_cdf_symmetric(0.2, 30.0)
