@@ -73,7 +73,6 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _V_BRACKET = (1.001, 1e3)  # the search range of V
 _LOG_V_TOL = 1e-4  # golden-section stop: bracket width in log V
-_MODELS = ("sqcc", "baseline")
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,11 @@ class _FiniteTerms:
     def take(self, index) -> _FiniteTerms:
         """The elements at ``index`` (an integer array, or one position)."""
         return _FiniteTerms(*(getattr(self, f)[index] for f in self.__dataclass_fields__))
+
+
+def _check_model(model: str) -> None:
+    if model not in ("sqcc", "baseline"):
+        raise DomainError(f"unknown rate model {model!r}")
 
 
 def _mutual_information(checks: Checks, a, b, c, double: bool):
@@ -207,8 +211,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     errors found before the chain.  Cells of a failed element are
     meaningless.
     """
-    if model not in _MODELS:
-        raise DomainError(f"unknown rate model {model!r}")
+    _check_model(model)
     inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
     shape = np.broadcast_shapes(*(x.shape for x in inputs))
     if checks is None:
@@ -348,8 +351,7 @@ class _Rows:
     def __init__(self, chans: list[ChannelParams], thresholds: list[float],
                  strategy: RenormStrategy, beta: float, model: str, mi_double: bool,
                  secs: list[SecurityParams] | None):
-        if model not in _MODELS:
-            raise DomainError(f"unknown rate model {model!r}")
+        _check_model(model)
         self.t = np.array([chan.transmissivity for chan in chans])
         self.eps = np.array([chan.excess_noise for chan in chans])
         self.sigma = np.array([chan.phase_noise_factor for chan in chans])
