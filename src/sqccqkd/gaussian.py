@@ -35,7 +35,7 @@ _DISCRIMINANT_CLAMP = 1e-12
 _G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
 _LN2 = math.log(2.0)
-_REASONS = np.array(["a", "b", "symplectic"])  # the violations is_physical names
+_REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # is_physical names these
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,9 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _V_BRACKET = (1.001, 1e3)  # the search range of V
 _LOG_V_TOL = 1e-4  # golden-section stop: bracket width in log V
+# elements per kernel call of a V search: the kernel holds about 40 float64
+# arrays of this length, so a block bounds its working memory near 0.7 MB
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -382,16 +385,24 @@ class _Rows:
         """The rate (finite-block with SecurityParams) where feasible, else -inf.
 
         Returns the scores, shaped as ``v`` (one row per entry of ``rows``),
-        and the error of each failed row at its first failed element.
+        and the error of each failed row at its first failed element.  The
+        rows go to the kernel in blocks of at most ``_BLOCK`` elements.
         """
         finite = self.finite is not None
-        cells, checks = self.cells(rows[:, None], v, asymptotic=not finite)
-        score = np.where(cells["feasible"], cells["K_F" if finite else "K"], -math.inf)
+        score = np.empty(v.shape)
         errors = {}
-        if np.count_nonzero(checks.code):
-            failed = checks.code != 0
-            for i in np.flatnonzero(failed.any(axis=1)):
-                errors[int(rows[i])] = checks.error((i, int(np.argmax(failed[i]))))
+        step = max(1, _BLOCK // max(v.shape[1], 1))
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            cells, checks = self.cells(rows[part, None], v[part], asymptotic=not finite)
+            score[part] = np.where(cells["feasible"], cells["K_F" if finite else "K"],
+                                   -math.inf)
+            if np.count_nonzero(checks.code):
+                failed = checks.code != 0
+                for i in np.flatnonzero(failed.any(axis=1)):
+                    errors[int(rows[start + i])] = checks.error(
+                        (i, int(np.argmax(failed[i]))))
+            del cells, checks  # before the next block's arrays exist
         return score, errors
 
 

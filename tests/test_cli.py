@@ -311,7 +311,8 @@ class TestPipelineEvaluations:
                          "--output", str(out)]) == 0
         assert len(read_csv(out)) == 100
         assert len(kernel_calls) <= ceiling
-        assert kernel_calls[0] == 100 * 60  # the coarse grids of all rows at once
+        assert max(kernel_calls) <= keyrate._BLOCK  # the kernel's memory stays bounded
+        assert kernel_calls[0] == keyrate._BLOCK // 60 * 60  # coarse grids, many rows
 
     @pytest.fixture
     def quantile_calls(self, monkeypatch):
