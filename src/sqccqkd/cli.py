@@ -217,7 +217,7 @@ def _batches(config: RunConfig, d_default: list[float], **extra) -> Iterator[dic
 
 
 def _rate_inputs(config: RunConfig, points: list[dict]):
-    """Each point's channel, threshold and, where it has a block size N, SecurityParams."""
+    """Each point's channel, threshold and, where it has an N, SecurityParams."""
     chans = [ChannelParams(p["T"], config.excess_noise, config.sigma) for p in points]
     secs = [dataclasses.replace(config.security, block_size=p["N"]) for p in points
             if p.get("N")]  # every point of a command has an N, or none has

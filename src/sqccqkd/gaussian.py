@@ -184,7 +184,8 @@ def _conditional(checks: Checks, a, b, c):
 
 def _entropy(checks: Checks, x):
     """``g_function`` over arrays."""
-    checks.add(~np.isfinite(x), DomainError, "g_function argument must be finite, got {}", x)
+    checks.add(~np.isfinite(x), DomainError, "g_function argument must be finite, got {}",
+               x)
     checks.add(x < 1.0 - _G_CLAMP, DomainError, "g_function requires x >= 1, got {}", x)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0

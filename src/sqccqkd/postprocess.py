@@ -236,7 +236,8 @@ def postprocess_stats(proto: ProtocolParams, chan: ChannelParams) -> Postprocess
     d = proto.displacement
     checks = Checks()
     td2, snr = _snr(np.float64(t), d, state.b)
-    e_c, delta, b_d, c_d = (float(x) for x in _moments(checks, td2, snr, state.b, state.c))
+    e_c, delta, b_d, c_d = (float(x)
+                            for x in _moments(checks, td2, snr, state.b, state.c))
     checks.raise_first()
     residual = 2.0 * math.sqrt(t) * d * e_c / math.sqrt(2.0)
     return PostprocessStats(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sqccqkd.cli as cli
-from sqccqkd import finitekey, keyrate, montecarlo, postprocess
+from sqccqkd import finitekey, keyrate, montecarlo
 from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
 from sqccqkd.keyrate import asymptotic_rate, optimise_v

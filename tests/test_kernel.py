@@ -114,7 +114,7 @@ def _outcome(search):
                                         ("sqcc", SECS[2])], ids=["sqcc", "baseline",
                                                                   "sqcc-finite"])
 def test_lockstep_rows_equal_their_own_searches(model, sec):
-    """Rows searched together get the optimum, count, bracket or error of their own search."""
+    """Rows searched together get the result (or error) of their own search."""
     chans = [ChannelParams(t, eps) for t in (0.02, 0.3, 0.9) for eps in (0.05, 1e300)]
     thresholds = [1e-3, 0.5, 1e-6, 1e-3, 0.2, 0.7]
     together = optimise_rows(chans, thresholds, RenormStrategy.C_PRESERVING, model=model,

@@ -220,7 +220,7 @@ class TestBetaInvSymmetric:
     @pytest.mark.parametrize("n", [1e4, 1e5, 1e6, 2e6])
     @pytest.mark.parametrize("z", [1e-10 / 12.0, 1e-20 / 1296.0], ids=["var", "cov"])
     def test_few_beta_reg_calls(self, monkeypatch, n, z):
-        """The finite-key quantiles take at most 6 evaluations of I_x, bracket included."""
+        """A finite-key quantile takes at most 6 evaluations of I_x, bracket included."""
         calls = []
         original = special.beta_reg
 
