@@ -124,8 +124,8 @@ def test_rate_bytes_without_avx512(tmp_path):
 
     numpy's AVX-512 exp/log differ from libm in the last bit, so a kernel
     using them would write other bytes on other CPUs.  With those targets
-    disabled, the rate cases must still match the golden files and the
-    README runs the bytes written here.
+    disabled, the rate cases must still match the golden files, and the
+    README runs the bytes this process writes with every target enabled.
     """
     features = _avx512_dispatch()
     if not features:
