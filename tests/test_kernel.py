@@ -139,3 +139,17 @@ def test_large_displacement_error_is_per_element():
     assert [str(checks.error(i)) if checks.error(i) else "" for i in range(3)] == [
         "", "displacement 1e+160 is too large", ""]
     assert math.isfinite(cells["K"][0]) and math.isfinite(cells["K"][2])
+
+
+def test_margin_error_meets_the_chain_at_the_estimators():
+    """A block whose margins cannot be computed fails where the chain needs them.
+
+    eps_pe = 1e-200 makes eps_pe^2 / 1296 underflow to 0, which the Beta
+    quantile rejects; points that fail earlier keep their own error.
+    """
+    sec = SecurityParams(block_size=1e6, eps_pe=1e-200)
+    _, checks = rate_cells([5.0, 1e300, 5.0], [3.0, 3.0, 1e160], 0.3, 0.05, 0.0,
+                           finite=_FiniteTerms.of([sec] * 3))
+    assert [str(checks.error(i)) for i in range(3)] == [
+        "beta_inv_cdf_symmetric requires 0 < z < 1, got 0.0", "c must be finite",
+        "displacement 1e+160 is too large"]
