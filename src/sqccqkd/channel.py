@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import TwoModeGaussian
-from .special import _square
+from .special import _isfinite, _isinf, _square
 
 __all__ = [
     "ChannelParams",
@@ -75,9 +75,9 @@ class ProtocolParams:
 
 def _check_protocol(checks: Checks, v, d, beta) -> None:
     """``ProtocolParams`` validation over arrays."""
-    checks.add(np.logical_not((v >= 1.0) & np.isfinite(v)), DomainError,
+    checks.add(np.logical_not((v >= 1.0) & _isfinite(v)), DomainError,
                "modulation_variance must be >= 1, got {}", v)
-    checks.add(np.logical_not((d >= 0.0) & np.isfinite(d)), DomainError,
+    checks.add(np.logical_not((d >= 0.0) & _isfinite(d)), DomainError,
                "displacement must be >= 0, got {}", d)
     checks.add(np.logical_not((0.0 < beta) & (beta <= 1.0)), DomainError,
                "reconciliation_efficiency must be in (0, 1], got {}", beta)
@@ -86,7 +86,7 @@ def _check_protocol(checks: Checks, v, d, beta) -> None:
 def _total_excess_noise(checks: Checks, eps, sigma, t, d):
     """``ChannelParams.total_excess_noise`` over arrays."""
     power = _square(d)
-    checks.add(np.isinf(power) & np.isfinite(d), DomainError,
+    checks.add(_isinf(power) & _isfinite(d), DomainError,
                "displacement {} is too large", d)
     return eps + sigma * t * power
 

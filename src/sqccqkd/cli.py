@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -65,8 +66,9 @@ def _parse_t_grid(descriptor: str) -> list[float]:
     kind, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     if not (0.0 < lo < hi) or n < 2:
         raise argparse.ArgumentTypeError(f"invalid grid bounds in {descriptor!r}")
-    if kind == "log":
-        return list(np.geomspace(lo, hi, n))
+    if kind == "log":  # libm exp: numpy's SIMD exp would make T depend on the CPU
+        step = math.log(hi / lo) / (n - 1)
+        return [lo * math.exp(step * i) for i in range(n - 1)] + [hi]
     return list(np.linspace(lo, hi, n))
 
 
@@ -427,6 +429,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqccqkd",
@@ -509,6 +512,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     for n in values["N"]:
         if not n >= 2:
             raise DomainError(f"N must be >= 2, got {n}")
+        if not security.frame_success * n >= 1.0:
+            raise DomainError(f"p_f * N must be >= 1, got p_f = {security.frame_success}"
+                              f" and N = {n}")
     for t in values["T"]:
         ChannelParams(t, values["eps"], values["sigma"])
     ProtocolParams(values["V"], 0.0, values["beta"])

@@ -39,7 +39,8 @@ class Checks:
 
     def __init__(self, shape=()):
         self.shape = tuple(shape)
-        self._sites = []  # (failed, error class, message, message arguments)
+        self._count = 0  # a check's number is its position, from 1
+        self._sites = {}  # number -> (failed, error, message, args) where it may fail
         self._code = None
 
     def add(self, failed, error, message: str = "", *args) -> None:
@@ -48,16 +49,18 @@ class Checks:
         ``error`` may instead hold one exception (or None) per element, for
         errors found before the computation, such as per-row constants.
         """
-        self._sites.append((failed, error, message, args))
-        self._code = None
+        self._count += 1
+        if isinstance(failed, np.ndarray) or failed:
+            self._sites[self._count] = (failed, error, message, args)
+            self._code = None
 
     @property
     def code(self) -> np.ndarray:
         """1 + the index of each element's first failed check; 0 where none fails."""
         if self._code is None:
             code = np.zeros(self.shape, dtype=np.intp)
-            for number, (failed, *_) in enumerate(self._sites, 1):
-                if np.count_nonzero(failed) if isinstance(failed, np.ndarray) else failed:
+            for number, (failed, *_) in self._sites.items():
+                if np.count_nonzero(failed):
                     code = np.where((code == 0) & failed, number, code)
             self._code = code
         return self._code
@@ -67,7 +70,7 @@ class Checks:
         number = int(self.code[index])
         if number == 0:
             return None
-        _, error, message, args = self._sites[number - 1]
+        _, error, message, args = self._sites[number]
         if not isinstance(error, type):
             return self._item(error, index)
         return error(message.format(*(self._item(arg, index) for arg in args)))

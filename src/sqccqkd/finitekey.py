@@ -52,6 +52,9 @@ class SecurityParams:
             raise DomainError(
                 f"frame_success must be in (0, 1], got {self.frame_success}"
             )
+        if not (self.frame_success * self.block_size >= 1.0):
+            raise DomainError("frame_success * block_size must be >= 1, got "
+                              f"{self.frame_success} * {self.block_size}")
         if self.discretization_bits < 1:
             raise DomainError(
                 f"discretization_bits must be >= 1, got {self.discretization_bits}"

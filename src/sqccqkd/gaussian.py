@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Checks, DomainError, NumericError, PhysicalityError
-from .special import _log1p, _log2, _where
+from .special import _isfinite, _log1p, _log2, _where
 
 __all__ = [
     "TwoModeGaussian",
@@ -125,7 +125,8 @@ class PhysicalityVerdict:
 def _check_finite(checks: Checks, a, b, c) -> None:
     """The covariance entries of a state must be finite."""
     for name, value in (("a", a), ("b", b), ("c", c)):
-        checks.add(~np.isfinite(value), DomainError, f"{name} must be finite")
+        checks.add(np.logical_not(_isfinite(value)), DomainError,
+                   f"{name} must be finite")
 
 
 class _Verdict(NamedTuple):
@@ -150,7 +151,7 @@ def _spectrum(a, b, c):
     half = (d1 + np.sqrt(_where(disc < 0.0, 0.0, disc))) / 2.0
     lam1 = np.sqrt(_where(0.0 > half, 0.0, half))
     # lambda1 * lambda2 = |d2|; (d1 - root) / 2 would cancel at large noise
-    lam2 = _where(lam1 > 0.0, np.abs(d2) / lam1, 0.0)
+    lam2 = _where(lam1 > 0.0, abs(d2) / lam1, 0.0)
     return SymplecticSpectrum(lambda1=lam1, lambda2=lam2, d1=d1, d2=d2), disc
 
 
@@ -164,14 +165,14 @@ def _physicality(a, b, c) -> _Verdict:
     spectrum, disc = _spectrum(a, b, c)
     # the first largest violation names the verdict, as max() over (a, b, symplectic)
     worst = 1.0 - a
-    reason = np.zeros(np.shape(worst), dtype=np.intp)
+    reason = 0
     symplectic = _where(disc < -_DISCRIMINANT_CLAMP, math.inf, 1.0 - spectrum.lambda2)
     for index, violation in ((1, 1.0 - b), (2, symplectic)):
         larger = violation > worst
         worst = _where(larger, violation, worst)
         reason = _where(larger, index, reason)
     return _Verdict(worst <= _PHYSICALITY_SLACK, worst, reason, spectrum,
-                    ~np.isfinite(disc))
+                    np.logical_not(_isfinite(disc)))
 
 
 def _conditional(checks: Checks, a, b, c):
@@ -184,8 +185,8 @@ def _conditional(checks: Checks, a, b, c):
 
 def _entropy(checks: Checks, x):
     """``g_function`` over arrays."""
-    checks.add(~np.isfinite(x), DomainError, "g_function argument must be finite, got {}",
-               x)
+    checks.add(np.logical_not(_isfinite(x)), DomainError,
+               "g_function argument must be finite, got {}", x)
     checks.add(x < 1.0 - _G_CLAMP, DomainError, "g_function requires x >= 1, got {}", x)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0

@@ -212,11 +212,11 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     ``ell``) and the checks, whose ``error(index)`` is the exception the
     scalar chain raises first at that element.  ``checks`` may carry
     errors found before the chain.  Cells of a failed element are
-    meaningless.
+    meaningless; at the broadcast shape () the cells are numpy scalars.
     """
     _check_model(model)
     inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
-    shape = np.broadcast_shapes(*(x.shape for x in inputs))
+    shape = np.broadcast(*inputs).shape
     if checks is None:
         checks = Checks(shape)
     if math.prod(shape) == 1:
@@ -254,7 +254,9 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         mi, _, cells["K_PE"], cells["K_F"], cells["ell"] = _rate(
             checks, v, b, c, beta, mi_double, finite)
         cells["I_AB"] = mi
-    return {name: x.reshape(shape) for name, x in cells.items()}, checks
+    if shape:  # at shape () the cells stay numpy scalars
+        cells = {name: np.asarray(x).reshape(shape) for name, x in cells.items()}
+    return cells, checks
 
 
 @np.errstate(all="ignore")
@@ -371,8 +373,10 @@ class _Rows:
 
     def cells(self, rows: np.ndarray, v: np.ndarray,
               asymptotic: bool = True) -> tuple[dict, Checks]:
-        """Kernel cells at ``v``, whose elements belong to ``rows`` (broadcasting)."""
+        """Kernel cells at ``v`` of ``rows`` (broadcasting), scalars at one element."""
         checks = Checks(v.shape)
+        if v.size == 1:  # one element computes on numpy scalars, several times faster
+            rows, v = rows.ravel()[0], v.ravel()[0]
         checks.add(self.invalid[rows], self.errors[rows])
         t, eps = self.t[rows], self.eps[rows]
         d = _displacement(v, t, eps, self.factor[rows])
@@ -395,8 +399,8 @@ class _Rows:
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
             cells, checks = self.cells(rows[part, None], v[part], asymptotic=not finite)
-            score[part] = np.where(cells["feasible"], cells["K_F" if finite else "K"],
-                                   -math.inf)
+            score[part] = _where(cells["feasible"], cells["K_F" if finite else "K"],
+                                 -math.inf)
             if np.count_nonzero(checks.code):
                 failed = checks.code != 0
                 for i in np.flatnonzero(failed.any(axis=1)):
@@ -448,34 +452,36 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = np.full(n_rows, math.nan)
     f2 = np.full(n_rows, math.nan)
+    for point, value in ((x1, f1), (x2, f2)):  # a lone row's calls are then scalar
+        rows = all_rows[~failed]
+        value[rows] = evaluate(rows, _exp(point[rows])[:, None])[:, 0]
     rows = all_rows[~failed]
-    if rows.size:
-        pair = evaluate(rows, _exp(np.stack([x1[rows], x2[rows]], axis=1)))
-        f1[rows], f2[rows] = pair[:, 0], pair[:, 1]
     evaluations = np.full(n_rows, coarse_points + 2)
     # the refining rows' brackets, points and values, compacted as rows finish
     state = [x[rows] for x in (lo, hi, x1, x2, f1, f2)]
     steps = 0
-    while True:
-        a, b = state[:2]
+    while rows.size:
+        a, b, p1, p2, g1, g2 = state
         going = ~failed[rows] & ((b - a) > _LOG_V_TOL)
         if not going.all():
             done = rows[~going]
             for full, part in zip((lo, hi, x1, x2, f1, f2), state):
-                full[done] = part[~going]
+                full[done] = np.reshape(part, -1)[~going]
             evaluations[done] += steps
             rows = rows[going]
-            state = [x[going] for x in state]
-        if rows.size == 0:
-            break
-        a, b, p1, p2, g1, g2 = state
+            state = [np.reshape(x, -1)[going] for x in state]
+            continue
+        if rows.size == 1 and np.ndim(a):  # a lone row steps on numpy scalars, faster
+            a, b, p1, p2, g1, g2 = (x[0] for x in state)
         up = g1 < g2
-        a = np.where(up, p1, a)
-        b = np.where(up, b, p2)
-        p1, p2 = (np.where(up, p2, b - _GOLDEN * (b - a)),
-                  np.where(up, a + _GOLDEN * (b - a), p1))
-        g = evaluate(rows, _exp(np.where(up, p2, p1))[:, None])[:, 0]
-        state = [a, b, p1, p2, np.where(up, g2, g), np.where(up, g, g1)]
+        a = _where(up, p1, a)
+        b = _where(up, b, p2)
+        span = _GOLDEN * (b - a)
+        x = _where(up, a + span, b - span)  # the new inner point
+        g = evaluate(rows, _exp(x).reshape(-1, 1))
+        g = g[:, 0] if np.ndim(x) else g[0, 0]
+        state = [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
+                 _where(up, g, g1)]
         steps += 1
 
     results = []
@@ -577,4 +583,5 @@ def rate_rows(chans: list[ChannelParams], thresholds: list[float], v,
     Returns the asymptotic cells, and with ``secs`` the finite-block ones.
     """
     rows = _Rows(chans, thresholds, strategy, beta, "sqcc", mi_double, secs)
-    return rows.cells(np.arange(len(chans)), np.asarray(v, dtype=float))
+    cells, checks = rows.cells(np.arange(len(chans)), np.asarray(v, dtype=float))
+    return {name: np.reshape(x, checks.shape) for name, x in cells.items()}, checks

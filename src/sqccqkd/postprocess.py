@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelParams, ProtocolParams, shared_state
 from .errors import Checks, DomainError, NumericError
 from .gaussian import TwoModeGaussian, _check_finite, _check_overflow, _physicality
-from .special import _erfc, _exp, _square, _where, erfc_inv
+from .special import _erfc, _exp, _isinf, _square, _where, erfc_inv
 
 __all__ = [
     "RenormStrategy",
@@ -103,12 +103,12 @@ def _check_snr(checks: Checks, snr) -> None:
 
 def _error_rate(snr):
     """``error_rate_from_snr`` over arrays of valid SNR."""
-    return _where(np.isinf(snr), 0.0, 0.5 * _erfc(np.sqrt(snr) / 2.0))
+    return _where(_isinf(snr), 0.0, 0.5 * _erfc(np.sqrt(snr) / 2.0))
 
 
 def _shrinkage(snr):
     """``shrinkage_from_snr`` over arrays of valid SNR."""
-    return _where(np.isinf(snr), 0.0, np.sqrt(snr / math.pi) * _exp(-snr / 4.0))
+    return _where(_isinf(snr), 0.0, np.sqrt(snr / math.pi) * _exp(-snr / 4.0))
 
 
 @np.errstate(all="ignore")

@@ -311,6 +311,16 @@ def _where(condition, x, y):
     return np.float64(result) if type(result) is float else result
 
 
+def _isfinite(x):
+    """``np.isfinite``; a scalar compares several times faster than the ufunc runs."""
+    return np.isfinite(x) if isinstance(x, np.ndarray) else abs(x) < math.inf
+
+
+def _isinf(x):
+    """``np.isinf``, with ``_isfinite``'s shortcut for scalars."""
+    return np.isinf(x) if isinstance(x, np.ndarray) else abs(x) == math.inf
+
+
 _erfc = _elementwise(math.erfc, math.nan)
 _exp = _elementwise(math.exp, math.inf)
 _log2 = _elementwise(math.log2, math.nan)

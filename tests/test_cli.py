@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +244,64 @@ class TestHardenedInputs:
             cli.main([*argv, "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert f"{key} must be >= " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, values", [
+        (["sweep-finite", "--N", "2", "--p-f", "0.1"], "p_f = 0.1 and N = 2.0"),
+        (["optimize", "--N", "1e3", "--p-f", "1e-4"], "p_f = 0.0001 and N = 1000.0"),
+    ], ids=["sweep-finite", "optimize"])
+    def test_p_f_times_n_below_one_is_usage_error(self, tmp_path, capsys, argv, values):
+        """The finite-block penalty takes log2(p_f N), which needs p_f N >= 1."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--T", "0.5", "--W", "1e-3",
+                      "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"p_f * N must be >= 1, got {values}" in capsys.readouterr().err
+
+
+class TestReusedParser:
+    def test_each_run_writes_what_a_fresh_process_writes(self, tmp_path, capsys):
+        """One parser serves every ``main`` call; no run leaves state for the next."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": [0.4, 0.8], "W": [1e-3], "N": [1e6],
+                                   "eps_pe": 1e-9, "optimize_v": True}))
+        runs = [
+            ["optimize", "--T", "0.6", "--W", "1e-3"],
+            ["sweep-finite", "--config", str(cfg)],
+            ["sweep-finite", "--T", "0.5", "--W", "1e-3", "--N", "2", "--p-f", "0.1"],
+            ["simulate", "--T", "0.2", "--d", "4", "--n", "300", "--seed", "3",
+             "--shots-output", "{dir}/shots.csv"],
+            ["sweep-asymptotic", "--T", "0.3", "0.7", "--W", "0.5", "--format", "json"],
+            ["optimize", "--T", "0.2", "0.9", "--W", "1e-6", "--eps", "0.01",
+             "--strategy", "c-preserving", "--N", "1e8", "--d-rx", "5"],
+        ]
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+        def argv(run, directory):
+            directory.mkdir()
+            return [arg.format(dir=directory) for arg in run] + [
+                "--output", str(directory / "out")]
+
+        fresh = [subprocess.Popen([sys.executable, "-m", "sqccqkd.cli",
+                                   *argv(run, tmp_path / f"fresh{i}")], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for i, run in enumerate(runs)]
+        for i, (run, proc) in enumerate(zip(runs, fresh)):
+            try:
+                code = cli.main(argv(run, tmp_path / f"reused{i}"))
+            except SystemExit as exc:
+                code = exc.code
+            _, err = capsys.readouterr()
+            _, fresh_err = proc.communicate(timeout=120)
+            assert (code, err) == (proc.returncode, fresh_err.decode()), run
+            written, expected = ({p.name: p.read_bytes()
+                                  for p in (tmp_path / f"{side}{i}").iterdir()}
+                                 for side in ("reused", "fresh"))
+            assert written == expected, run
+            assert (code, len(written)) == ((2, 0) if "--p-f" in run else
+                                            (0, 2 if "--shots-output" in run else 1))
 
 
 class TestEveryCommandFlags:

@@ -47,6 +47,12 @@ class TestDeltaTerms:
         with pytest.raises(DomainError):
             sec_at(1.0)
 
+    def test_frame_success_times_block_size_floor(self):
+        """The entropy penalty takes log2(p_f N): p_f N < 1 is a package error."""
+        with pytest.raises(DomainError, match=r"frame_success \* block_size"):
+            sec_at(2.0, frame_success=0.1)
+        assert sec_at(10.0, frame_success=0.1).frame_success == 0.1  # p_f N = 1
+
 
 class TestWorstCaseEstimators:
     def test_infinite_sample_limit(self):

@@ -28,6 +28,8 @@ CASES = {
     "sweep_asymptotic_db_optv": ["sweep-asymptotic", "--db", "3", "10", "--W", "1e-3",
                                  "--optimize-v", "--strategy", "c-preserving"],
     "sweep_asymptotic_config": ["sweep-asymptotic", "--config", "{config}", "--V", "7"],
+    "sweep_asymptotic_log": ["sweep-asymptotic", "--T-grid", "log:0.05:0.9:5",
+                             "--W", "1e-3", "--optimize-v"],
     "sweep_asymptotic_flagged": ["sweep-asymptotic", "--T", "0.3", "--W", "1e-3",
                                  "--V", "1e300"],
     "sweep_finite": ["sweep-finite", "--T", "0.5", "0.9", "--W", "1e-3", "--V", "3",
@@ -102,9 +104,8 @@ def _avx512_dispatch() -> list[str]:
 
 
 # the README grid: 7,900 evaluations per model, enough that a SIMD exp or log
-# would change some bytes.  T is listed, as --T-grid takes it from np.geomspace.
-README_GRID = ["--W", "0.5", "1e-3", "--T", *(repr(0.01 * 90.0 ** (i / 49))
-                                               for i in range(50))]
+# would change some bytes, in the grid or in the kernel
+README_GRID = ["--W", "0.5", "1e-3", "--T-grid", "log:0.01:0.9:50"]
 README_RUNS = [["sweep-asymptotic", *README_GRID, "--optimize-v"],
                ["compare-baseline", *README_GRID]]
 
