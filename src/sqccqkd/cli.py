@@ -67,7 +67,7 @@ def _parse_t_grid(descriptor: str) -> list[float]:
     if not (0.0 < lo < hi) or n < 2:
         raise argparse.ArgumentTypeError(f"invalid grid bounds in {descriptor!r}")
     if kind == "log":  # libm exp: numpy's SIMD exp would make T depend on the CPU
-        step = math.log(hi / lo) / (n - 1)
+        step = (math.log(hi) - math.log(lo)) / (n - 1)  # hi / lo may overflow
         return [lo * math.exp(step * i) for i in range(n - 1)] + [hi]
     return list(np.linspace(lo, hi, n))
 
@@ -371,7 +371,7 @@ _COMMANDS = {
         "finite-block rates over a grid",
         (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
          + " K_PE K_F ell epsilon_total").split(),
-        lambda c: (p for n in c.block_sizes or [_DEFAULT_BLOCK] for p in _grid(c, N=n)),
+        lambda c: (p for n in c.block_sizes for p in _grid(c, N=n)),
         _sweep_rows),
     "optimize": _Command(
         "maximise the rate over V at one point",
@@ -507,14 +507,14 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if values["symbol"] != "uniform-random":
         values["symbol"] = int(values["symbol"])
 
-    security = SecurityParams(_DEFAULT_BLOCK, **{
+    if flags["command"] == "sweep-finite" and not values["N"]:
+        values["N"] = [_DEFAULT_BLOCK]
+    security = SecurityParams(math.inf, **{  # a template: each N replaces its block size
         name: given[dest] for dest, name in _SECURITY.items() if dest in given})
     for n in values["N"]:
         if not n >= 2:
             raise DomainError(f"N must be >= 2, got {n}")
-        if not security.frame_success * n >= 1.0:
-            raise DomainError(f"p_f * N must be >= 1, got p_f = {security.frame_success}"
-                              f" and N = {n}")
+        dataclasses.replace(security, block_size=n)  # checks p_f N >= 1 at this N
     for t in values["T"]:
         ChannelParams(t, values["eps"], values["sigma"])
     ProtocolParams(values["V"], 0.0, values["beta"])

@@ -374,8 +374,8 @@ class _Rows:
     def cells(self, rows: np.ndarray, v: np.ndarray,
               asymptotic: bool = True) -> tuple[dict, Checks]:
         """Kernel cells at ``v`` of ``rows`` (broadcasting), scalars at one element."""
-        checks = Checks(v.shape)
-        if v.size == 1:  # one element computes on numpy scalars, several times faster
+        checks = Checks(np.broadcast(rows, v).shape)
+        if math.prod(checks.shape) == 1:  # one element computes on numpy scalars, faster
             rows, v = rows.ravel()[0], v.ravel()[0]
         checks.add(self.invalid[rows], self.errors[rows])
         t, eps = self.t[rows], self.eps[rows]

@@ -193,6 +193,12 @@ class TestUsageErrors:
             cli.main(["sweep-asymptotic", "--T-grid", "log:0.9:0.1:5"])
         assert exc.value.code == 2
 
+    def test_log_grid_from_a_subnormal_bound(self):
+        """hi / lo overflows to inf here; the grid must not."""
+        grid = cli._parse_t_grid("log:1e-310:0.9:5")
+        assert grid[0] == 1e-310 and grid[-1] == 0.9
+        assert all(0.0 < a < b < 1.0 for a, b in zip(grid, grid[1:]))
+
     def test_exclusive_t_and_grid_via_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"T": [0.5], "t_grid": "log:0.01:0.9:4"}))
@@ -247,16 +253,28 @@ class TestHardenedInputs:
 
 
     @pytest.mark.parametrize("argv, values", [
-        (["sweep-finite", "--N", "2", "--p-f", "0.1"], "p_f = 0.1 and N = 2.0"),
-        (["optimize", "--N", "1e3", "--p-f", "1e-4"], "p_f = 0.0001 and N = 1000.0"),
-    ], ids=["sweep-finite", "optimize"])
+        (["sweep-finite", "--N", "2", "--p-f", "0.1"], "0.1 * 2.0"),
+        (["optimize", "--N", "1e3", "--p-f", "1e-4"], "0.0001 * 1000.0"),
+        (["sweep-finite", "--N", "1e10", "1e8", "--p-f", "1e-9"], "1e-09 * 100000000.0"),
+        (["sweep-finite", "--p-f", "1e-9"], "1e-09 * 100000000.0"),  # the default N
+    ], ids=["sweep-finite", "optimize", "second-N", "default-N"])
     def test_p_f_times_n_below_one_is_usage_error(self, tmp_path, capsys, argv, values):
         """The finite-block penalty takes log2(p_f N), which needs p_f N >= 1."""
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--T", "0.5", "--W", "1e-3",
                       "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
-        assert f"p_f * N must be >= 1, got {values}" in capsys.readouterr().err
+        assert f"frame_success * block_size must be >= 1, got {values}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-finite", "--N", "1e10", "--p-f", "1e-9"],
+        ["optimize", "--p-f", "1e-9"],  # asymptotic: p_f is not used
+    ], ids=["sweep-finite", "optimize-asymptotic"])
+    def test_small_p_f_runs_where_p_f_n_is_at_least_one(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--T", "0.5", "--W", "1e-3", "--output", str(out)]) == 0
+        assert [row["error"] for row in read_csv(out)] == [""]
 
 
 class TestReusedParser:

@@ -40,21 +40,22 @@ SIZES = st.fixed_dictionaries(
     {"n": drawn([1, 2, 50, 200], [-1, 0, 2.5, "abc", None])},
     optional={"N": drawn([2, 10, 1e3, 1e8], [-5.0, 0.0, 1.5, float("nan"), "x", None],
                          many=True)})
-# the finite-key options, and a shots dump that stays in the run directory
-CHOSEN = {
+# the finite-key options, and a shots dump that stays in the run directory;
+# one value in four is any value
+CHOSEN = {key: st.one_of(value, value, value, VALUES) for key, value in {
     "p_f": drawn([1e-4, 0.1, 0.5, 1.0], [0.0, 1.5, float("inf"), "x"]),
     "d_rx": drawn([1, 6], [-1, 0, 2.5, True]),
     **{key: drawn([1e-10, 0.5], [0.0, 1.0, -1.0, float("nan")])
        for key in cli._SECURITY if key.startswith("eps_")},
     "shots_output": drawn(["shots.csv"], ["", 5]),
-}
+}.items()}
 KEYS = st.sampled_from([opt.dest for opt in cli._OPTIONS
                         if opt.dest not in ("n", "N", *CHOSEN)] + ["unknown"])
 CONFIGS = st.builds(
     lambda sizes, chosen, other: {**other, **sizes, **chosen}, SIZES,
     st.lists(st.sampled_from(sorted(CHOSEN)), max_size=4, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({key: CHOSEN[key] for key in keys})),
-    st.dictionaries(KEYS, VALUES, max_size=1))
+    st.dictionaries(KEYS, VALUES, max_size=4))
 
 
 @settings(max_examples=50, deadline=None, database=None)

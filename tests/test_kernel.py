@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import SqccError
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _FiniteTerms, optimise_rows, optimise_v, rate_cells
+from sqccqkd.keyrate import _FiniteTerms, optimise_rows, optimise_v, rate_cells, rate_rows
 from sqccqkd.postprocess import RenormStrategy, renormalise, required_displacement
 
 from oracles import rate_from_triple
@@ -101,6 +101,19 @@ def test_rate_matches_spreadsheet_oracle(points, strategy):
         state = renormalise(ProtocolParams(v[i], d[i]), chan, strategy).state_prime
         _, _, k_ref = rate_from_triple(state.a, state.b, state.c, 0.95)
         assert cells["K"][i] == pytest.approx(k_ref, abs=1e-10)
+
+
+def test_rate_rows_broadcasts_one_v_over_rows():
+    """One V for several rows gives each row its own cell, as a V per row does."""
+    chans = [ChannelParams(t, 0.05) for t in (0.5, 0.7, 0.9)]
+    cells, checks = rate_rows(chans, [1e-3, 1e-3, 0.7], 5.0)
+    each, each_checks = rate_rows(chans, [1e-3, 1e-3, 0.7], [5.0] * 3)
+    assert checks.shape == each_checks.shape == (3,)
+    for name, x in cells.items():
+        np.testing.assert_array_equal(x, each[name], err_msg=name)
+    assert [str(checks.error(i)) for i in range(3)] == [
+        str(each_checks.error(i)) for i in range(3)]
+    assert checks.error(0) is None and checks.error(2) is not None
 
 
 def _outcome(search):
