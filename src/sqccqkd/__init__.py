@@ -23,33 +23,18 @@ from .errors import (
 )
 from .finitekey import (
     DeltaTerms,
-    FiniteKeyResult,
     SecurityParams,
     delta_terms,
     worst_case_estimators,
 )
 from .gaussian import (
     MeasurementDistribution,
-    PhysicalityVerdict,
     SymplecticSpectrum,
     TwoModeGaussian,
-    conditional_eigenvalue,
     g_function,
-    is_physical,
     measurement_distribution,
-    symplectic_spectrum,
 )
-from .keyrate import (
-    KeyRateResult,
-    Optimum,
-    asymptotic_rate,
-    baseline_rate,
-    finite_rate,
-    holevo_bound,
-    key_rate,
-    mutual_information,
-    optimise_v,
-)
+from .keyrate import Optimum, optimise_v, rate_at
 from .montecarlo import (
     EmpiricalMoments,
     EstimationResult,
@@ -61,7 +46,6 @@ from .montecarlo import (
     sample_joint,
 )
 from .postprocess import (
-    CheckResult,
     PostprocessStats,
     RenormResult,
     RenormStrategy,

@@ -512,8 +512,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     security = SecurityParams(math.inf, **{  # a template: each N replaces its block size
         name: given[dest] for dest, name in _SECURITY.items() if dest in given})
     for n in values["N"]:
-        if not n >= 2:
-            raise DomainError(f"N must be >= 2, got {n}")
+        if not 2 <= n < math.inf:
+            raise DomainError(f"N must be >= 2 and finite, got {n}")
         dataclasses.replace(security, block_size=n)  # checks p_f N >= 1 at this N
     for t in values["T"]:
         ChannelParams(t, values["eps"], values["sigma"])

@@ -1,6 +1,6 @@
 """Composable finite-size statistics: security parameters, worst-case estimators, penalties.
 
-The finite-block rate (``keyrate.key_rate`` with a ``SecurityParams``)
+The finite-block rate (``keyrate.rate_at`` with a ``SecurityParams``)
 subtracts entropy-smoothing, discretization and hashing penalties from the
 rate at worst-case covariance estimates, so the quoted key length fails
 with probability at most the summed epsilon budget.
@@ -15,12 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Checks, DomainError
+from .gaussian import _check_finite
 from .special import _square, beta_inv_cdf_symmetric
 
 __all__ = [
     "SecurityParams",
     "DeltaTerms",
-    "FiniteKeyResult",
     "delta_terms",
     "worst_case_estimators",
 ]
@@ -104,17 +104,6 @@ class DeltaTerms:
     h: float
 
 
-@dataclass(frozen=True)
-class FiniteKeyResult:
-    """Finite-block key length, its rate and the PE-asymptotic rate behind it."""
-
-    k_pe_inf: float
-    key_length: float
-    rate: float
-    epsilon_total: float
-    feasible: bool
-
-
 def delta_terms(sec: SecurityParams) -> DeltaTerms:
     """Penalties for min-entropy smoothing, entropy estimation, frame errors, hashing."""
     p_f = sec.frame_success
@@ -156,10 +145,13 @@ def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
 
     Variances are inflated and the correlation deflated, which is the
     direction that enlarges the eavesdropper bound.  The true values lie
-    outside these extremes with probability at most eps_pe.
+    outside these extremes with probability at most eps_pe.  A non-finite
+    extreme raises ``DomainError``, as it does in the rate.
     """
     checks = Checks()
     _check_correlation(checks, c_hat)
     checks.raise_first()
     sigmas = _worst_case(np.float64(a_hat), b_hat, c_hat, *sec._estimator_margins)
+    _check_finite(checks, *sigmas)
+    checks.raise_first()
     return tuple(float(x) for x in sigmas)

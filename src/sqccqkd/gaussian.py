@@ -10,24 +10,20 @@ plus one unit of shot noise per quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Checks, DomainError, NumericError, PhysicalityError
+from .errors import Checks, DomainError, PhysicalityError
 from .special import _isfinite, _log1p, _log2, _where
 
 __all__ = [
     "TwoModeGaussian",
     "SymplecticSpectrum",
     "MeasurementDistribution",
-    "PhysicalityVerdict",
-    "symplectic_spectrum",
-    "conditional_eigenvalue",
     "g_function",
     "measurement_distribution",
-    "is_physical",
 ]
 
 # clamping windows for floating-point noise at physical boundaries
@@ -35,7 +31,7 @@ _DISCRIMINANT_CLAMP = 1e-12
 _G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
 _LN2 = math.log(2.0)
-_REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # is_physical names these
+_REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # what a verdict fails on
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,7 @@ class TwoModeGaussian:
     per-quadrature variances of the two modes and ``c`` the cross
     correlation, entering the covariance matrix with a sigma_z sign fold
     (+c on q, -c on p).  Sub-shot-noise values are representable on
-    purpose: physicality is a predicate (:func:`is_physical`), not a
+    purpose: physicality is a predicate (``_physicality``), not a
     construction constraint.
     """
 
@@ -106,22 +102,6 @@ class MeasurementDistribution:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
 
-@dataclass(frozen=True)
-class PhysicalityVerdict:
-    """Outcome of an uncertainty-principle check; margin is the worst violation.
-
-    A physical verdict carries the symplectic spectrum it was judged on.
-    """
-
-    physical: bool
-    margin: float
-    reason: str = field(default="")
-    spectrum: SymplecticSpectrum | None = None
-
-    def __bool__(self) -> bool:
-        return self.physical
-
-
 def _check_finite(checks: Checks, a, b, c) -> None:
     """The covariance entries of a state must be finite."""
     for name, value in (("a", a), ("b", b), ("c", c)):
@@ -130,7 +110,7 @@ def _check_finite(checks: Checks, a, b, c) -> None:
 
 
 class _Verdict(NamedTuple):
-    """``is_physical`` over arrays; ``overflow`` marks where it raises instead."""
+    """Physicality verdict per element; ``overflow`` marks where it raises instead."""
 
     physical: np.ndarray
     worst: np.ndarray
@@ -161,7 +141,7 @@ def _check_overflow(checks: Checks, overflow, a, b, c) -> None:
 
 
 def _physicality(a, b, c) -> _Verdict:
-    """The verdict of ``is_physical`` over arrays, and where its spectrum overflows."""
+    """Uncertainty-principle test over arrays: both symplectic eigenvalues >= vacuum."""
     spectrum, disc = _spectrum(a, b, c)
     # the first largest violation names the verdict, as max() over (a, b, symplectic)
     worst = 1.0 - a
@@ -176,7 +156,7 @@ def _physicality(a, b, c) -> _Verdict:
 
 
 def _conditional(checks: Checks, a, b, c):
-    """``conditional_eigenvalue`` over arrays."""
+    """Eigenvalue of mode A conditioned on heterodyne of mode B, over arrays."""
     lam3 = a - c * c / (b + 1.0)
     checks.add(lam3 < 1.0 - _PHYSICALITY_SLACK, PhysicalityError,
                "conditional eigenvalue {:.12g} below the vacuum limit", lam3)
@@ -192,28 +172,6 @@ def _entropy(checks: Checks, x):
     xm = (x - 1.0) / 2.0
     # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x
     return _where(x <= 1.0, 0.0, _log2(xp) + xm * _log1p(1.0 / xm) / _LN2)
-
-
-@np.errstate(all="ignore")
-def symplectic_spectrum(state: TwoModeGaussian) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of the two-mode covariance matrix."""
-    a, b, c = _floats(state)
-    checks = Checks()
-    spectrum, disc = _spectrum(a, b, c)
-    _check_overflow(checks, ~np.isfinite(disc), a, b, c)
-    checks.add(disc < -_DISCRIMINANT_CLAMP, NumericError,
-               "negative symplectic discriminant {:.3e} beyond tolerance", disc)
-    checks.raise_first()
-    return _scalar_spectrum(spectrum)
-
-
-@np.errstate(all="ignore")
-def conditional_eigenvalue(state: TwoModeGaussian) -> float:
-    """Symplectic eigenvalue of mode A conditioned on heterodyne of mode B."""
-    checks = Checks()
-    lam3 = _conditional(checks, *_floats(state))
-    checks.raise_first()
-    return float(lam3)
 
 
 @np.errstate(all="ignore")
@@ -235,28 +193,3 @@ def measurement_distribution(state: TwoModeGaussian) -> MeasurementDistribution:
         mean=state.mean.copy(),
         covariance=state.covariance() + np.eye(4),
     )
-
-
-@np.errstate(all="ignore")
-def is_physical(state: TwoModeGaussian) -> PhysicalityVerdict:
-    """Uncertainty-principle test: both symplectic eigenvalues at or above vacuum."""
-    a, b, c = _floats(state)
-    verdict = _physicality(a, b, c)
-    checks = Checks()
-    _check_overflow(checks, verdict.overflow, a, b, c)
-    checks.raise_first()
-    if verdict.physical:
-        return PhysicalityVerdict(physical=True, margin=0.0,
-                                  spectrum=_scalar_spectrum(verdict.spectrum))
-    return PhysicalityVerdict(physical=False, margin=float(verdict.worst),
-                              reason=str(_REASONS[verdict.reason]))
-
-
-def _floats(state: TwoModeGaussian) -> tuple:
-    """The covariance triple as numpy floats, which divide by zero without raising."""
-    return np.float64(state.a), np.float64(state.b), np.float64(state.c)
-
-
-def _scalar_spectrum(spectrum: SymplecticSpectrum) -> SymplecticSpectrum:
-    return SymplecticSpectrum(*(float(x) for x in (spectrum.lambda1, spectrum.lambda2,
-                                                    spectrum.d1, spectrum.d2)))

@@ -8,8 +8,8 @@ penalties.  The residual mean never enters the entropies.
 
 ``rate_cells`` is the one implementation: it evaluates the whole chain
 over broadcast arrays of operating points and records, per element, the
-error the chain raises first there.  The scalar functions evaluate it at
-one point, and ``optimise_rows`` searches V for many rows in lockstep.
+error the chain raises first there.  ``rate_at`` evaluates it at one
+operating point, and ``optimise_rows`` searches V for many rows in lockstep.
 """
 
 from __future__ import annotations
@@ -28,20 +28,13 @@ from .channel import (
     _total_excess_noise,
 )
 from .errors import Checks, DomainError, NumericError, PhysicalityError, SqccError
-from .finitekey import (
-    FiniteKeyResult,
-    SecurityParams,
-    _check_correlation,
-    _worst_case,
-)
+from .finitekey import SecurityParams, _check_correlation, _worst_case
 from .gaussian import (
     _REASONS,
-    TwoModeGaussian,
     _check_finite,
     _check_overflow,
     _conditional,
     _entropy,
-    _floats,
     _physicality,
 )
 from .postprocess import (
@@ -56,15 +49,9 @@ from .postprocess import (
 from .special import _exp, _log2, _square, _where
 
 __all__ = [
-    "KeyRateResult",
     "Optimum",
-    "mutual_information",
-    "holevo_bound",
-    "key_rate",
     "rate_cells",
-    "asymptotic_rate",
-    "baseline_rate",
-    "finite_rate",
+    "rate_at",
     "optimise_v",
     "optimise_rows",
     "rate_rows",
@@ -76,16 +63,6 @@ _LOG_V_TOL = 1e-4  # golden-section stop: bracket width in log V
 # elements per kernel call of a V search: the kernel holds about 40 float64
 # arrays of this length, so a block bounds its working memory near 0.7 MB
 _BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class KeyRateResult:
-    """Rate decomposition K = beta * I_AB - chi_EB and the physicality flag."""
-
-    mutual_information: float
-    holevo: float
-    rate: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -102,10 +79,10 @@ class Optimum:
 class _FiniteTerms:
     """Per-element finite-size constants of the rate, from SecurityParams.
 
-    The estimator margins and the penalties are those of ``key_rate`` with
-    ``sec``; ``errors`` holds, per element, the error computing the margins
-    raised (None where they exist), which the chain meets at the worst-case
-    estimators.
+    The estimator margins and the penalties are those of the finite-block
+    rate with ``sec``; ``errors`` holds, per element, the error computing
+    the margins raised (None where they exist), which the chain meets at
+    the worst-case estimators.
     """
 
     delta_var: np.ndarray
@@ -148,7 +125,10 @@ def _check_model(model: str) -> None:
 
 
 def _mutual_information(checks: Checks, a, b, c, double: bool):
-    """``mutual_information`` over arrays."""
+    """Reverse-reconciliation mutual information (bits) over arrays.
+
+    ``double`` (dual-quadrature accounting) is off in all shipped figures.
+    """
     denom = a + 1.0 - _square(c) / (b + 1.0)
     checks.add(denom <= 0.0, NumericError, "mutual information denominator {:.3e} <= 0",
                denom)
@@ -157,7 +137,7 @@ def _mutual_information(checks: Checks, a, b, c, double: bool):
 
 
 def _holevo(checks: Checks, a, b, c, verdict=None):
-    """``holevo_bound`` over arrays; ``verdict`` is the state's, if already taken."""
+    """The Holevo bound chi_EB (bits) over arrays, with the state's verdict if taken."""
     if verdict is None:
         verdict = _physicality(a, b, c)
     _check_overflow(checks, verdict.overflow, a, b, c)
@@ -174,7 +154,7 @@ def _holevo(checks: Checks, a, b, c, verdict=None):
 
 def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
           finite: _FiniteTerms | None = None, verdict=None):
-    """``key_rate`` over arrays: (I_AB, chi_EB, K), and with ``finite`` (K^F, l).
+    """(I_AB, chi_EB, K = beta I_AB - chi_EB) over arrays, and with ``finite`` (K^F, l).
 
     ``verdict`` is the state's physicality verdict, if already taken; with
     ``finite`` chi_EB is taken at the worst-case estimates instead.
@@ -259,91 +239,24 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     return cells, checks
 
 
-@np.errstate(all="ignore")
-def mutual_information(state: TwoModeGaussian, double: bool = False) -> float:
-    """Reverse-reconciliation mutual information of the Gaussian state (bits).
+def rate_at(proto: ProtocolParams, chan: ChannelParams,
+            strategy: RenormStrategy = RenormStrategy.B_PRESERVING, model: str = "sqcc",
+            mi_double: bool = False, sec: SecurityParams | None = None) -> dict:
+    """``rate_cells`` at one operating point; raises the error the chain meets first.
 
-    ``double`` applies a factor 2 for dual-quadrature accounting; it is
-    off by default and excluded from all shipped figures.
+    The cells are named as the CSV columns: ``I_AB``, ``chi_EB``, ``K`` and
+    ``feasible``, or with ``sec`` the finite-block ``K_PE``, ``K_F`` and
+    ``ell`` in place of ``chi_EB`` and ``K``.  An infeasible renormalisation
+    is flagged in ``feasible``, not raised, so parameter sweeps can record
+    the region instead of aborting.  ``model`` "baseline" ignores ``strategy``.
     """
-    checks = Checks()
-    value = _mutual_information(checks, *_floats(state), double)
-    checks.raise_first()
-    return float(value)
-
-
-@np.errstate(all="ignore")
-def holevo_bound(state: TwoModeGaussian) -> float:
-    """Eavesdropper information bound under collective Gaussian attacks (bits)."""
-    checks = Checks()
-    chi = _holevo(checks, *_floats(state))
-    checks.raise_first()
-    return float(chi)
-
-
-@np.errstate(all="ignore")
-def key_rate(state: TwoModeGaussian, feasible: bool, proto: ProtocolParams,
-             mi_double: bool = False,
-             sec: SecurityParams | None = None) -> KeyRateResult | FiniteKeyResult:
-    """K = beta * I_AB - chi_EB of ``state``; with ``sec``, the finite-block K^F = l / N.
-
-    With ``sec``, chi_EB is taken at the worst-case covariance estimates of
-    ``state`` and the finite-size penalties are subtracted.
-    """
-    checks = Checks()
-    finite = None if sec is None else _FiniteTerms.of([sec]).take(0)
-    parts = _rate(checks, *_floats(state), proto.reconciliation_efficiency, mi_double,
-                  finite)
-    checks.raise_first()
-    return _result(dict(zip(("I_AB", "chi_EB", "K_PE" if sec else "K", "K_F", "ell"),
-                            parts)), feasible, sec)
-
-
-def _result(cells: dict, feasible: bool,
-            sec: SecurityParams | None) -> KeyRateResult | FiniteKeyResult:
-    if sec is None:
-        return KeyRateResult(mutual_information=float(cells["I_AB"]),
-                             holevo=float(cells["chi_EB"]), rate=float(cells["K"]),
-                             feasible=feasible)
-    return FiniteKeyResult(k_pe_inf=float(cells["K_PE"]), key_length=float(cells["ell"]),
-                           rate=float(cells["K_F"]), epsilon_total=sec.epsilon_total(),
-                           feasible=feasible)
-
-
-def _point_rate(proto: ProtocolParams, chan: ChannelParams, strategy: RenormStrategy,
-                model: str, mi_double: bool, sec: SecurityParams | None):
     finite = None if sec is None else _FiniteTerms.of([sec]).take(0)
     cells, checks = rate_cells(proto.modulation_variance, proto.displacement,
                                chan.transmissivity, chan.excess_noise,
                                chan.phase_noise_factor, proto.reconciliation_efficiency,
                                strategy, model, mi_double, finite, sec is None)
     checks.raise_first()
-    return _result(cells, bool(cells["feasible"]), sec)
-
-
-def asymptotic_rate(proto: ProtocolParams, chan: ChannelParams,
-                    strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                    mi_double: bool = False) -> KeyRateResult:
-    """Asymptotic secret-key rate of the full postprocessing pipeline.
-
-    An infeasible renormalisation is flagged, not raised, so parameter
-    sweeps can record the region instead of aborting.
-    """
-    return _point_rate(proto, chan, strategy, "sqcc", mi_double, None)
-
-
-def baseline_rate(proto: ProtocolParams, chan: ChannelParams,
-                  mi_double: bool = False) -> KeyRateResult:
-    """Rate under the prior-literature coupling model (no renormalisation)."""
-    return _point_rate(proto, chan, None, "baseline", mi_double, None)
-
-
-def finite_rate(proto: ProtocolParams, chan: ChannelParams,
-                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                sec: SecurityParams = SecurityParams(block_size=1e8),
-                mi_double: bool = False) -> FiniteKeyResult:
-    """Finite-block secret-key rate K^F = l / N of the full pipeline."""
-    return _point_rate(proto, chan, strategy, "sqcc", mi_double, sec)
+    return cells
 
 
 class _Rows:
@@ -503,50 +416,6 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
     return results
 
 
-def _qos_objective(chan: ChannelParams, qos_threshold: float, beta: float,
-                   strategy: RenormStrategy, model: str, mi_double: bool,
-                   sec: SecurityParams | None = None):
-    """Rate as a function of V alone, with d pinned by the QoS constraint.
-
-    ``model`` picks the coupling model and ``sec`` the finite-block rate;
-    an infeasible point scores -inf.  The objective takes one V or an
-    array of them, and raises the error of the first point that fails.
-    """
-    rows = _Rows([chan], [qos_threshold], strategy, beta, model, mi_double,
-                 None if sec is None else [sec])
-
-    def objective(v):
-        v = np.asarray(v, dtype=float)
-        score, errors = rows.scores(np.zeros(1, dtype=np.intp), v.reshape(1, -1))
-        if errors:
-            raise errors[0]
-        return float(score[0, 0]) if v.ndim == 0 else score[0].reshape(v.shape)
-
-    return objective
-
-
-def maximise_scalar(objective, coarse_points: int = 60) -> Optimum:
-    """Coarse log grid over V in [1.001, 1e3] plus golden-section refinement.
-
-    ``objective`` maps an array of V to an array of scores.  Deterministic
-    by construction.  If no evaluated point yields a positive value the
-    optimum is reported as no-key: k_star = 0 with v_star = nan.
-    """
-    def scores(rows, v):
-        try:
-            return np.asarray(objective(v[0]), dtype=float)[None, :], {}
-        except SqccError as exc:
-            return np.full(v.shape, math.nan), {0: exc}
-
-    return _raise_or_return(_lockstep(scores, 1, coarse_points)[0])
-
-
-def _raise_or_return(result: Optimum | SqccError) -> Optimum:
-    if isinstance(result, SqccError):
-        raise result
-    return result
-
-
 def optimise_rows(chans: list[ChannelParams], thresholds: list[float],
                   strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                   beta: float = 0.95, model: str = "sqcc", mi_double: bool = False,
@@ -569,9 +438,11 @@ def optimise_v(chan: ChannelParams, qos_threshold: float,
     The displacement is re-derived from the QoS threshold at every trial
     V, so the classical bit-error rate stays pinned across the search.
     """
-    return _raise_or_return(optimise_rows([chan], [qos_threshold], strategy, beta,
-                                          model, mi_double,
-                                          None if sec is None else [sec])[0])
+    result = optimise_rows([chan], [qos_threshold], strategy, beta, model, mi_double,
+                           None if sec is None else [sec])[0]
+    if isinstance(result, SqccError):
+        raise result
+    return result
 
 
 def rate_rows(chans: list[ChannelParams], thresholds: list[float], v,

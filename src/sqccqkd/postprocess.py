@@ -26,7 +26,6 @@ __all__ = [
     "RenormStrategy",
     "PostprocessStats",
     "RenormResult",
-    "CheckResult",
     "error_rate_from_snr",
     "shrinkage_from_snr",
     "variance_shift_factor",
@@ -72,7 +71,9 @@ class RenormResult:
     ``effective_transmissivity``/``effective_excess_noise`` describe the
     single bosonic channel reproducing the rescaled covariance: (T, eps +
     eps_eff) for the correlation-preserving choice, (T*T_v, eps + eps_v/T)
-    for the variance-preserving one.
+    for the variance-preserving one.  ``passed`` says the rescaling
+    emulates a physical operation: its ``margin`` (slack where > 0) holds
+    and the rescaled state passes the uncertainty-principle test.
     """
 
     stats: PostprocessStats
@@ -83,18 +84,8 @@ class RenormResult:
     effective_excess_noise: float
     virtual_transmissivity: float
     virtual_excess_noise: float
-    physical: "CheckResult"
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Physicality verdict for a renormalisation; margin > 0 is slack."""
-
     passed: bool
     margin: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _check_snr(checks: Checks, snr) -> None:
@@ -207,23 +198,6 @@ def _judge(checks: Checks, margin, a, b_prime, c_prime):
 
 
 @np.errstate(all="ignore")
-def _check(strategy: RenormStrategy, state_prime: TwoModeGaussian,
-           base: TwoModeGaussian) -> CheckResult:
-    """Does the rescaling emulate a legitimate physical operation?
-
-    The margin must hold and the rescaled state must pass the
-    uncertainty-principle test.
-    """
-    checks = Checks()
-    a, b_prime, c_prime = (np.float64(x) for x in (state_prime.a, state_prime.b,
-                                                   state_prime.c))
-    margin = _margin(strategy, base.b, base.c, b_prime, c_prime)
-    passed, _ = _judge(checks, margin, a, b_prime, c_prime)
-    checks.raise_first()
-    return CheckResult(passed=bool(passed), margin=float(margin))
-
-
-@np.errstate(all="ignore")
 def postprocess_stats(proto: ProtocolParams, chan: ChannelParams) -> PostprocessStats:
     """Closed-form moments of the discriminated and re-displaced outcomes.
 
@@ -295,7 +269,8 @@ def renormalise(proto: ProtocolParams, chan: ChannelParams,
         effective_excess_noise=eff_eps,
         virtual_transmissivity=t_v,
         virtual_excess_noise=eps_v,
-        physical=CheckResult(passed=passed, margin=margin),
+        passed=passed,
+        margin=margin,
     )
 
 
@@ -320,7 +295,7 @@ def required_displacement(modulation_variance: float, chan: ChannelParams,
     exactly).  W = 0.5 needs no classical separation and returns 0.
     """
     factor = _displacement_factor(qos_threshold)
-    if modulation_variance < 1.0:
+    if not (1.0 <= modulation_variance < math.inf):
         raise DomainError(
             f"modulation_variance must be >= 1, got {modulation_variance}"
         )

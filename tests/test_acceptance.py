@@ -14,7 +14,7 @@ import pytest
 import sqccqkd.cli as cli
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _qos_objective, asymptotic_rate, finite_rate, optimise_v
+from sqccqkd.keyrate import optimise_v, rate_at
 from sqccqkd.montecarlo import (
     discriminate_and_redisplace,
     empirical_moments,
@@ -29,6 +29,7 @@ from sqccqkd.postprocess import (
 from sqccqkd.special import beta_inv_cdf_symmetric, beta_reg, erfc, erfc_inv, \
     normal_quantile
 
+from helpers import qos_objective
 from oracles import beta_density_integral, brute_force_optimum
 
 REF_CHAN = ChannelParams(0.1, 0.05)
@@ -122,13 +123,13 @@ def test_criterion_3_limit_consistency():
     worst_half = worst_big = 0.0
     for t in t_grid:
         chan = ChannelParams(float(t), 0.05)
-        plain = asymptotic_rate(ProtocolParams(5.0, 0.0, 0.95), chan).rate
+        plain = rate_at(ProtocolParams(5.0, 0.0, 0.95), chan)["K"]
         d_half = required_displacement(5.0, chan, 0.5)
-        at_half = asymptotic_rate(ProtocolParams(5.0, d_half, 0.95), chan).rate
+        at_half = rate_at(ProtocolParams(5.0, d_half, 0.95), chan)["K"]
         worst_half = max(worst_half, abs(at_half - plain))
         b = shared_state(ProtocolParams(5.0, 0.0), chan, 1).b
         d_big = math.sqrt(1e4 * (b + 1.0) / float(t))  # snr = 1e4
-        at_big = asymptotic_rate(ProtocolParams(5.0, d_big, 0.95), chan).rate
+        at_big = rate_at(ProtocolParams(5.0, d_big, 0.95), chan)["K"]
         worst_big = max(worst_big, abs(at_big - plain))
     passed = worst_half < 1e-9 and worst_big < 1e-6
     report(3, passed,
@@ -174,9 +175,9 @@ def test_criterion_5_physicality_suite(advantage_grid):
                 checks += 1
                 if not (res_b.state_prime.c <= state.c + 1e-12
                         and res_b.virtual_transmissivity <= 1.0 + 1e-12
-                        and res_b.physical.passed
+                        and res_b.passed
                         and res_c.state_prime.b >= state.b - 1e-12
-                        and res_c.physical.passed):
+                        and res_c.passed):
                     violations += 1
     passed = violations == 0
     report(5, passed, f"{checks} grid points, {violations} physicality violations")
@@ -208,12 +209,12 @@ def test_criterion_7_finite_key_behaviour():
     chan = ChannelParams(0.9, 0.05)
     d = required_displacement(3.0, chan, 1e-3)
     proto = ProtocolParams(3.0, d, 0.95)
-    rates = [finite_rate(proto, chan, sec=SecurityParams(block_size=n)).rate
+    rates = [rate_at(proto, chan, sec=SecurityParams(block_size=n))["K_F"]
              for n in (1e6, 1e7, 1e8, 1e10, 1e14)]
     monotone = all(b >= a for a, b in zip(rates, rates[1:]))
 
-    res = finite_rate(proto, chan, sec=SecurityParams(block_size=1e16))
-    rel = abs(res.rate - 0.9964 * res.k_pe_inf) / abs(res.rate)
+    res = rate_at(proto, chan, sec=SecurityParams(block_size=1e16))
+    rel = abs(res["K_F"] - 0.9964 * res["K_PE"]) / abs(res["K_F"])
     converged = rel < 1e-3
 
     passed = some_positive and monotone and converged
@@ -257,9 +258,7 @@ def test_criterion_9_optimiser_oracle():
         w = 10 ** rng.uniform(-4, math.log10(0.5))
         chan = ChannelParams(t, eps)
         opt = optimise_v(chan, w)
-        objective = _qos_objective(chan, w, 0.95, RenormStrategy.B_PRESERVING,
-                                   "sqcc", False)
-        ref = brute_force_optimum(objective, n_points=10_000)
+        ref = brute_force_optimum(qos_objective(chan, w), n_points=10_000)
         if ref > 0.0:
             worst = max(worst, abs(opt.k_star - ref) / ref)
         else:

@@ -14,7 +14,8 @@ from sqccqkd.channel import (
     shared_state,
 )
 from sqccqkd.errors import DomainError
-from sqccqkd.gaussian import is_physical
+
+from helpers import on_triple, verdict
 
 
 class TestSharedState:
@@ -70,7 +71,7 @@ class TestSharedState:
         for _ in range(100):
             proto = ProtocolParams(10 ** rng.uniform(0.001, 2), rng.uniform(0, 25))
             chan = ChannelParams(rng.uniform(0.01, 1.0), rng.uniform(0, 0.5))
-            assert is_physical(shared_state(proto, chan, 1)).physical
+            assert on_triple(verdict, shared_state(proto, chan, 1)).physical
 
     def test_phase_noise_adds_power_term(self):
         proto = ProtocolParams(5.0, 10.0)

@@ -14,7 +14,7 @@ import sqccqkd.cli as cli
 from sqccqkd import finitekey, keyrate, montecarlo
 from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
-from sqccqkd.keyrate import asymptotic_rate, optimise_v
+from sqccqkd.keyrate import optimise_v, rate_at
 from sqccqkd.channel import ProtocolParams
 
 
@@ -66,9 +66,9 @@ class TestSweepCommands:
         rows = read_csv(out)
         assert len(rows) == 6
         for row in rows:
-            ref = asymptotic_rate(ProtocolParams(5.0, 0.0, 0.95),
-                                  ChannelParams(float(row["T"]), 0.05))
-            assert float(row["K"]) == pytest.approx(ref.rate, rel=1e-12)
+            ref = rate_at(ProtocolParams(5.0, 0.0, 0.95),
+                          ChannelParams(float(row["T"]), 0.05))
+            assert float(row["K"]) == pytest.approx(ref["K"], rel=1e-12)
             assert row["feasible"] == "true"
 
     def test_finite_sweep_columns(self, tmp_path):
@@ -244,6 +244,7 @@ class TestHardenedInputs:
     @pytest.mark.parametrize("argv, key", [
         (["simulate", "--seed", "-1", "--n", "200"], "seed"),
         (["sweep-finite", "--N", "1"], "N"),
+        (["optimize", "--T", "0.6", "--W", "1e-3", "--N", "inf"], "N"),
     ])
     def test_bad_flag_is_usage_error_naming_key(self, tmp_path, capsys, argv, key):
         with pytest.raises(SystemExit) as exc:

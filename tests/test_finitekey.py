@@ -10,14 +10,10 @@ from sqccqkd.channel import ChannelParams, ProtocolParams, qi_baseline_state
 from sqccqkd.errors import DomainError
 from sqccqkd.finitekey import SecurityParams, delta_terms, worst_case_estimators
 from sqccqkd.gaussian import TwoModeGaussian
-from sqccqkd.keyrate import (
-    asymptotic_rate,
-    finite_rate,
-    holevo_bound,
-    key_rate,
-    optimise_v,
-)
+from sqccqkd.keyrate import _FiniteTerms, _holevo, _rate, optimise_v, rate_at
 from sqccqkd.postprocess import postprocess_stats, required_displacement
+
+from helpers import on_triple
 
 
 def sec_at(n: float, **kwargs) -> SecurityParams:
@@ -113,15 +109,23 @@ class TestWorstCaseEstimators:
     def test_holevo_ordering(self):
         """The eavesdropper bound at worst case dominates the mean-value bound."""
         mean_state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, 1.5)
-        chi_mean = holevo_bound(mean_state)
+        chi_mean = on_triple(_holevo, mean_state)
         for n in (1e6, 1e8, 1e12):
             sa, sb, sc = worst_case_estimators(5.0, 1.405, 1.5, sec_at(n))
-            chi_worst = holevo_bound(TwoModeGaussian(np.zeros(4), sa, sb, sc))
+            chi_worst = on_triple(_holevo, TwoModeGaussian(np.zeros(4), sa, sb, sc))
             assert chi_worst >= chi_mean
 
     def test_zero_correlation_rejected(self):
         with pytest.raises(DomainError):
             worst_case_estimators(5.0, 1.405, 0.0, sec_at(1e8))
+
+    @pytest.mark.parametrize("triple, name", [
+        ((math.nan, 2.0, 2.0), "a"), ((math.inf, 2.0, 1.0), "a"), ((-1.0, 2.0, 1.0), "c"),
+    ], ids=["nan", "inf", "negative"])
+    def test_non_finite_extremes_rejected(self, triple, name):
+        """A non-finite extreme raises, as the rate's worst-case state does."""
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            worst_case_estimators(*triple, sec_at(1e8))
 
 
 class TestFiniteRate:
@@ -132,15 +136,14 @@ class TestFiniteRate:
         return ProtocolParams(3.0, d, 0.95)
 
     def test_epsilon_budget_sum(self):
-        res = finite_rate(self.proto(), self.CHAN, sec=sec_at(1e8))
-        assert res.epsilon_total == pytest.approx(7e-10, rel=1e-12)
+        assert sec_at(1e8).epsilon_total() == pytest.approx(7e-10, rel=1e-12)
 
     def test_key_length_consistency(self):
-        res = finite_rate(self.proto(), self.CHAN, sec=sec_at(1e8))
-        assert res.key_length == pytest.approx(res.rate * 1e8, rel=1e-12)
+        res = rate_at(self.proto(), self.CHAN, sec=sec_at(1e8))
+        assert res["ell"] == pytest.approx(res["K_F"] * 1e8, rel=1e-12)
 
     def test_monotone_in_block_size(self):
-        rates = [finite_rate(self.proto(), self.CHAN, sec=sec_at(n)).rate
+        rates = [rate_at(self.proto(), self.CHAN, sec=sec_at(n))["K_F"]
                  for n in (1e3, 1e6, 1e7, 1e8, 1e10, 1e14)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
@@ -148,20 +151,20 @@ class TestFiniteRate:
         for t in (0.2, 0.5, 0.9):
             chan = ChannelParams(t, 0.05)
             d = required_displacement(3.0, chan, 1e-3)
-            res = finite_rate(ProtocolParams(3.0, d, 0.95), chan, sec=sec_at(1e3))
-            assert res.rate < 0.0
+            res = rate_at(ProtocolParams(3.0, d, 0.95), chan, sec=sec_at(1e3))
+            assert res["K_F"] < 0.0
 
     def test_asymptotic_consistency(self):
         """At N = 1e16 the finite rate reaches p_f times the PE-asymptotic rate."""
-        res = finite_rate(self.proto(), self.CHAN, sec=sec_at(1e16))
-        assert abs(res.rate - 0.9964 * res.k_pe_inf) / abs(res.rate) < 1e-3
-        asym = asymptotic_rate(self.proto(), self.CHAN)
-        assert res.k_pe_inf == pytest.approx(asym.rate, rel=1e-3)
+        res = rate_at(self.proto(), self.CHAN, sec=sec_at(1e16))
+        assert abs(res["K_F"] - 0.9964 * res["K_PE"]) / abs(res["K_F"]) < 1e-3
+        asym = rate_at(self.proto(), self.CHAN)
+        assert res["K_PE"] == pytest.approx(asym["K"], rel=1e-3)
 
     def test_positive_at_reference_block(self):
-        res = finite_rate(self.proto(), self.CHAN, sec=sec_at(1e8))
-        assert res.rate > 0.0
-        assert res.feasible
+        res = rate_at(self.proto(), self.CHAN, sec=sec_at(1e8))
+        assert res["K_F"] > 0.0
+        assert res["feasible"]
 
 
 class TestOptimiseVFinite:
@@ -190,9 +193,11 @@ class TestOptimiseVFinite:
         def objective(v):
             proto = ProtocolParams(v, required_displacement(v, chan, w), 0.95)
             if model == "sqcc":
-                return finite_rate(proto, chan, sec=sec).rate
+                return rate_at(proto, chan, sec=sec)["K_F"]
             state = qi_baseline_state(proto, chan, postprocess_stats(proto, chan).e_c)
-            return key_rate(state, True, proto, sec=sec).rate
+            terms = _FiniteTerms.of([sec]).take(0)
+            _, _, _, k_f, _ = on_triple(_rate, state, 0.95, False, terms)
+            return k_f
 
         ref = brute_force_optimum(objective, n_points=3000)
         assert opt.k_star == pytest.approx(ref, rel=1e-5)

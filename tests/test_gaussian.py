@@ -8,18 +8,31 @@ import pytest
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.errors import DomainError, PhysicalityError
 from sqccqkd.gaussian import (
+    _REASONS,
     TwoModeGaussian,
-    conditional_eigenvalue,
+    _conditional,
     g_function,
-    is_physical,
     measurement_distribution,
-    symplectic_spectrum,
 )
 from sqccqkd.postprocess import postprocess_stats
+
+from helpers import on_triple, verdict
 
 
 def tmsvs(v: float) -> TwoModeGaussian:
     return TwoModeGaussian(np.zeros(4), v, v, math.sqrt(v * v - 1.0))
+
+
+def physicality(state):
+    return on_triple(verdict, state)
+
+
+def spectrum_of(state):
+    return physicality(state).spectrum
+
+
+def lambda3(state):
+    return on_triple(_conditional, state)
 
 
 def random_channel_states(n: int, seed: int):
@@ -37,20 +50,20 @@ def random_channel_states(n: int, seed: int):
 class TestSymplecticSpectrum:
     def test_pure_tmsvs_is_vacuum_spectrum(self):
         for v in (1.0, 2.7, 5.0, 40.0):
-            spec = symplectic_spectrum(tmsvs(v))
+            spec = spectrum_of(tmsvs(v))
             assert spec.lambda1 == pytest.approx(1.0, abs=1e-9)
             assert spec.lambda2 == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
         state = TwoModeGaussian(np.zeros(4), 5.0, 3.0, 0.0)
-        spec = symplectic_spectrum(state)
+        spec = spectrum_of(state)
         assert spec.lambda1 == pytest.approx(5.0, abs=1e-12)
         assert spec.lambda2 == pytest.approx(3.0, abs=1e-12)
 
     def test_invariant_identities(self):
         """lambda1*lambda2 = D2 and lambda1^2 + lambda2^2 = D1 on channel states."""
         for state in random_channel_states(200, seed=42):
-            spec = symplectic_spectrum(state)
+            spec = spectrum_of(state)
             d1 = state.a ** 2 + state.b ** 2 - 2 * state.c ** 2
             d2 = state.a * state.b - state.c ** 2
             assert spec.lambda1 * spec.lambda2 == pytest.approx(d2, rel=1e-10)
@@ -60,7 +73,7 @@ class TestSymplecticSpectrum:
 
     def test_specific_point(self):
         state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, math.sqrt(2.4))
-        spec = symplectic_spectrum(state)
+        spec = spectrum_of(state)
         assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-10)
         assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(spec.d1,
                                                                       rel=1e-10)
@@ -68,37 +81,36 @@ class TestSymplecticSpectrum:
     def test_large_noise_keeps_second_eigenvalue(self):
         """At eps = 1e40 lambda2 survives: (d1 - root) / 2 would cancel it to 0."""
         state = shared_state(ProtocolParams(5.0, 0.0), ChannelParams(0.1, 1e40), 1)
-        spec = symplectic_spectrum(state)
+        spec = spectrum_of(state)
         assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-12)
         assert spec.lambda2 == pytest.approx(5.0, rel=1e-12)
-        assert is_physical(state).physical
+        assert physicality(state).physical
 
     def test_overflow_is_a_domain_error_not_a_verdict(self):
         """An overflowing covariance is named, not read as a vacuum violation."""
         state = TwoModeGaussian(np.zeros(4), 5.0, 1e299, 1.5)
-        for check in (symplectic_spectrum, is_physical):
-            with pytest.raises(DomainError, match="overflows"):
-                check(state)
+        with pytest.raises(DomainError, match="overflows"):
+            physicality(state)
 
 
 class TestConditionalEigenvalue:
     def test_pure_state_gives_vacuum(self):
         for v in (1.0, 3.0, 17.5):
-            assert conditional_eigenvalue(tmsvs(v)) == pytest.approx(1.0, abs=1e-12)
+            assert lambda3(tmsvs(v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncorrelated_passthrough(self):
         state = TwoModeGaussian(np.zeros(4), 5.0, 3.0, 0.0)
-        assert conditional_eigenvalue(state) == 5.0
+        assert lambda3(state) == 5.0
 
     def test_reference_point(self):
         state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, math.sqrt(2.4))
-        assert conditional_eigenvalue(state) == pytest.approx(
+        assert lambda3(state) == pytest.approx(
             4.002079002079002, abs=1e-12)
 
     def test_unphysical_rejected(self):
         state = TwoModeGaussian(np.zeros(4), 1.0, 1.0, 1.2)
         with pytest.raises(PhysicalityError):
-            conditional_eigenvalue(state)
+            lambda3(state)
 
 
 class TestGFunction:
@@ -167,22 +179,21 @@ class TestMeasurementDistribution:
 
 class TestIsPhysical:
     def test_pure_state(self):
-        verdict = is_physical(tmsvs(4.0))
-        assert verdict.physical and verdict.margin == 0.0
+        assert physicality(tmsvs(4.0)).physical
 
     def test_sub_shot_noise_mode(self):
-        verdict = is_physical(TwoModeGaussian(np.zeros(4), 1.0, 0.8, 0.0))
-        assert not verdict.physical
-        assert verdict.margin == pytest.approx(0.2, abs=1e-12)
+        result = physicality(TwoModeGaussian(np.zeros(4), 1.0, 0.8, 0.0))
+        assert not result.physical
+        assert result.worst == pytest.approx(0.2, abs=1e-12)
 
     def test_zero_symplectic_invariant_root(self):
         """d1 = -2 * |d2| gives lambda1 = 0: flagged, not a division error."""
-        verdict = is_physical(TwoModeGaussian(np.zeros(4), 1.0, 1.0, 2.0))
-        assert not verdict.physical
-        assert verdict.reason == "symplectic" and verdict.margin == 1.0
+        result = physicality(TwoModeGaussian(np.zeros(4), 1.0, 1.0, 2.0))
+        assert not result.physical
+        assert _REASONS[result.reason] == "symplectic" and result.worst == 1.0
 
     def test_channel_states_always_physical(self):
-        assert all(is_physical(s).physical for s in random_channel_states(200, 3))
+        assert all(physicality(s).physical for s in random_channel_states(200, 3))
 
     def test_postprocessed_dip_detected(self):
         """Small displacements drive the receiver variance sub-shot-noise."""
@@ -190,8 +201,8 @@ class TestIsPhysical:
                                   ChannelParams(0.1, 0.05))
         assert stats.b_d < 1.0
         dipped = TwoModeGaussian(np.zeros(4), stats.a_d, stats.b_d, stats.c_d)
-        verdict = is_physical(dipped)
-        assert not verdict.physical and verdict.margin > 0.1
+        result = physicality(dipped)
+        assert not result.physical and result.worst > 0.1
 
 
 class TestTwoModeGaussian:

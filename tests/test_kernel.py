@@ -1,7 +1,7 @@
 """The array kernel ``rate_cells``: one element at a time or many, the same bits.
 
 Every rate in the package is ``keyrate.rate_cells`` evaluated somewhere:
-at one point by the scalar functions, over a whole grid by the CLI and
+at one point by ``keyrate.rate_at``, over a whole grid by the CLI and
 the lockstep V search.  These properties pin that an element's cells and
 error do not depend on the array around it, that the rate matches the
 spreadsheet oracle on the rescaled state, and that the lockstep search

@@ -12,15 +12,17 @@ from sqccqkd.gaussian import TwoModeGaussian, g_function
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
     _FiniteTerms,
-    asymptotic_rate,
-    baseline_rate,
-    holevo_bound,
-    mutual_information,
+    _holevo,
+    _lockstep,
+    _mutual_information,
+    _Rows,
     optimise_v,
+    rate_at,
     rate_cells,
 )
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
+from helpers import on_triple, qos_objective
 from oracles import brute_force_optimum, rate_from_triple
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -31,46 +33,54 @@ def triple(a, b, c):
     return TwoModeGaussian(np.zeros(4), a, b, c)
 
 
+def mi_of(state, double=False):
+    return on_triple(_mutual_information, state, double)
+
+
+def chi_of(state):
+    return on_triple(_holevo, state)
+
+
 class TestMutualInformation:
     def test_uncorrelated_is_zero(self):
-        assert mutual_information(triple(5.0, 3.0, 0.0)) == 0.0
+        assert mi_of(triple(5.0, 3.0, 0.0)) == 0.0
 
     def test_reference_value(self):
         state = triple(5.0, 1.405, math.sqrt(2.4))
-        assert mutual_information(state) == pytest.approx(0.2624346573151216,
+        assert mi_of(state) == pytest.approx(0.2624346573151216,
                                                           rel=1e-12)
 
     def test_monotone_in_correlation(self):
-        values = [mutual_information(triple(5.0, 1.405, c))
+        values = [mi_of(triple(5.0, 1.405, c))
                   for c in np.linspace(0.0, 1.5, 15)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_double_flag(self):
         state = triple(5.0, 1.405, math.sqrt(2.4))
-        assert mutual_information(state, double=True) == pytest.approx(
-            2.0 * mutual_information(state), rel=1e-15)
+        assert mi_of(state, double=True) == pytest.approx(
+            2.0 * mi_of(state), rel=1e-15)
 
 
 class TestHolevoBound:
     def test_pure_lossless_protocol_leaks_nothing(self):
         v = 4.0
-        assert holevo_bound(triple(v, v, math.sqrt(v * v - 1))) == pytest.approx(
+        assert chi_of(triple(v, v, math.sqrt(v * v - 1))) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_product_state_gives_receiver_entropy(self):
-        assert holevo_bound(triple(5.0, 3.0, 0.0)) == pytest.approx(
+        assert chi_of(triple(5.0, 3.0, 0.0)) == pytest.approx(
             g_function(3.0), abs=1e-12)
 
     def test_dual_path_recomputation(self):
         """Match an independent spreadsheet-style evaluation at 1e-10."""
         state = triple(5.0, 1.405, math.sqrt(2.4))
         _, chi_ref, _ = rate_from_triple(5.0, 1.405, math.sqrt(2.4), 0.95)
-        assert holevo_bound(state) == pytest.approx(chi_ref, abs=1e-10)
-        assert holevo_bound(state) == pytest.approx(0.2315266894726877, rel=1e-11)
+        assert chi_of(state) == pytest.approx(chi_ref, abs=1e-10)
+        assert chi_of(state) == pytest.approx(0.2315266894726877, rel=1e-11)
 
     def test_unphysical_rejected(self):
         with pytest.raises(PhysicalityError):
-            holevo_bound(triple(1.0, 0.8, 0.0))
+            chi_of(triple(1.0, 0.8, 0.0))
 
     def test_one_spectrum_per_holevo_bound(self, monkeypatch):
         """One spectrum per state: per bound, and per state in the kernel."""
@@ -84,7 +94,7 @@ class TestHolevoBound:
         monkeypatch.setattr(gaussian, "_spectrum", counted)
         states = [triple(5.0, 1.405, math.sqrt(2.4)), triple(5.0, 3.0, 0.0)]
         for state in states:
-            holevo_bound(state)
+            chi_of(state)
         assert len(calls) == len(states)
         # the rescaled (or prior-model) state is judged once and bounded with that
         # spectrum; the finite-block rate adds the worst-case state
@@ -100,30 +110,29 @@ class TestHolevoBound:
 class TestAsymptoticRate:
     def test_zero_displacement_equals_plain_heterodyne(self):
         proto = ProtocolParams(5.0, 0.0, 0.95)
-        res = asymptotic_rate(proto, REF_CHAN)
+        res = rate_at(proto, REF_CHAN)
         state = shared_state(proto, REF_CHAN, 1)
         i_ref, chi_ref, k_ref = rate_from_triple(state.a, state.b, state.c, 0.95)
-        assert res.rate == pytest.approx(k_ref, abs=1e-12)
-        assert res.rate == pytest.approx(0.017786234976678, abs=1e-12)
+        assert res["K"] == pytest.approx(k_ref, abs=1e-12)
+        assert res["K"] == pytest.approx(0.017786234976678, abs=1e-12)
 
     def test_large_displacement_recovers_decoupled_curve(self):
         chan = ChannelParams(0.5, 0.05)
         b = shared_state(ProtocolParams(5.0, 0.0), chan, 1).b
         d = math.sqrt(1e4 * (b + 1.0) / 0.5)  # snr = 1e4
-        with_d = asymptotic_rate(ProtocolParams(5.0, d, 0.95), chan)
-        without = asymptotic_rate(ProtocolParams(5.0, 0.0, 0.95), chan)
-        assert abs(with_d.rate - without.rate) < 1e-6
+        with_d = rate_at(ProtocolParams(5.0, d, 0.95), chan)
+        without = rate_at(ProtocolParams(5.0, 0.0, 0.95), chan)
+        assert abs(with_d["K"] - without["K"]) < 1e-6
 
     def test_reference_point_full_chain(self):
         """End-to-end frozen values for the heavy-coupling operating point."""
-        res = asymptotic_rate(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
-        assert res.mutual_information == pytest.approx(0.1395152442185363,
-                                                       rel=1e-12)
-        assert res.holevo == pytest.approx(0.5736533381107158, rel=1e-11)
-        assert res.rate == pytest.approx(-0.4411138561031062, rel=1e-11)
-        assert res.feasible
-        res_c = asymptotic_rate(REF_PROTO, REF_CHAN, RenormStrategy.C_PRESERVING)
-        assert res_c.rate == pytest.approx(-1.9694772269975586, rel=1e-11)
+        res = rate_at(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
+        assert res["I_AB"] == pytest.approx(0.1395152442185363, rel=1e-12)
+        assert res["chi_EB"] == pytest.approx(0.5736533381107158, rel=1e-11)
+        assert res["K"] == pytest.approx(-0.4411138561031062, rel=1e-11)
+        assert res["feasible"]
+        res_c = rate_at(REF_PROTO, REF_CHAN, RenormStrategy.C_PRESERVING)
+        assert res_c["K"] == pytest.approx(-1.9694772269975586, rel=1e-11)
 
     def test_rate_identity_and_bounds(self):
         rng = np.random.default_rng(41)
@@ -131,11 +140,11 @@ class TestAsymptoticRate:
             proto = ProtocolParams(10 ** rng.uniform(0.01, 1.5),
                                    rng.uniform(0.0, 25.0), 0.95)
             chan = ChannelParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.2))
-            res = asymptotic_rate(proto, chan)
-            assert res.holevo >= 0.0
-            assert res.rate == pytest.approx(
-                0.95 * res.mutual_information - res.holevo, abs=1e-14)
-            assert res.rate <= 0.95 * res.mutual_information + 1e-14
+            res = rate_at(proto, chan)
+            assert res["chi_EB"] >= 0.0
+            assert res["K"] == pytest.approx(
+                0.95 * res["I_AB"] - res["chi_EB"], abs=1e-14)
+            assert res["K"] <= 0.95 * res["I_AB"] + 1e-14
 
     def test_strategy_ordering(self):
         """Variance-preserving rescaling never does worse than c-preserving."""
@@ -144,31 +153,30 @@ class TestAsymptoticRate:
             proto = ProtocolParams(10 ** rng.uniform(0.01, 1.5),
                                    rng.uniform(0.0, 30.0), 0.95)
             chan = ChannelParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.2))
-            k_b = asymptotic_rate(proto, chan, RenormStrategy.B_PRESERVING)
-            k_c = asymptotic_rate(proto, chan, RenormStrategy.C_PRESERVING)
-            assert k_b.rate >= k_c.rate - 1e-12
+            k_b = rate_at(proto, chan, RenormStrategy.B_PRESERVING)["K"]
+            k_c = rate_at(proto, chan, RenormStrategy.C_PRESERVING)["K"]
+            assert k_b >= k_c - 1e-12
 
 
 class TestBaselineRate:
     def test_zero_coupling_matches_decoupled(self):
         proto = ProtocolParams(5.0, 0.0, 0.95)
-        assert baseline_rate(proto, REF_CHAN).rate == pytest.approx(
-            asymptotic_rate(proto, REF_CHAN).rate, abs=1e-12)
+        assert rate_at(proto, REF_CHAN, model="baseline")["K"] == pytest.approx(
+            rate_at(proto, REF_CHAN)["K"], abs=1e-12)
 
     def test_reference_point_frozen(self):
-        res = baseline_rate(REF_PROTO, REF_CHAN)
-        assert res.mutual_information == pytest.approx(0.1251965431869072,
-                                                       rel=1e-11)
-        assert res.holevo == pytest.approx(2.3121252073081626, rel=1e-11)
-        assert res.rate == pytest.approx(-2.1931884912806008, rel=1e-11)
+        res = rate_at(REF_PROTO, REF_CHAN, model="baseline")
+        assert res["I_AB"] == pytest.approx(0.1251965431869072, rel=1e-11)
+        assert res["chi_EB"] == pytest.approx(2.3121252073081626, rel=1e-11)
+        assert res["K"] == pytest.approx(-2.1931884912806008, rel=1e-11)
 
     def test_new_model_dominates_at_coupled_point(self):
-        new = asymptotic_rate(REF_PROTO, REF_CHAN)
-        old = baseline_rate(REF_PROTO, REF_CHAN)
-        assert new.rate > old.rate
+        new = rate_at(REF_PROTO, REF_CHAN)
+        old = rate_at(REF_PROTO, REF_CHAN, model="baseline")
+        assert new["K"] > old["K"]
 
     def test_negative_rates_not_clamped(self):
-        assert baseline_rate(REF_PROTO, REF_CHAN).rate < -1.0
+        assert rate_at(REF_PROTO, REF_CHAN, model="baseline")["K"] < -1.0
 
 
 class TestOptimiseV:
@@ -178,18 +186,15 @@ class TestOptimiseV:
         opt = optimise_v(chan, 0.5)
 
         def het(v):
-            return asymptotic_rate(ProtocolParams(v, 0.0, 0.95), chan).rate
+            return rate_at(ProtocolParams(v, 0.0, 0.95), chan)["K"]
 
         ref = brute_force_optimum(het, n_points=4000)
         assert opt.k_star == pytest.approx(ref, rel=1e-6)
 
     def test_brute_force_oracle(self):
-        from sqccqkd.keyrate import _qos_objective
         chan = ChannelParams(0.6, 0.03)
         opt = optimise_v(chan, 1e-3)
-        obj = _qos_objective(chan, 1e-3, 0.95, RenormStrategy.B_PRESERVING,
-                             "sqcc", False)
-        ref = brute_force_optimum(obj)
+        ref = brute_force_optimum(qos_objective(chan, 1e-3))
         assert opt.k_star == pytest.approx(ref, rel=1e-5)
 
     def test_no_key_regime(self):
@@ -199,36 +204,29 @@ class TestOptimiseV:
 
     def test_no_key_agrees_with_brute_force(self):
         """Moderate loss at a strict QoS admits no key; brute force concurs."""
-        from sqccqkd.keyrate import _qos_objective
         chan = ChannelParams(0.2, 0.05)
         opt = optimise_v(chan, 1e-3)
-        obj = _qos_objective(chan, 1e-3, 0.95, RenormStrategy.B_PRESERVING,
-                             "sqcc", False)
-        ref = brute_force_optimum(obj, n_points=3000)
+        ref = brute_force_optimum(qos_objective(chan, 1e-3), n_points=3000)
         assert opt.k_star == ref == 0.0
 
     def test_grid_density_invariance(self):
-        from sqccqkd.keyrate import _qos_objective, maximise_scalar
-        chan = ChannelParams(0.7, 0.05)
-        obj = _qos_objective(chan, 1e-3, 0.95, RenormStrategy.B_PRESERVING,
-                             "sqcc", False)
-        k60 = maximise_scalar(obj, 60).k_star
-        k240 = maximise_scalar(obj, 240).k_star
+        rows = _Rows([ChannelParams(0.7, 0.05)], [1e-3], RenormStrategy.B_PRESERVING,
+                     0.95, "sqcc", False, None)
+        k60 = _lockstep(rows.scores, 1, 60)[0].k_star
+        k240 = _lockstep(rows.scores, 1, 240)[0].k_star
         assert k240 == pytest.approx(k60, rel=1e-5)
 
     def test_sandwich_bound(self):
         """Coupled rates stay below the decoupled curve, meeting it at both ends."""
         chan = ChannelParams(0.35, 0.05)
-        k0 = asymptotic_rate(ProtocolParams(5.0, 0.0, 0.95), chan).rate
+        k0 = rate_at(ProtocolParams(5.0, 0.0, 0.95), chan)["K"]
         for w in (0.5, 0.1, 1e-2, 1e-3, 1e-6, 1e-12):
             d = required_displacement(5.0, chan, w)
-            k = asymptotic_rate(ProtocolParams(5.0, d, 0.95), chan).rate
+            k = rate_at(ProtocolParams(5.0, d, 0.95), chan)["K"]
             assert k <= k0 + 1e-12
-        near_half = asymptotic_rate(
-            ProtocolParams(5.0, required_displacement(5.0, chan, 0.5), 0.95),
-            chan).rate
-        tiny_w = asymptotic_rate(
-            ProtocolParams(5.0, required_displacement(5.0, chan, 1e-12), 0.95),
-            chan).rate
+        near_half = rate_at(
+            ProtocolParams(5.0, required_displacement(5.0, chan, 0.5), 0.95), chan)["K"]
+        tiny_w = rate_at(
+            ProtocolParams(5.0, required_displacement(5.0, chan, 1e-12), 0.95), chan)["K"]
         assert near_half == pytest.approx(k0, abs=1e-12)
         assert tiny_w == pytest.approx(k0, abs=1e-6)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
-from sqccqkd.errors import DomainError
-from sqccqkd.gaussian import TwoModeGaussian, is_physical
+from sqccqkd.errors import Checks, DomainError
+from sqccqkd.gaussian import TwoModeGaussian
 from sqccqkd.postprocess import (
     RenormStrategy,
-    _check,
+    _judge,
+    _margin,
     error_rate_from_snr,
     postprocess_stats,
     renormalise,
@@ -24,6 +25,7 @@ from sqccqkd.postprocess import (
     variance_shift_factor,
 )
 
+from helpers import on_triple, verdict
 from oracles import postprocessed_axis_moments
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -138,7 +140,7 @@ class TestRenormalise:
             assert res.state_prime.c == pytest.approx(state.c, abs=1e-14)
             assert res.virtual_transmissivity == pytest.approx(1.0, abs=1e-14)
             assert res.virtual_excess_noise == pytest.approx(0.0, abs=1e-12)
-            assert res.physical.passed
+            assert res.passed
 
     def test_b_preserving_frozen(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
@@ -155,8 +157,8 @@ class TestRenormalise:
             0.05542073616460618, rel=1e-12)
         assert res.effective_excess_noise == pytest.approx(
             3.3077340365364662, rel=1e-11)
-        assert res.physical.passed
-        assert res.physical.margin == pytest.approx(0.3958947353664329, rel=1e-10)
+        assert res.passed
+        assert res.margin == pytest.approx(0.3958947353664329, rel=1e-10)
 
     def test_c_preserving_frozen(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
@@ -169,7 +171,7 @@ class TestRenormalise:
         assert res.effective_transmissivity == pytest.approx(0.1, rel=1e-12)
         assert res.effective_excess_noise == pytest.approx(
             0.05 + 19.345309525605435, rel=1e-11)
-        assert res.physical.passed
+        assert res.passed
 
     def test_mean_rescaled(self):
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
@@ -236,8 +238,8 @@ class TestPhysicalityCheck:
     def test_reference_margin(self):
         state = shared_state(REF_PROTO, REF_CHAN, 1)
         res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
-        assert res.physical.passed
-        assert res.physical.margin == pytest.approx(state.c - res.state_prime.c,
+        assert res.passed
+        assert res.margin == pytest.approx(state.c - res.state_prime.c,
                                                     abs=1e-15)
 
     def test_constructed_violation(self):
@@ -245,9 +247,10 @@ class TestPhysicalityCheck:
         res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         inflated = TwoModeGaussian(res.state_prime.mean, state.a, state.b,
                                    state.c * 1.05)
-        check = _check(res.strategy, inflated, state)
-        assert not check.passed
-        assert check.margin == pytest.approx(-0.05 * state.c, rel=1e-12)
+        margin = _margin(res.strategy, state.b, state.c, inflated.b, inflated.c)
+        passed, _ = _judge(Checks(), margin, inflated.a, inflated.b, inflated.c)
+        assert not passed
+        assert margin == pytest.approx(-0.05 * state.c, rel=1e-12)
 
     def test_grid_physicality(self):
         """Both strategies stay physical across the operating grid."""
@@ -258,8 +261,8 @@ class TestPhysicalityCheck:
             chan = ChannelParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, 0.2))
             for strategy in RenormStrategy:
                 res = renormalise(proto, chan, strategy)
-                assert res.physical.passed
-                assert is_physical(res.state_prime).physical
+                assert res.passed
+                assert on_triple(verdict, res.state_prime).physical
             res_b = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
             assert res_b.virtual_transmissivity <= 1.0 + 1e-12
 
@@ -288,3 +291,10 @@ class TestRequiredDisplacement:
             required_displacement(5.0, REF_CHAN, 0.0)
         with pytest.raises(DomainError):
             required_displacement(5.0, REF_CHAN, 0.6)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, v):
+        """The same check and message as ProtocolParams, not a nan or inf d."""
+        message = f"^modulation_variance must be >= 1, got {v}$"
+        with pytest.raises(DomainError, match=message):
+            required_displacement(v, ChannelParams(0.6, 0.05), 1e-3)
