@@ -39,11 +39,9 @@ from .montecarlo import (
     EmpiricalMoments,
     EstimationResult,
     RNG_ALGORITHM,
-    ShotBatch,
-    discriminate_and_redisplace,
-    empirical_moments,
-    estimation_pipeline,
-    sample_joint,
+    ShotChunk,
+    estimate,
+    shot_chunks,
 )
 from .postprocess import (
     PostprocessStats,

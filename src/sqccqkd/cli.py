@@ -30,13 +30,7 @@ from .channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissi
 from .errors import DomainError, SqccError
 from .finitekey import SecurityParams
 from .keyrate import optimise_rows, rate_rows
-from .montecarlo import (
-    RNG_ALGORITHM,
-    discriminate_and_redisplace,
-    empirical_moments,
-    estimation_pipeline,
-    sample_joint,
-)
+from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, postprocess_stats
 
 __all__ = ["RunConfig", "run", "main"]
@@ -295,13 +289,30 @@ def _each(row: Callable[[RunConfig, dict], dict]):
     return rows
 
 
-def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | int):
-    """Analytic and empirical moment cells of one seeded batch, and the batch."""
+def _dumped(chunks: Iterator[ShotChunk], path: str) -> Iterator[ShotChunk]:
+    """The chunks, each written to the shots CSV at ``path`` (opened on the first
+    one) as it passes; the csv module writes a float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
+                         "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
+        for chunk in chunks:
+            columns = (*chunk.joint[:, :2].T, *chunk.bob_raw.T, *chunk.joint[:, 2:].T,
+                       chunk.true_symbols, chunk.decided_symbols)
+            writer.writerows(zip(range(chunk.start, chunk.start + len(chunk.joint)),
+                                 *(column.tolist() for column in columns)))
+            yield chunk
+
+
+def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | int,
+             disclose_fraction: float | None = None, shots_output: str = "") -> dict:
+    """Analytic and empirical moment cells of one seeded batch, streamed in one pass."""
     proto = ProtocolParams(p["V"], p["d"], config.beta)
     stats = postprocess_stats(proto, chan)
-    batch = sample_joint(proto, chan, schedule, config.n_shots, p["seed"])
-    post = discriminate_and_redisplace(batch, proto, chan)
-    m = empirical_moments(post)
+    chunks = shot_chunks(proto, chan, schedule, config.n_shots, p["seed"])
+    if shots_output:
+        chunks = _dumped(chunks, shots_output)
+    m, est = estimate(chunks, config.n_shots, disclose_fraction)
     cells = {
         "snr": stats.snr, "e_C": stats.e_c,
         "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
@@ -310,26 +321,14 @@ def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | in
         "mean_bx_hat": float(m.mean_hat[2]), "mean_bx_se": float(m.mean_se[2]),
         "mean_by_hat": float(m.mean_hat[3]), "mean_by_se": float(m.mean_se[3]),
     }
-    return cells, batch, post
+    if est is not None:
+        cells.update(snr_hat=est.snr_hat, delta_v_hat=est.delta_v_hat)
+    return cells
 
 
 def _simulate_row(config: RunConfig, p: dict) -> dict:
-    chan = ChannelParams(p["T"], config.excess_noise, config.sigma)
-    row, batch, post = _sampled(config, p, chan, config.symbol_schedule)
-    if config.disclose_fraction:
-        est = estimation_pipeline(batch, config.disclose_fraction)
-        row.update(snr_hat=est.snr_hat, delta_v_hat=est.delta_v_hat)
-    if config.shots_output:
-        with open(config.shots_output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
-                             "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
-            outcomes = (batch.alice_outcomes, batch.bob_outcomes, post.bob_outcomes)
-            for i in range(batch.n_shots):
-                xs = [repr(x) for xy in outcomes for x in xy[i].tolist()]
-                writer.writerow([i, *xs, int(batch.true_symbols[i]),
-                                 int(post.decided_symbols[i])])
-    return row
+    return _sampled(config, p, ChannelParams(p["T"], config.excess_noise, config.sigma),
+                    config.symbol_schedule, config.disclose_fraction, config.shots_output)
 
 
 def _fig2_row(config: RunConfig, p: dict) -> dict:
@@ -338,7 +337,7 @@ def _fig2_row(config: RunConfig, p: dict) -> dict:
     Fixed first-symbol schedule: the analytic moments describe a single
     classical sub-ensemble, and by symmetry every sub-ensemble matches.
     """
-    row, _, _ = _sampled(config, p, ChannelParams(p["T"], p["eps"]), 1)
+    row = _sampled(config, p, ChannelParams(p["T"], p["eps"]), 1)
     binom_se = math.sqrt(max(row["e_C"] * (1.0 - row["e_C"]), 1e-12)
                          / (2 * config.n_shots))
     checks = {f"{q}_pass": abs(row[f"{q}_hat"] - row[f"{q}_d"]) <= 5.0 * row[f"{q}_se"]
@@ -526,6 +525,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     disclose = values["disclose"]
     if disclose is not None and not 0.0 < disclose < 1.0:
         raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
+    if flags["command"] in _SIM and values["shots_output"] and len(values["d"]) > 1:
+        raise DomainError(f"--shots-output holds the shots of one displacement, "
+                          f"got {len(values['d'])} displacements")
     return RunConfig(command=flags["command"], security=security,
                      **{opt.field: values[opt.dest] for opt in _OPTIONS if opt.field})
 

@@ -2,14 +2,16 @@
 
 Samples joint heterodyne outcomes, classifies them by quadrant, re-displaces,
 estimates empirical moments with standard errors, and runs the receiver-side
-estimation chain (peak location, disclosed-bit error bound, rescaling).
-Identical seed and parameters reproduce bit-identical batches.
+estimation chain (peak location, disclosed-bit error bound, rescaling) in
+one pass over chunks of shots, so memory does not grow with their number.
+Identical seed and parameters reproduce bit-identical shots at any chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,34 +23,39 @@ from .special import beta_quantile, erfc_inv
 
 __all__ = [
     "RNG_ALGORITHM",
-    "ShotBatch",
+    "ShotChunk",
     "EmpiricalMoments",
     "EstimationResult",
-    "sample_joint",
-    "discriminate_and_redisplace",
-    "empirical_moments",
-    "estimation_pipeline",
+    "shot_chunks",
+    "estimate",
 ]
 
 # counter-based generator; the identifier is recorded in exported artifacts
 RNG_ALGORITHM = "numpy-philox4x64-v1"
 
-_N_CHUNKS = 16
+_CHUNK = 16_384  # shots drawn, classified and accumulated at a time
+
+_N_CHUNKS = 16  # sub-batches of the standard errors
 
 _EPS_PE = 1e-10  # failure probability of the disclosed-bit error-rate bound
 
-# (x, y) signs of each alphabet point, indexed by symbol - 1
-_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+# the number of (x, y) bits in which the quadrants of two symbols differ,
+# indexed by the true and the decided symbol
+_BIT_ERRORS = np.array([[0, 0, 0, 0, 0], [0, 0, 1, 2, 1], [0, 1, 0, 1, 2],
+                        [0, 2, 1, 0, 1], [0, 1, 2, 1, 0]])
 
 
 @dataclass(frozen=True, eq=False)
-class ShotBatch:
-    """One reproducible batch of joint dual-quadrature outcomes."""
+class ShotChunk:
+    """Consecutive shots ``start, start + 1, ...`` of one seeded stream.
 
-    seed: int
-    n_shots: int
-    alice_outcomes: np.ndarray
-    bob_outcomes: np.ndarray
+    ``joint`` holds (alice_x, alice_y, bob_post_x, bob_post_y): the receiver
+    outcomes re-displaced by the analytic centroid of their decided quadrant.
+    """
+
+    start: int
+    joint: np.ndarray
+    bob_raw: np.ndarray
     true_symbols: np.ndarray
     decided_symbols: np.ndarray
 
@@ -80,8 +87,6 @@ class EstimationResult:
     snr_hat: float
     b_hat: float
     delta_v_hat: float
-    disclosed_shots: int
-    rescaled: ShotBatch
 
 
 def _make_rng(seed: int) -> np.random.Generator:
@@ -98,25 +103,20 @@ def _centroids(proto: ProtocolParams, chan: ChannelParams) -> np.ndarray:
 def _classify(points: np.ndarray) -> np.ndarray:
     """Quadrant decision with boundary ties resolved in case order 1, 2, 3, 4."""
     x, y = points[:, 0], points[:, 1]
-    return np.select(
-        [
-            (x >= 0.0) & (y >= 0.0),
-            (x < 0.0) & (y > 0.0),
-            (x <= 0.0) & (y <= 0.0),
-        ],
-        [1, 2, 3],
-        default=4,
-    ).astype(np.int64)
+    cases = [(x >= 0.0) & (y >= 0.0), (x < 0.0) & (y > 0.0), (x <= 0.0) & (y <= 0.0)]
+    return np.select(cases, [1, 2, 3], default=4).astype(np.int64)
 
 
-def sample_joint(proto: ProtocolParams, chan: ChannelParams,
-                 symbol_schedule: str | int, n: int, seed: int) -> ShotBatch:
-    """Draw n joint outcomes from the post-channel state.
+def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
+                symbol_schedule: str | int, n: int, seed: int) -> Iterator[ShotChunk]:
+    """The n joint outcomes of one seeded batch, in chunks of at most ``_CHUNK``.
 
     ``symbol_schedule`` is either ``"uniform-random"`` or a fixed symbol
     index 1..4.  Outcomes are the 4-dimensional Gaussian with the state
     mean and state covariance plus identity, generated through the
-    lower-triangular factor of the covariance.
+    lower-triangular factor of the covariance, from the stream of one
+    generator drawing all n symbols and then an (n, 4) normal array.
+    Arguments are checked here, before the first chunk is drawn.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -126,91 +126,77 @@ def sample_joint(proto: ProtocolParams, chan: ChannelParams,
         lower = np.linalg.cholesky(outcome_cov)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"outcome covariance not positive-definite: {exc}") from exc
-
-    rng = _make_rng(seed)
-    if symbol_schedule == "uniform-random":
-        symbols = rng.integers(1, 5, size=n, dtype=np.int64)
-    elif isinstance(symbol_schedule, int) and symbol_schedule in (1, 2, 3, 4):
-        symbols = np.full(n, symbol_schedule, dtype=np.int64)
-    else:
-        raise DomainError(
-            f"symbol_schedule must be 'uniform-random' or 1..4, got {symbol_schedule!r}"
-        )
-    outcomes = rng.standard_normal((n, 4)) @ lower.T
-    bob = outcomes[:, 2:] + _centroids(proto, chan)[symbols - 1]
-    return ShotBatch(
-        seed=seed,
-        n_shots=n,
-        alice_outcomes=outcomes[:, :2],
-        bob_outcomes=bob,
-        true_symbols=symbols,
-        decided_symbols=_classify(bob),
-    )
+    if symbol_schedule != "uniform-random" and not (
+            isinstance(symbol_schedule, int) and symbol_schedule in (1, 2, 3, 4)):
+        raise DomainError(f"symbol_schedule must be 'uniform-random' or 1..4, "
+                          f"got {symbol_schedule!r}")
+    return _draw(lower, _centroids(proto, chan), symbol_schedule, n, seed)
 
 
-def discriminate_and_redisplace(batch: ShotBatch, proto: ProtocolParams,
-                                chan: ChannelParams) -> ShotBatch:
-    """Subtract from each raw receiver outcome the centroid of its decided quadrant."""
-    bob = batch.bob_outcomes - _centroids(proto, chan)[batch.decided_symbols - 1]
-    return replace(batch, bob_outcomes=bob)
+def _draw(lower: np.ndarray, centroids: np.ndarray, symbol_schedule: str | int,
+          n: int, seed: int) -> Iterator[ShotChunk]:
+    symbol_rng = normal_rng = _make_rng(seed)
+    uniform = symbol_schedule == "uniform-random"
+    if uniform:  # the normals follow all n symbols: a second generator skips them
+        normal_rng = _make_rng(seed)
+        for start in range(0, n, _CHUNK):
+            normal_rng.integers(1, 5, size=min(_CHUNK, n - start), dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        symbols = (symbol_rng.integers(1, 5, size=k, dtype=np.int64) if uniform
+                   else np.full(k, symbol_schedule, dtype=np.int64))
+        joint = normal_rng.standard_normal((k, 4)) @ lower.T
+        bob = joint[:, 2:] + centroids[symbols - 1]
+        decided = _classify(bob)
+        joint[:, 2:] = bob - centroids[decided - 1]
+        yield ShotChunk(start, joint, bob, symbols, decided)
 
 
-def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> np.ndarray:
-    """Per-shot (x, y) bit errors, shape (n, 2): the axis signs that differ."""
-    return _SIGNS[true_symbols - 1] != _SIGNS[decided_symbols - 1]
+def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> int:
+    """The (x, y) bit errors of these shots: the axis signs that differ."""
+    return int(_BIT_ERRORS[true_symbols, decided_symbols].sum())
 
 
-def _chunked(values: np.ndarray, stat) -> tuple[float, float]:
-    """Statistic over the full array and its standard error from 16 sub-batches."""
-    n = len(values)
-    n_chunks = min(_N_CHUNKS, n // 2)
-    if n_chunks < 2:
-        return float(stat(values)), math.nan
-    chunks = np.array_split(values, n_chunks)
-    per_chunk = np.array([stat(chunk) for chunk in chunks])
-    return float(stat(values)), float(np.std(per_chunk, ddof=1) / math.sqrt(n_chunks))
+class _Moments:
+    """Count, mean and centred co-moment matrix of a growing set of rows."""
+
+    def __init__(self, dim: int):
+        self.n = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
+
+    def add(self, rows: np.ndarray) -> None:
+        k = len(rows)
+        if k:
+            mean = np.ones(k) @ rows / k  # numpy's column sums of narrow rows are slow
+            centred = rows - mean
+            self.merge(k, mean, centred.T @ centred)
+
+    def merge(self, k: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        """Chan, Golub and LeVeque's pairwise update with k rows of these moments."""
+        n = self.n + k
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (k / n)
+        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * k / n)
+        self.n = n
 
 
-def empirical_moments(batch: ShotBatch) -> EmpiricalMoments:
-    """Sample estimates of the covariance triple in state units.
+def _triple(m: _Moments) -> tuple[float, float, float]:
+    """(a, b, c) in state units from the co-moments of (ax, ay, bx, by).
 
     Dual-quadrature detection adds one shot-noise unit per quadrature, so
     variances are reduced by one; the correlation folds the sigma_z sign:
     c = (Cov(x_A, x_B) - Cov(y_A, y_B)) / 2.
     """
-    if batch.n_shots < 2:
-        raise DomainError("empirical moments need at least 2 shots")
-    ax, ay = batch.alice_outcomes[:, 0], batch.alice_outcomes[:, 1]
-    bx, by = batch.bob_outcomes[:, 0], batch.bob_outcomes[:, 1]
+    cov = m.m2 / (m.n - 1)
+    return (float(cov[0, 0] + cov[1, 1]) / 2.0 - 1.0,
+            float(cov[2, 2] + cov[3, 3]) / 2.0 - 1.0, float(cov[0, 2] - cov[1, 3]) / 2.0)
 
-    def var_minus_one(cols):
-        return lambda data: (np.var(data[:, cols[0]], ddof=1)
-                             + np.var(data[:, cols[1]], ddof=1)) / 2.0 - 1.0
 
-    def corr_fold(data):
-        cx = np.cov(data[:, 0], data[:, 2], ddof=1)[0, 1]
-        cy = np.cov(data[:, 1], data[:, 3], ddof=1)[0, 1]
-        return (cx - cy) / 2.0
-
-    joint = np.column_stack([ax, ay, bx, by])
-    a_hat, a_se = _chunked(joint, var_minus_one((0, 1)))
-    b_hat, b_se = _chunked(joint, var_minus_one((2, 3)))
-    c_hat, c_se = _chunked(joint, corr_fold)
-
-    mean_hat = joint.mean(axis=0)
-    mean_se = np.empty(4)
-    for i in range(4):
-        _, mean_se[i] = _chunked(joint[:, i], np.mean)
-
-    bits = _bit_errors(batch.true_symbols, batch.decided_symbols).astype(float)
-    e_c_hat, e_c_se = _chunked(bits, np.mean)
-
-    return EmpiricalMoments(
-        a_hat=a_hat, b_hat=b_hat, c_hat=c_hat,
-        mean_hat=mean_hat, e_c_hat=e_c_hat,
-        a_se=a_se, b_se=b_se, c_se=c_se,
-        mean_se=mean_se, e_c_se=e_c_se,
-    )
+def _standard_error(per_chunk) -> float:
+    """Standard error of a statistic from its values on the sub-batches (NaN below two)."""
+    k = len(per_chunk)
+    return float(np.std(per_chunk, ddof=1) / math.sqrt(k)) if k >= 2 else math.nan
 
 
 def _snr_from_error_rate(e_c: float) -> float:
@@ -222,86 +208,100 @@ def _snr_from_error_rate(e_c: float) -> float:
     return (2.0 * erfc_inv(2.0 * e_c)) ** 2
 
 
-def conditional_variance(batch: ShotBatch) -> float:
-    """Pooled per-quadrature receiver variance within decided-symbol classes.
+def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | None = None
+             ) -> tuple[EmpiricalMoments, EstimationResult | None]:
+    """Empirical moments, and with a disclosed fraction the estimation chain, in one pass.
 
-    Removes the class-mean spread that a global variance would pick up on a
-    mixed-symbol batch; as the bit-error rate vanishes this estimates the
-    single-sub-ensemble outcome variance.
+    ``chunks`` are the n shots of one batch in order.  The moments are those
+    of the re-displaced outcomes, with standard errors from 16 sub-batches
+    laid out as ``np.array_split`` lays them out (NaN below 4 shots).  The
+    estimation chain locates the four centroids in the raw receiver outcomes,
+    re-displaces against them, bounds the bit-error rate from the first
+    ``int(disclose_fraction * n)`` shots (one-sided binomial tail at
+    confidence 1 - ``_EPS_PE``), inverts it to a certified SNR floor, and
+    infers the rescaling from the variance-shift factor of the point estimate.
     """
-    total = 0.0
-    dof = 0
-    for k in (1, 2, 3, 4):
-        sub = batch.bob_outcomes[batch.decided_symbols == k]
-        if len(sub) >= 2:
-            total += float(((sub - sub.mean(axis=0)) ** 2).sum())
-            dof += 2 * (len(sub) - 1)
-    if dof == 0:
-        raise DomainError("no decided-symbol class holds two shots")
-    return total / dof
+    if n < 2:
+        raise DomainError("empirical moments need at least 2 shots")
+    m = 0
+    if disclose_fraction is not None:
+        if not 0.0 < disclose_fraction < 1.0:
+            raise DomainError(
+                f"disclose_fraction must be in (0, 1), got {disclose_fraction}")
+        m = int(disclose_fraction * n)
+        if m < 100:
+            raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
 
+    n_sub = max(1, min(_N_CHUNKS, n // 2))
+    size, longer = divmod(n, n_sub)
+    ends = [(i + 1) * size + min(i + 1, longer) for i in range(n_sub)]
+    subs = [_Moments(4) for _ in range(n_sub)]
+    sub_errors = [0] * n_sub
+    classes = [_Moments(2) for _ in range(4)]
+    disclosed_errors = 0
+    j = pos = 0
+    for chunk in chunks:
+        base, pos = pos, pos + len(chunk.joint)
+        if pos > n:
+            break
+        lo = base
+        while lo < pos:  # the pieces of this chunk in each sub-batch
+            hi = min(pos, ends[j])
+            piece = slice(lo - base, hi - base)
+            subs[j].add(chunk.joint[piece])
+            sub_errors[j] += _bit_errors(chunk.true_symbols[piece],
+                                         chunk.decided_symbols[piece])
+            if hi == ends[j]:
+                j += 1
+            lo = hi
+        if m:
+            for k, moments in enumerate(classes):
+                moments.add(chunk.bob_raw.compress(chunk.decided_symbols == k + 1, axis=0))
+            if base < m:
+                head = slice(0, m - base)
+                disclosed_errors += _bit_errors(chunk.true_symbols[head],
+                                                chunk.decided_symbols[head])
+    if pos != n:
+        raise DomainError(f"the chunks hold other than the {n} shots of the batch")
 
-def estimation_pipeline(batch: ShotBatch,
-                        disclose_fraction: float = 0.1) -> EstimationResult:
-    """Receiver-side estimation chain on a raw sampled batch.
+    total = _Moments(4)
+    for sub in subs:
+        total.merge(sub.n, sub.mean, sub.m2)
+    a_hat, b_hat, c_hat = _triple(total)
+    a_se, b_se, c_se = map(_standard_error, np.array([_triple(sub) for sub in subs]).T)
+    moments = EmpiricalMoments(
+        a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, mean_hat=total.mean,
+        e_c_hat=sum(sub_errors) / (2 * n), a_se=a_se, b_se=b_se, c_se=c_se,
+        mean_se=np.array([_standard_error(col) for col in
+                          np.array([sub.mean for sub in subs]).T]),
+        e_c_se=_standard_error([e / (2 * sub.n) for e, sub in zip(sub_errors, subs)]),
+    )
+    if not m:
+        return moments, None
 
-    Steps: locate the four outcome centroids from the raw data, re-displace
-    against the estimated centroids, bound the bit-error rate from a
-    disclosed fraction of the classical bits (one-sided binomial tail at
-    confidence 1 - ``_EPS_PE``), invert it to a certified SNR floor, and
-    rescale with the variance-shift factor inferred from the point estimate.
-    """
-    if not 0.0 < disclose_fraction < 1.0:
-        raise DomainError(
-            f"disclose_fraction must be in (0, 1), got {disclose_fraction}"
-        )
-    n = batch.n_shots
-    m = int(disclose_fraction * n)
-    if m < 100:
-        raise DomainError(
-            f"disclosed sample too small: {m} shots (need >= 100)"
-        )
-
-    decided = batch.decided_symbols
-    centroid_hat = np.zeros((4, 2))
-    for k in range(4):
-        mask = decided == k + 1
-        if np.any(mask):
-            centroid_hat[k] = batch.bob_outcomes[mask].mean(axis=0)
-
-    bob_post = batch.bob_outcomes - centroid_hat[decided - 1]
-
-    errors = int(_bit_errors(batch.true_symbols[:m], decided[:m]).sum())
     comparisons = 2 * m
-    e_c_point = errors / comparisons
-    if errors == comparisons:
+    e_c_point = disclosed_errors / comparisons
+    if disclosed_errors == comparisons:
         e_c_bound = 1.0
     else:
         # exact one-sided binomial tail inversion; errors = 0 reduces to
         # the rule-of-three style bound 1 - _EPS_PE**(1/comparisons)
-        e_c_bound = beta_quantile(1.0 - _EPS_PE, errors + 1, comparisons - errors)
-
+        e_c_bound = beta_quantile(1.0 - _EPS_PE, disclosed_errors + 1,
+                                  comparisons - disclosed_errors)
     snr_point = _snr_from_error_rate(e_c_point)
-    snr_hat = _snr_from_error_rate(min(e_c_bound, 0.5))
     shift = variance_shift_factor(snr_point)
-
-    post = replace(batch, bob_outcomes=bob_post)
-    b_d_hat = conditional_variance(post) - 1.0
+    # pooled per-quadrature variance within decided-symbol classes: removes
+    # the class-mean spread that a global variance would pick up
+    pooled = (sum(float(np.trace(c.m2)) for c in classes if c.n >= 2)
+              / sum(2 * (c.n - 1) for c in classes if c.n >= 2))
+    b_d_hat = pooled - 1.0
     b_hat = (b_d_hat + 1.0) / (1.0 + shift) - 1.0
-    delta_v_hat = (b_d_hat + 1.0) / (b_hat + 1.0)
-
-    rescaled = replace(
-        post,
-        bob_outcomes=bob_post / math.sqrt(delta_v_hat),
-    )
-    return EstimationResult(
-        centroid_hat=centroid_hat,
+    return moments, EstimationResult(
+        centroid_hat=np.array([c.mean for c in classes]),
         e_c_point=e_c_point,
         e_c_bound=e_c_bound,
         snr_point=snr_point,
-        snr_hat=snr_hat,
+        snr_hat=_snr_from_error_rate(min(e_c_bound, 0.5)),
         b_hat=b_hat,
-        delta_v_hat=delta_v_hat,
-        disclosed_shots=m,
-        rescaled=rescaled,
+        delta_v_hat=(b_d_hat + 1.0) / (b_hat + 1.0),
     )

@@ -15,11 +15,7 @@ import sqccqkd.cli as cli
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import optimise_v, rate_at
-from sqccqkd.montecarlo import (
-    discriminate_and_redisplace,
-    empirical_moments,
-    sample_joint,
-)
+from sqccqkd.montecarlo import estimate, shot_chunks
 from sqccqkd.postprocess import (
     RenormStrategy,
     postprocess_stats,
@@ -58,9 +54,8 @@ def reference_sweep():
     for i, d in enumerate(D_GRID):
         proto = ProtocolParams(5.0, d, 0.95)
         stats = postprocess_stats(proto, REF_CHAN)
-        batch = sample_joint(proto, REF_CHAN, 1, SHOTS, 1000 + i)
-        post = discriminate_and_redisplace(batch, proto, REF_CHAN)
-        points.append(SweepPoint(d, stats, empirical_moments(post)))
+        moments, _ = estimate(shot_chunks(proto, REF_CHAN, 1, SHOTS, 1000 + i), SHOTS)
+        points.append(SweepPoint(d, stats, moments))
     return points, time.monotonic() - t0
 
 

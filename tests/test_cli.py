@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,16 @@ class TestHardenedInputs:
         assert exc.value.code == 2
         assert f"{key} must be >= " in capsys.readouterr().err
 
+    def test_shots_output_takes_one_displacement(self, tmp_path, capsys):
+        """One shots file cannot hold the shots of two batches."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--T", "0.1", "--V", "5", "--d", "12", "20",
+                      "--n", "300", "--shots-output", str(tmp_path / "s.csv"),
+                      "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "--shots-output holds the shots of one displacement, got 2" in (
+            capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, values", [
         (["sweep-finite", "--N", "2", "--p-f", "0.1"], "0.1 * 2.0"),
@@ -440,7 +451,11 @@ class TestPipelineEvaluations:
         assert cli.main(argv) == 0
         assert calls == [1e6, 1e6]
 
-    def test_one_classification_per_disclosed_batch(self, tmp_path, monkeypatch):
+    def test_each_shot_classified_once(self, tmp_path, monkeypatch):
+        """Each shot is classified exactly once, one chunk at a time.
+
+        The calls of each batch sum to its shots, and no call exceeds a chunk.
+        """
         calls = []
         original = montecarlo._classify
 
@@ -449,7 +464,73 @@ class TestPipelineEvaluations:
             return original(points)
 
         monkeypatch.setattr(montecarlo, "_classify", counted)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 700)
         assert cli.main(["simulate", "--T", "0.1", "--V", "5", "--d", "12", "0",
                          "--n", "2000", "--disclose", "0.1",
                          "--output", str(tmp_path / "o.csv")]) == 0
-        assert calls == [2000, 2000]
+        assert calls == [700, 700, 600] * 2
+
+
+class TestStreamedMonteCarlo:
+    """The Monte Carlo streams in chunks: outputs do not depend on their size,
+    and memory does not grow with the number of shots."""
+
+    RUNS = {
+        # m = 1,000 disclosed shots ends inside a chunk of 7 and of 4,099
+        "disclose": ["--n", "10007", "--seed", "5", "--disclose", "0.1"],
+        "shots": ["--n", "10007", "--seed", "6", "--symbol", "2",
+                  "--shots-output", "{dir}/scatter.csv"],
+        "two": ["--n", "2", "--seed", "7"],
+        "three": ["--n", "3", "--seed", "8", "--symbol", "1"],
+    }
+    EXACT = {"e_C_hat", "e_C_se", "snr_hat"}  # from error counts alone
+
+    def outputs(self, directory: pathlib.Path) -> dict:
+        """Each run's row, and the dump's bytes."""
+        directory.mkdir()
+        out = {}
+        for name, flags in self.RUNS.items():
+            argv = ["simulate", "--T", "0.1", "--V", "5", "--d", "12",
+                    *[flag.format(dir=directory) for flag in flags],
+                    "--output", str(directory / f"{name}.csv")]
+            assert cli.main(argv) == 0
+            out[name] = read_csv(directory / f"{name}.csv")[0]
+        out["dump"] = (directory / "scatter.csv").read_bytes()
+        return out
+
+    @pytest.mark.parametrize("chunk", [7, 4_099])
+    def test_chunk_size_changes_no_output(self, tmp_path, monkeypatch, chunk):
+        expected = self.outputs(tmp_path / "default")
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        got = self.outputs(tmp_path / "patched")
+        assert got.pop("dump") == expected.pop("dump")
+        for name, row in got.items():
+            assert row.keys() == expected[name].keys()
+            for column, value in row.items():
+                ref = expected[name][column]
+                if column in self.EXACT or value == ref:
+                    assert value == ref, (name, column)
+                else:
+                    assert float(value) == pytest.approx(float(ref), rel=1e-12), (
+                        name, column)
+        for name in ("two", "three"):
+            assert all(got[name][se] == "nan" for se in (
+                "a_se", "b_se", "c_se", "e_C_se", "mean_bx_se", "mean_by_se"))
+
+    def test_memory_does_not_grow_with_shots(self, tmp_path):
+        def simulate(n):
+            assert cli.main(["simulate", "--T", "0.1", "--V", "5", "--d", "20",
+                             "--n", str(n), "--disclose", "0.1",
+                             "--output", str(tmp_path / "o.csv")]) == 0
+
+        simulate(2_000)  # one-time allocations (imports, caches) out of the peaks
+        peaks = {}
+        for n in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                simulate(n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1_000_000] <= 1.25 * peaks[200_000], peaks
+        assert peaks[1_000_000] < 32 * 2**20, peaks

@@ -2,6 +2,7 @@
 
 Statistical checks assert agreement within 5 standard errors at fixed seeds;
 the seeds are part of the test contract and any failure is reproducible.
+The streamed pass is also checked against whole-batch numpy formulas.
 """
 
 import math
@@ -9,107 +10,131 @@ import math
 import numpy as np
 import pytest
 
+from sqccqkd import montecarlo
 from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
 from sqccqkd.errors import DomainError
-from sqccqkd.montecarlo import (
-    conditional_variance,
-    discriminate_and_redisplace,
-    empirical_moments,
-    estimation_pipeline,
-    sample_joint,
-)
+from sqccqkd.montecarlo import estimate, shot_chunks
 from sqccqkd.postprocess import postprocess_stats, renormalise, RenormStrategy
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
 REF_CHAN = ChannelParams(0.1, 0.05)
 
 
+def whole(proto, chan, schedule, n, seed) -> dict:
+    """All shots of one batch as whole arrays, joined from its chunks."""
+    chunks = list(shot_chunks(proto, chan, schedule, n, seed))
+    joint = np.concatenate([c.joint for c in chunks])
+    return {"alice": joint[:, :2], "bob_raw": np.concatenate([c.bob_raw for c in chunks]),
+            "bob_post": joint[:, 2:], "joint": joint,
+            "true": np.concatenate([c.true_symbols for c in chunks]),
+            "decided": np.concatenate([c.decided_symbols for c in chunks])}
+
+
+def moments(proto, chan, schedule, n, seed):
+    return estimate(shot_chunks(proto, chan, schedule, n, seed), n)[0]
+
+
+def estimation(proto, chan, schedule, n, seed, disclose_fraction=0.1):
+    return estimate(shot_chunks(proto, chan, schedule, n, seed), n, disclose_fraction)[1]
+
+
+def pooled_class_variance(bob, decided) -> float:
+    """Per-quadrature receiver variance pooled within decided-symbol classes."""
+    total, dof = 0.0, 0
+    for k in (1, 2, 3, 4):
+        sub = bob[decided == k]
+        if len(sub) >= 2:
+            total += float(((sub - sub.mean(axis=0)) ** 2).sum())
+            dof += 2 * (len(sub) - 1)
+    return total / dof
+
+
 class TestSampler:
     def test_deterministic(self):
-        a = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 20_000, 42)
-        b = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 20_000, 42)
-        np.testing.assert_array_equal(a.alice_outcomes, b.alice_outcomes)
-        np.testing.assert_array_equal(a.bob_outcomes, b.bob_outcomes)
-        np.testing.assert_array_equal(a.true_symbols, b.true_symbols)
+        a = whole(REF_PROTO, REF_CHAN, "uniform-random", 20_000, 42)
+        b = whole(REF_PROTO, REF_CHAN, "uniform-random", 20_000, 42)
+        np.testing.assert_array_equal(a["alice"], b["alice"])
+        np.testing.assert_array_equal(a["bob_raw"], b["bob_raw"])
+        np.testing.assert_array_equal(a["true"], b["true"])
 
     def test_seed_changes_stream(self):
-        a = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 1000, 1)
-        b = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 1000, 2)
-        assert not np.array_equal(a.bob_outcomes, b.bob_outcomes)
+        a = whole(REF_PROTO, REF_CHAN, "uniform-random", 1000, 1)
+        b = whole(REF_PROTO, REF_CHAN, "uniform-random", 1000, 2)
+        assert not np.array_equal(a["bob_raw"], b["bob_raw"])
 
     def test_outcome_variance_calibration(self):
         """Per-component sample variance equals the state variance plus one."""
         proto = ProtocolParams(5.0, 0.0)
-        batch = sample_joint(proto, REF_CHAN, "uniform-random", 200_000, 10)
+        batch = whole(proto, REF_CHAN, "uniform-random", 200_000, 10)
         state = shared_state(proto, REF_CHAN, 1)
         targets = [state.a + 1, state.a + 1, state.b + 1, state.b + 1]
-        joint = np.hstack([batch.alice_outcomes, batch.bob_outcomes])
+        joint = np.hstack([batch["alice"], batch["bob_raw"]])
         for col, target in enumerate(targets):
             sample = np.var(joint[:, col], ddof=1)
             se = target * math.sqrt(2.0 / 200_000)
             assert abs(sample - target) < 5 * se
 
     def test_zero_displacement_symbols_uniform(self):
-        batch = sample_joint(ProtocolParams(5.0, 0.0), REF_CHAN,
-                             "uniform-random", 100_000, 11)
-        counts = np.bincount(batch.decided_symbols, minlength=5)[1:]
+        batch = whole(ProtocolParams(5.0, 0.0), REF_CHAN, "uniform-random", 100_000, 11)
+        counts = np.bincount(batch["decided"], minlength=5)[1:]
         se = math.sqrt(100_000 * 0.25 * 0.75)
         assert all(abs(c - 25_000) < 5 * se for c in counts)
 
     def test_fixed_symbol_mean(self):
         """Receiver sample mean sits on the analytic centroid."""
-        batch = sample_joint(REF_PROTO, REF_CHAN, 1, 100_000, 12)
+        bob = whole(REF_PROTO, REF_CHAN, 1, 100_000, 12)["bob_raw"]
         expected = math.sqrt(0.1) * 12.0 / math.sqrt(2.0)
         se = math.sqrt(2.405 / 100_000)
-        assert abs(batch.bob_outcomes[:, 0].mean() - expected) < 5 * se
-        assert abs(batch.bob_outcomes[:, 1].mean() - expected) < 5 * se
+        assert abs(bob[:, 0].mean() - expected) < 5 * se
+        assert abs(bob[:, 1].mean() - expected) < 5 * se
 
     def test_rejects_bad_schedule_and_size(self):
+        """Arguments are checked when the stream is made, before any chunk is drawn."""
         with pytest.raises(DomainError):
-            sample_joint(REF_PROTO, REF_CHAN, 5, 100, 1)
+            shot_chunks(REF_PROTO, REF_CHAN, 5, 100, 1)
         with pytest.raises(DomainError):
-            sample_joint(REF_PROTO, REF_CHAN, 1, 0, 1)
+            shot_chunks(REF_PROTO, REF_CHAN, 1, 0, 1)
 
 
 class TestDiscrimination:
     def test_bit_error_rate_matches_analytic(self):
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 200_000, 13)
-        post = discriminate_and_redisplace(batch, REF_PROTO, REF_CHAN)
-        e_hat = empirical_moments(post).e_c_hat
+        e_hat = moments(REF_PROTO, REF_CHAN, "uniform-random", 200_000, 13).e_c_hat
         se = math.sqrt(stats.e_c * (1 - stats.e_c) / (2 * 200_000))
         assert abs(e_hat - stats.e_c) < 5 * se
 
     def test_zero_displacement_rates(self):
         """Bitwise rate 1/2 and quadrant mismatch 3/4 with no separation."""
         proto = ProtocolParams(5.0, 0.0)
-        batch = sample_joint(proto, REF_CHAN, "uniform-random", 100_000, 14)
-        post = discriminate_and_redisplace(batch, proto, REF_CHAN)
-        assert abs(empirical_moments(post).e_c_hat - 0.5) < 5 * math.sqrt(
-            0.25 / 200_000)
-        symbol_errors = np.mean(post.decided_symbols != post.true_symbols)
+        assert abs(moments(proto, REF_CHAN, "uniform-random", 100_000, 14).e_c_hat
+                   - 0.5) < 5 * math.sqrt(0.25 / 200_000)
+        batch = whole(proto, REF_CHAN, "uniform-random", 100_000, 14)
+        symbol_errors = np.mean(batch["decided"] != batch["true"])
         assert abs(symbol_errors - 0.75) < 5 * math.sqrt(0.1875 / 100_000)
 
     def test_decoupled_regime_error_free(self):
         chan = ChannelParams(0.5, 0.05)
         proto = ProtocolParams(3.0, 50.0)  # snr ~ 280
-        batch = sample_joint(proto, chan, "uniform-random", 100_000, 15)
-        post = discriminate_and_redisplace(batch, proto, chan)
-        assert empirical_moments(post).e_c_hat == 0.0
+        assert moments(proto, chan, "uniform-random", 100_000, 15).e_c_hat == 0.0
 
     def test_decision_no_op_on_redisplaced_batch(self):
-        batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 50_000, 16)
-        post = discriminate_and_redisplace(batch, REF_PROTO, REF_CHAN)
-        assert np.array_equal(post.true_symbols, batch.true_symbols)
-        assert post.n_shots == batch.n_shots
+        """Re-displacement subtracts the decided centroid; every shot stays, in order."""
+        n = 150_000  # three chunks
+        centroids = montecarlo._centroids(REF_PROTO, REF_CHAN)
+        chunks = list(shot_chunks(REF_PROTO, REF_CHAN, "uniform-random", n, 16))
+        assert [c.start for c in chunks] == list(range(0, n, montecarlo._CHUNK))
+        assert sum(len(c.joint) for c in chunks) == n
+        for c in chunks:
+            assert np.array_equal(c.decided_symbols, montecarlo._classify(c.bob_raw))
+            assert np.array_equal(c.joint[:, 2:],
+                                  c.bob_raw - centroids[c.decided_symbols - 1])
 
 
 class TestEmpiricalMoments:
     def test_identity_at_zero_displacement(self):
         proto = ProtocolParams(5.0, 0.0)
         state = shared_state(proto, REF_CHAN, 1)
-        batch = sample_joint(proto, REF_CHAN, "uniform-random", 200_000, 17)
-        m = empirical_moments(batch)
+        m = moments(proto, REF_CHAN, "uniform-random", 200_000, 17)
         assert abs(m.a_hat - state.a) < 5 * m.a_se
         assert abs(m.b_hat - state.b) < 5 * m.b_se
         assert abs(m.c_hat - state.c) < 5 * m.c_se
@@ -117,9 +142,7 @@ class TestEmpiricalMoments:
     def test_postprocessed_moments_match_analytics(self):
         """The acceptance core at one point: 5-SE agreement with closed forms."""
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        batch = sample_joint(REF_PROTO, REF_CHAN, 1, 200_000, 18)
-        post = discriminate_and_redisplace(batch, REF_PROTO, REF_CHAN)
-        m = empirical_moments(post)
+        m = moments(REF_PROTO, REF_CHAN, 1, 200_000, 18)
         assert abs(m.a_hat - stats.a_d) < 5 * m.a_se
         assert abs(m.b_hat - stats.b_d) < 5 * m.b_se
         assert abs(m.c_hat - stats.c_d) < 5 * m.c_se
@@ -128,18 +151,15 @@ class TestEmpiricalMoments:
 
     def test_standard_errors_scale_with_shots(self):
         """Doubling twice halves the standard error, within a factor two."""
-        small = empirical_moments(sample_joint(REF_PROTO, REF_CHAN,
-                                               "uniform-random", 25_000, 19))
-        large = empirical_moments(sample_joint(REF_PROTO, REF_CHAN,
-                                               "uniform-random", 100_000, 19))
+        small = moments(REF_PROTO, REF_CHAN, "uniform-random", 25_000, 19)
+        large = moments(REF_PROTO, REF_CHAN, "uniform-random", 100_000, 19)
         for lo, hi in ((small.b_se, large.b_se), (small.c_se, large.c_se)):
             ratio = lo / hi  # expect ~2 from a 4x shot increase
             assert 1.0 < ratio < 4.0
 
     def test_needs_two_shots(self):
-        batch = sample_joint(REF_PROTO, REF_CHAN, 1, 1, 20)
         with pytest.raises(DomainError):
-            empirical_moments(batch)
+            estimate(shot_chunks(REF_PROTO, REF_CHAN, 1, 1, 20), 1)
 
 
 class TestSubShotNoiseHazard:
@@ -149,12 +169,11 @@ class TestSubShotNoiseHazard:
         stats = postprocess_stats(proto, REF_CHAN)
         state = shared_state(proto, REF_CHAN, 1)
         assert stats.b_d < 1.0
-        batch = sample_joint(proto, REF_CHAN, 1, 100_000, 21)
-        post = discriminate_and_redisplace(batch, proto, REF_CHAN)
-        m = empirical_moments(post)
+        m = moments(proto, REF_CHAN, 1, 100_000, 21)
         assert m.b_hat < 1.0  # illegitimate before rescaling
         renorm = renormalise(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
-        rescaled = post.bob_outcomes / math.sqrt(renorm.delta_v)
+        post = whole(proto, REF_CHAN, 1, 100_000, 21)["bob_post"]
+        rescaled = post / math.sqrt(renorm.delta_v)
         b_rescaled = (np.var(rescaled[:, 0], ddof=1)
                       + np.var(rescaled[:, 1], ddof=1)) / 2.0 - 1.0
         assert b_rescaled >= 1.0
@@ -166,8 +185,7 @@ class TestEstimationPipeline:
     def test_noiseless_large_displacement(self):
         chan = ChannelParams(1.0, 0.0)
         proto = ProtocolParams(5.0, 40.0)
-        batch = sample_joint(proto, chan, "uniform-random", 50_000, 22)
-        est = estimation_pipeline(batch, 0.1)
+        est = estimation(proto, chan, "uniform-random", 50_000, 22)
         pattern = 40.0 / math.sqrt(2.0)
         se = math.sqrt((5.0 + 1.0) / 12_500)
         for k, (sx, sy) in enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]):
@@ -177,8 +195,7 @@ class TestEstimationPipeline:
 
     def test_certified_snr_within_ten_percent(self):
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 23)
-        est = estimation_pipeline(batch, 0.1)
+        est = estimation(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 23)
         assert abs(est.snr_hat - stats.snr) / stats.snr < 0.10
         assert est.e_c_bound > est.e_c_point  # one-sided upper bound
 
@@ -187,9 +204,12 @@ class TestEstimationPipeline:
         chan = REF_CHAN
         proto = ProtocolParams(5.0, 20.0)  # snr ~ 16.6, e_C ~ 2e-3
         state = shared_state(proto, chan, 1)
-        batch = sample_joint(proto, chan, "uniform-random", 200_000, 24)
-        est = estimation_pipeline(batch, 0.1)
-        rescaled_var = conditional_variance(est.rescaled)
+        est = estimation(proto, chan, "uniform-random", 200_000, 24)
+        batch = whole(proto, chan, "uniform-random", 200_000, 24)
+        decided = batch["decided"]
+        rescaled = ((batch["bob_raw"] - est.centroid_hat[decided - 1])
+                    / math.sqrt(est.delta_v_hat))
+        rescaled_var = pooled_class_variance(rescaled, decided)
         se = (state.b + 1.0) * math.sqrt(2.0 / (2 * 200_000))
         assert abs(rescaled_var - (state.b + 1.0)) < 5 * se
 
@@ -197,20 +217,95 @@ class TestEstimationPipeline:
         stats = postprocess_stats(REF_PROTO, REF_CHAN)
         state = shared_state(REF_PROTO, REF_CHAN, 1)
         true_dv = (stats.b_d + 1.0) / (state.b + 1.0)
-        batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 25)
-        est = estimation_pipeline(batch, 0.1)
+        est = estimation(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 25)
         assert est.delta_v_hat == pytest.approx(true_dv, rel=0.01)
 
     def test_zero_error_bound_is_finite(self):
         chan = ChannelParams(0.5, 0.05)
         proto = ProtocolParams(3.0, 50.0)
-        batch = sample_joint(proto, chan, "uniform-random", 10_000, 26)
-        est = estimation_pipeline(batch, 0.1)
+        est = estimation(proto, chan, "uniform-random", 10_000, 26)
         assert est.e_c_point == 0.0
         assert 0.0 < est.e_c_bound < 1.0
         assert est.e_c_bound == pytest.approx(1 - (1e-10) ** (1 / 2000.0), rel=1e-4)
 
     def test_disclosure_floor(self):
-        batch = sample_joint(REF_PROTO, REF_CHAN, "uniform-random", 500, 27)
         with pytest.raises(DomainError):
-            estimation_pipeline(batch, 0.1)
+            estimation(REF_PROTO, REF_CHAN, "uniform-random", 500, 27)
+
+
+def whole_batch_reference(batch: dict, m: int) -> dict:
+    """The moments and estimates by whole-batch numpy formulas, as a plain reference."""
+    joint, n = batch["joint"], len(batch["joint"])
+    n_sub = min(16, n // 2)
+
+    def with_se(values, stat):
+        per_sub = [stat(part) for part in np.array_split(values, n_sub)]
+        return (float(stat(values)), float(np.std(per_sub, ddof=1) / math.sqrt(n_sub))
+                if n_sub >= 2 else math.nan)
+
+    def variance(cols):
+        return lambda x: (np.var(x[:, cols[0]], ddof=1) + np.var(x[:, cols[1]], ddof=1)
+                          ) / 2.0 - 1.0
+
+    def fold(x):
+        return (np.cov(x[:, 0], x[:, 2])[0, 1] - np.cov(x[:, 1], x[:, 3])[0, 1]) / 2.0
+
+    signs = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])  # per symbol
+    bits = (signs[batch["true"] - 1] != signs[batch["decided"] - 1]).astype(float)
+    out = {}
+    for name, (value, se) in {"a": with_se(joint, variance((0, 1))),
+                              "b": with_se(joint, variance((2, 3))),
+                              "c": with_se(joint, fold),
+                              "e_c": with_se(bits, np.mean)}.items():
+        out[f"{name}_hat"], out[f"{name}_se"] = value, se
+    for i in range(4):
+        out[f"mean{i}_hat"], out[f"mean{i}_se"] = with_se(joint[:, i], np.mean)
+    if m:
+        decided = batch["decided"]
+        centroids = np.array([batch["bob_raw"][decided == k].mean(axis=0)
+                              for k in (1, 2, 3, 4)])
+        out["centroid_hat"] = centroids
+        out["pooled"] = pooled_class_variance(
+            batch["bob_raw"] - centroids[decided - 1], decided)
+        out["disclosed_errors"] = int(bits[:m].sum())
+    return out
+
+
+class TestStreamedPass:
+    @pytest.mark.parametrize("schedule, n, chunk", [
+        ("uniform-random", 200_003, montecarlo._CHUNK),  # chunks cross sub-batches
+        ("uniform-random", 10_007, 7),
+        (3, 4_099, 1_000),
+        (1, 5, 2),
+    ])
+    def test_matches_whole_batch_reference(self, monkeypatch, schedule, n, chunk):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        proto = ProtocolParams(5.0, 8.0, 0.95)
+        fraction = 0.1 if n >= 1000 else None
+        m = int(fraction * n) if fraction else 0
+        ref = whole_batch_reference(whole(proto, REF_CHAN, schedule, n, 31), m)
+        got, est = estimate(shot_chunks(proto, REF_CHAN, schedule, n, 31), n, fraction)
+        # error counts are exact, so the bit-error cells are too
+        assert (got.e_c_hat, got.e_c_se) == (ref["e_c_hat"], ref["e_c_se"])
+        for name in ("a", "b", "c"):
+            assert getattr(got, f"{name}_hat") == pytest.approx(ref[f"{name}_hat"],
+                                                                rel=1e-12)
+            assert getattr(got, f"{name}_se") == pytest.approx(ref[f"{name}_se"],
+                                                               rel=1e-12)
+        for i in range(4):
+            assert got.mean_hat[i] == pytest.approx(ref[f"mean{i}_hat"], rel=1e-12)
+            assert got.mean_se[i] == pytest.approx(ref[f"mean{i}_se"], rel=1e-12)
+        if m:
+            np.testing.assert_allclose(est.centroid_hat, ref["centroid_hat"], rtol=1e-12)
+            assert est.e_c_point == ref["disclosed_errors"] / (2 * m)
+            b_d_hat = ref["pooled"] - 1.0
+            assert est.delta_v_hat == pytest.approx(
+                (b_d_hat + 1.0) / (est.b_hat + 1.0), rel=1e-12)
+            assert est.b_hat + 1.0 == pytest.approx(
+                ref["pooled"] / (1.0 + montecarlo.variance_shift_factor(est.snr_point)),
+                rel=1e-12)
+
+    def test_chunk_count_must_match(self):
+        chunks = shot_chunks(REF_PROTO, REF_CHAN, 1, 100, 33)
+        with pytest.raises(DomainError):
+            estimate(chunks, 101)
