@@ -5,8 +5,10 @@ inputs, so each artifact is self-describing.  Output is byte-identical for
 identical configuration and seed.  Exit codes: 0 success (a failing point
 becomes a flagged row), 1 the run could not finish, 2 usage error.
 
-``_OPTIONS`` declares every option once; ``_COMMANDS`` gives each command
-its columns, its input points and the batch step computing their cells.
+``_OPTIONS`` declares every option once; ``_merge`` returns their values
+keyed by dest, which is also the config-file key and the CSV column.
+``_COMMANDS`` gives each command its columns, its input points and the
+batch step computing their cells from the inputs each point echoes.
 The rate commands evaluate all their points together, through the
 lockstep V search and one kernel call for the diagnostics.
 """
@@ -33,7 +35,7 @@ from .keyrate import optimise_rows, rate_rows
 from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, postprocess_stats
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 OUTPUT_DIR_ENV = "SQCCQKD_OUTPUT_DIR"
 
@@ -75,7 +77,6 @@ class _Option:
     many: bool = False  # takes a list
     default: object = None  # None leaves the value unset
     commands: tuple[str, ...] = _GRID
-    field: str = ""  # the RunConfig field it fills
     flag: str = ""  # if not --dest
     choices: tuple[str, ...] | None = None
     help: str | None = None
@@ -87,85 +88,47 @@ _SECURITY = {"p_f": "frame_success", "d_rx": "discretization_bits",
                                      "eps_ir", "eps_cal")}}
 
 _OPTIONS = (
-    _Option("T", many=True, default=(0.1,), field="t_values",
+    _Option("T", many=True, default=(0.1,),
             help="transmissivity value(s)"),
     _Option("db", many=True, default=(),
             help="attenuation value(s) in dB (converted to T)"),
     _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
-    _Option("W", many=True, default=(0.5,), commands=_RATE, field="w_values",
+    _Option("W", many=True, default=(0.5,), commands=_RATE,
             help="classical QoS bit-error threshold(s)"),
-    _Option("eps", default=0.05, field="excess_noise", help="channel excess noise"),
-    _Option("beta", default=0.95, field="beta", help="reconciliation efficiency"),
-    _Option("sigma", default=0.0, field="sigma", help="phase-noise factor (0 disables)"),
-    _Option("strategy", str, default="b-preserving", field="strategy",
+    _Option("eps", default=0.05, help="channel excess noise"),
+    _Option("beta", default=0.95, help="reconciliation efficiency"),
+    _Option("sigma", default=0.0, help="phase-noise factor (0 disables)"),
+    _Option("strategy", str, default="b-preserving",
             choices=tuple(s.value for s in RenormStrategy)),
-    _Option("mi_double", bool, default=False, commands=_RATE, field="mi_double",
+    _Option("mi_double", bool, default=False, commands=_RATE,
             help="double the mutual information (dual-quadrature count)"),
     _Option("config", str, commands=_ALL, help="JSON file with flat key/value defaults"),
-    _Option("output", str, default="", commands=_ALL, field="output",
+    _Option("output", str, default="", commands=_ALL,
             help="artifact file path"),
-    _Option("fmt", str, default="csv", commands=_ALL, field="fmt", flag="--format",
+    _Option("fmt", str, default="csv", commands=_ALL, flag="--format",
             choices=("csv", "json")),
-    _Option("V", default=5.0, commands=_SWEEPS + _SIM, field="modulation_variance",
+    _Option("V", default=5.0, commands=_SWEEPS + _SIM,
             help="fixed modulation variance"),
-    _Option("optimize_v", bool, default=False, commands=_SWEEPS, field="optimize_v",
+    _Option("optimize_v", bool, default=False, commands=_SWEEPS,
             help="maximise the rate over V at each point"),
-    _Option("N", many=True, default=(), commands=_FINITE, field="block_sizes",
+    _Option("N", many=True, default=(), commands=_FINITE,
             help="block size(s); optimize takes the first"),
     _Option("p_f", commands=_FINITE, help="frame success probability"),
     _Option("d_rx", int, commands=_FINITE, help="discretization bits"),
     *(_Option(key, commands=_FINITE) for key in _SECURITY if key.startswith("eps_")),
-    _Option("d", many=True, default=(), commands=_SHOTS, field="d_values",
+    _Option("d", many=True, default=(), commands=_SHOTS,
             help="displacement(s)"),
-    _Option("n", int, default=100_000, commands=_SHOTS, field="n_shots",
+    _Option("n", int, default=100_000, commands=_SHOTS,
             help="shots per point"),
-    _Option("seed", int, default=42, commands=_SHOTS, field="seed"),
+    _Option("seed", int, default=42, commands=_SHOTS),
     _Option("symbol", str, default="uniform-random", commands=_SIM,
-            field="symbol_schedule", choices=("uniform-random", "1", "2", "3", "4"),
+            choices=("uniform-random", "1", "2", "3", "4"),
             help="'uniform-random' or a fixed index"),
-    _Option("disclose", commands=_SIM, field="disclose_fraction",
+    _Option("disclose", commands=_SIM,
             help="run the estimation pipeline with this disclosed fraction"),
-    _Option("shots_output", str, default="", commands=_SIM, field="shots_output",
+    _Option("shots_output", str, default="", commands=_SIM,
             help="also dump per-shot scatter data to this CSV"),
 )
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run description (flags merged over config-file values).
-
-    ``_merge`` fills each field from the option naming it in ``_OPTIONS``.
-    ``security`` carries every security option; each ``block_sizes`` entry
-    replaces its block size in turn.
-    """
-
-    command: str
-    t_values: list[float]
-    w_values: list[float]
-    excess_noise: float
-    beta: float
-    sigma: float
-    strategy: RenormStrategy
-    modulation_variance: float
-    optimize_v: bool
-    mi_double: bool
-    block_sizes: list[float]
-    security: SecurityParams
-    d_values: list[float]
-    n_shots: int
-    seed: int
-    symbol_schedule: str | int
-    disclose_fraction: float | None
-    output: str
-    fmt: str
-    shots_output: str
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"output format must be csv or json, got {self.fmt!r}")
-        self.strategy = RenormStrategy(self.strategy)
 
 
 def _fmt(value) -> str:
@@ -182,12 +145,12 @@ def _json_cell(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _write_rows(rows: list[dict], columns: list[str], config: RunConfig) -> str:
-    path = config.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
-                                         f"{config.command}.{config.fmt}")
+def _write_rows(rows: list[dict], columns: list[str], config: dict) -> str:
+    path = config["output"] or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
+                                            f"{config['command']}.{config['fmt']}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
-        if config.fmt == "json":
+        if config["fmt"] == "json":
             json.dump([{k: _json_cell(row.get(k, "")) for k in columns} for row in rows],
                       fh, indent=2, default=_fmt, allow_nan=False)
             fh.write("\n")
@@ -198,36 +161,38 @@ def _write_rows(rows: list[dict], columns: list[str], config: RunConfig) -> str:
     return path
 
 
-def _grid(config: RunConfig, **extra) -> Iterator[dict]:
+def _grid(config: dict, **extra) -> Iterator[dict]:
     """The T x W points of a rate command."""
-    for t in config.t_values:
-        for w in config.w_values:
+    for t in config["T"]:
+        for w in config["W"]:
             yield {"T": t, "W": w, **extra}
 
 
-def _batches(config: RunConfig, d_default: list[float], **extra) -> Iterator[dict]:
-    """One seeded Monte Carlo batch per displacement."""
-    for i, d in enumerate(config.d_values or d_default):
-        yield {"d": d, "n": config.n_shots, "seed": config.seed + i,
-               "rng": RNG_ALGORITHM, **extra}
+def _batches(config: dict, d_default: list[float]) -> Iterator[dict]:
+    """One seeded Monte Carlo batch per displacement, at the run's one T."""
+    for i, d in enumerate(config["d"] or d_default):
+        yield {"T": config["T"][0], "d": d, "n": config["n"], "seed": config["seed"] + i,
+               "rng": RNG_ALGORITHM, "schedule": str(config["symbol"])}
 
 
-def _rate_inputs(config: RunConfig, points: list[dict]):
-    """Each point's channel, threshold and, where it has an N, SecurityParams."""
-    chans = [ChannelParams(p["T"], config.excess_noise, config.sigma) for p in points]
-    secs = [dataclasses.replace(config.security, block_size=p["N"]) for p in points
+def _rate_inputs(config: dict, points: list[dict]):
+    """Each point's channel, threshold and, where it has an N, SecurityParams,
+    and the settings that the points' kernel calls share."""
+    chans = [ChannelParams(p["T"], p["eps"], p["sigma"]) for p in points]
+    secs = [dataclasses.replace(config["security"], block_size=p["N"]) for p in points
             if p.get("N")]  # every point of a command has an N, or none has
-    return chans, [p["W"] for p in points], secs or None
+    shared = {"strategy": config["strategy"], "beta": points[0]["beta"],  # one per run
+              "mi_double": config["mi_double"]}
+    return chans, [p["W"] for p in points], secs or None, shared
 
 
-def _sweep_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
+def _sweep_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
     """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F."""
-    chans, thresholds, secs = _rate_inputs(config, points)
+    chans, thresholds, secs, shared = _rate_inputs(config, points)
     out = [{} for _ in points]
-    v = [config.modulation_variance] * len(points)
-    if config.optimize_v:
-        opts = optimise_rows(chans, thresholds, config.strategy, config.beta,
-                             mi_double=config.mi_double, secs=secs)
+    v = [p["V"] for p in points]
+    if config["optimize_v"]:
+        opts = optimise_rows(chans, thresholds, secs=secs, **shared)
         for i, opt in enumerate(opts):
             if isinstance(opt, SqccError):
                 out[i] = opt
@@ -239,8 +204,8 @@ def _sweep_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]
     if not live:
         return out
     cells, checks = rate_rows([chans[i] for i in live], [thresholds[i] for i in live],
-                              [v[i] for i in live], config.strategy, config.beta,
-                              config.mi_double, secs and [secs[i] for i in live])
+                              [v[i] for i in live], secs=secs and [secs[i] for i in live],
+                              **shared)
     cells = {name: values.tolist() for name, values in cells.items()}
     for j, i in enumerate(live):
         error = checks.error(j)
@@ -253,20 +218,18 @@ def _sweep_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]
     return out
 
 
-def _optimize_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
-    chans, thresholds, secs = _rate_inputs(config, points)
-    opts = optimise_rows(chans, thresholds, config.strategy, config.beta,
-                         mi_double=config.mi_double, secs=secs)
+def _optimize_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
+    chans, thresholds, secs, shared = _rate_inputs(config, points)
+    opts = optimise_rows(chans, thresholds, secs=secs, **shared)
     return [opt if isinstance(opt, SqccError) else
             {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
              "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
             for opt in opts]
 
 
-def _compare_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
-    chans, thresholds, _ = _rate_inputs(config, points)
-    new, old = (optimise_rows(chans, thresholds, config.strategy, config.beta,
-                              model=model, mi_double=config.mi_double)
+def _compare_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
+    chans, thresholds, _, shared = _rate_inputs(config, points)
+    new, old = (optimise_rows(chans, thresholds, model=model, **shared)
                 for model in ("sqcc", "baseline"))
     return [n if isinstance(n, SqccError) else o if isinstance(o, SqccError) else
             {"v_star_sqcc": n.v_star, "k_star_sqcc": n.k_star,
@@ -275,9 +238,9 @@ def _compare_rows(config: RunConfig, points: list[dict]) -> list[dict | SqccErro
             for n, o in zip(new, old)]
 
 
-def _each(row: Callable[[RunConfig, dict], dict]):
+def _each(row: Callable[[dict, dict], dict]):
     """The batch step that computes each point on its own with ``row``."""
-    def rows(config: RunConfig, points: list[dict]) -> list[dict | SqccError]:
+    def rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
         out = []
         for point in points:
             try:
@@ -304,15 +267,15 @@ def _dumped(chunks: Iterator[ShotChunk], path: str) -> Iterator[ShotChunk]:
             yield chunk
 
 
-def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | int,
-             disclose_fraction: float | None = None, shots_output: str = "") -> dict:
+def _sampled(config: dict, p: dict) -> dict:
     """Analytic and empirical moment cells of one seeded batch, streamed in one pass."""
-    proto = ProtocolParams(p["V"], p["d"], config.beta)
+    proto = ProtocolParams(p["V"], p["d"], p["beta"])
+    chan = ChannelParams(p["T"], p["eps"], p["sigma"])
     stats = postprocess_stats(proto, chan)
-    chunks = shot_chunks(proto, chan, schedule, config.n_shots, p["seed"])
-    if shots_output:
-        chunks = _dumped(chunks, shots_output)
-    m, est = estimate(chunks, config.n_shots, disclose_fraction)
+    chunks = shot_chunks(proto, chan, config["symbol"], p["n"], p["seed"])
+    if config["shots_output"]:
+        chunks = _dumped(chunks, config["shots_output"])
+    m, est = estimate(chunks, p["n"], config["disclose"])
     cells = {
         "snr": stats.snr, "e_C": stats.e_c,
         "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
@@ -326,20 +289,10 @@ def _sampled(config: RunConfig, p: dict, chan: ChannelParams, schedule: str | in
     return cells
 
 
-def _simulate_row(config: RunConfig, p: dict) -> dict:
-    return _sampled(config, p, ChannelParams(p["T"], config.excess_noise, config.sigma),
-                    config.symbol_schedule, config.disclose_fraction, config.shots_output)
-
-
-def _fig2_row(config: RunConfig, p: dict) -> dict:
-    """Analytic vs simulated postprocessed moments at one reference displacement.
-
-    Fixed first-symbol schedule: the analytic moments describe a single
-    classical sub-ensemble, and by symmetry every sub-ensemble matches.
-    """
-    row = _sampled(config, p, ChannelParams(p["T"], p["eps"]), 1)
-    binom_se = math.sqrt(max(row["e_C"] * (1.0 - row["e_C"]), 1e-12)
-                         / (2 * config.n_shots))
+def _fig2_row(config: dict, p: dict) -> dict:
+    """Analytic vs simulated postprocessed moments at one reference displacement."""
+    row = _sampled(config, p)
+    binom_se = math.sqrt(max(row["e_C"] * (1.0 - row["e_C"]), 1e-12) / (2 * p["n"]))
     checks = {f"{q}_pass": abs(row[f"{q}_hat"] - row[f"{q}_d"]) <= 5.0 * row[f"{q}_se"]
               for q in "abc"}
     checks["e_C_pass"] = abs(row["e_C_hat"] - row["e_C"]) <= 5.0 * binom_se
@@ -350,16 +303,19 @@ def _fig2_row(config: RunConfig, p: dict) -> dict:
 class _Command:
     help: str
     columns: list[str]
-    points: Callable[[RunConfig], Iterator[dict]]  # the input cells of each row
+    points: Callable[[dict], Iterator[dict]]  # the input cells of each row
     # the computed cells of each point, or the error that flags it
-    rows: Callable[[RunConfig, list[dict]], list[dict | SqccError]]
+    rows: Callable[[dict, list[dict]], list[dict | SqccError]]
 
 
 _INPUT_COLUMNS = "T W V d eps beta sigma strategy "
 _DIAG_COLUMNS = " snr e_C delta a_d b_d c_d delta_v I_AB chi_EB K feasible error"
 _MOMENT_COLUMNS = " snr e_C a_d b_d c_d a_hat a_se b_hat b_se c_hat c_se e_C_hat e_C_se"
-# the reference operating point of the moment-validation sweep
-_FIG2 = {"V": 5.0, "T": 0.1, "eps": 0.05}
+# the reference operating point of the moment-validation sweep, which no config-file
+# value changes.  One fixed symbol: the analytic moments describe a single classical
+# sub-ensemble, and by symmetry every sub-ensemble matches.
+_FIG2 = {"V": 5.0, "T": [0.1], "eps": 0.05, "sigma": 0.0, "symbol": 1, "disclose": None,
+         "shots_output": ""}
 
 _COMMANDS = {
     "sweep-asymptotic": _Command(
@@ -370,26 +326,25 @@ _COMMANDS = {
         "finite-block rates over a grid",
         (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
          + " K_PE K_F ell epsilon_total").split(),
-        lambda c: (p for n in c.block_sizes for p in _grid(c, N=n)),
+        lambda c: (p for n in c["N"] for p in _grid(c, N=n)),
         _sweep_rows),
     "optimize": _Command(
         "maximise the rate over V at one point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
          " bracket_low bracket_high error").split(),
-        lambda c: _grid(c, model="sqcc", N=c.block_sizes[0] if c.block_sizes else ""),
+        lambda c: _grid(c, model="sqcc", N=c["N"][0] if c["N"] else ""),
         _optimize_rows),
     "simulate": _Command(
         "Monte Carlo moments at given displacement(s)",
         (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"
          " mean_bx_se mean_by_hat mean_by_se snr_hat delta_v_hat error").split(),
-        lambda c: _batches(c, [c.modulation_variance], T=c.t_values[0],
-                           schedule=str(c.symbol_schedule)),
-        _each(_simulate_row)),
+        lambda c: _batches(c, [c["V"]]),
+        _each(_sampled)),
     "validate-fig2": _Command(
         "analytic vs empirical moments on the reference sweep",
         ("d n seed rng V T eps" + _MOMENT_COLUMNS
          + " a_pass b_pass c_pass e_C_pass pass error").split(),
-        lambda c: _batches(c, [float(x) for x in range(0, 21, 2)], **_FIG2),
+        lambda c: _batches(c, [float(x) for x in range(0, 21, 2)]),
         _each(_fig2_row)),
     "compare-baseline": _Command(
         "optimised rate vs the prior coupling model",
@@ -399,18 +354,17 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def _run(config: dict) -> int:
     """Execute one command; writes the artifact file and returns the exit code.
 
     Every row echoes the inputs.  A point whose computation fails with a
     package error becomes a flagged row: the inputs, ``feasible`` false and
     the message in ``error``.  An error of the whole batch flags every row.
     """
-    command = _COMMANDS[config.command]
-    inputs = {"V": config.modulation_variance, "eps": config.excess_noise,
-              "beta": config.beta, "sigma": config.sigma,
-              "strategy": config.strategy.value}
-    points = [{**inputs, **point} for point in command.points(config)]
+    command = _COMMANDS[config["command"]]
+    inputs = {key: config[key] for key in ("V", "eps", "beta", "sigma")}
+    points = [{**inputs, "strategy": config["strategy"].value, **point}
+              for point in command.points(config)]
     try:
         results = command.rows(config, points)
     except SqccError as exc:
@@ -471,11 +425,13 @@ def _file_value(opt: _Option, value):
     return items if opt.many else items[0]
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
+def _merge(args: argparse.Namespace) -> dict:
     """CLI flags override config-file values, which override the table's defaults.
 
     A null value or an empty list counts as not given.  Every value is
     checked here, so bad input exits as a usage error before any row runs.
+    Returns the option values keyed by dest, plus ``command`` and
+    ``security``, with ``strategy`` as a RenormStrategy.
     """
     flags = {k: v for k, v in vars(args).items() if v is not None}
     file_values = {}
@@ -525,11 +481,15 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     disclose = values["disclose"]
     if disclose is not None and not 0.0 < disclose < 1.0:
         raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
+    if flags["command"] in _SIM and len(values["T"]) > 1:
+        raise DomainError(f"simulate runs at one T, got {len(values['T'])} transmissivities")
     if flags["command"] in _SIM and values["shots_output"] and len(values["d"]) > 1:
         raise DomainError(f"--shots-output holds the shots of one displacement, "
                           f"got {len(values['d'])} displacements")
-    return RunConfig(command=flags["command"], security=security,
-                     **{opt.field: values[opt.dest] for opt in _OPTIONS if opt.field})
+    if flags["command"] == "validate-fig2":
+        values.update(_FIG2)
+    return {**values, "command": flags["command"], "security": security,
+            "strategy": RenormStrategy(values["strategy"])}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -540,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except SqccError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        return run(config)
+        return _run(config)
     except (SqccError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

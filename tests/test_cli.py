@@ -56,6 +56,23 @@ class TestValidateCommand:
         assert all(r["pass"] == "true" for r in rows)
         assert all(r["rng"] == "numpy-philox4x64-v1" for r in rows)
 
+    def test_config_file_keeps_the_reference_point(self, tmp_path, monkeypatch):
+        """Other commands' keys in a config file change nothing: the sweep stays at
+        its reference point and writes no shots file."""
+        monkeypatch.chdir(tmp_path)  # where a relative shots file would go
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"V": 3.0, "T": [0.5], "eps": 0.01, "sigma": 0.2,
+                                   "beta": 0.9, "symbol": "2", "disclose": 0.1,
+                                   "shots_output": "shots.csv"}))
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        # 500 shots: a disclosed fraction of 0.1 would flag each row (50 < 100 shots)
+        argv = ["validate-fig2", "--n", "500", "--d", "0", "12"]
+        assert cli.main([*argv, "--output", str(plain)]) == 0
+        assert cli.main([*argv, "--config", str(cfg), "--output", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "configured.csv", "plain.csv"]
+
 
 class TestSweepCommands:
     def test_decoupled_sweep_matches_heterodyne(self, tmp_path):
@@ -263,6 +280,22 @@ class TestHardenedInputs:
         assert "--shots-output holds the shots of one displacement, got 2" in (
             capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--T", "0.1", "0.2"],
+        ["--db", "3", "10"],
+        ["--T-grid", "log:0.1:0.9:2"],
+        ["--config", "{dir}/cfg.json"],
+    ], ids=["T", "db", "T-grid", "config"])
+    def test_simulate_takes_one_t(self, tmp_path, capsys, argv):
+        """A simulate run is one batch per displacement at a single T."""
+        (tmp_path / "cfg.json").write_text(json.dumps({"T": [0.1, 0.2]}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", *[arg.format(dir=tmp_path) for arg in argv],
+                      "--n", "300", "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "simulate runs at one T, got 2 transmissivities" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("argv, values", [
         (["sweep-finite", "--N", "2", "--p-f", "0.1"], "0.1 * 2.0"),
