@@ -11,8 +11,6 @@ from .channel import (
     ChannelParams,
     ProtocolParams,
     attenuation_db_to_transmissivity,
-    qi_baseline_state,
-    shared_state,
 )
 from .errors import (
     ConvergenceError,
@@ -27,13 +25,7 @@ from .finitekey import (
     delta_terms,
     worst_case_estimators,
 )
-from .gaussian import (
-    MeasurementDistribution,
-    SymplecticSpectrum,
-    TwoModeGaussian,
-    g_function,
-    measurement_distribution,
-)
+from .gaussian import SymplecticSpectrum, g_function
 from .keyrate import Optimum, optimise_v, rate_at
 from .montecarlo import (
     EmpiricalMoments,
@@ -44,12 +36,8 @@ from .montecarlo import (
     shot_chunks,
 )
 from .postprocess import (
-    PostprocessStats,
-    RenormResult,
     RenormStrategy,
     error_rate_from_snr,
-    postprocess_stats,
-    renormalise,
     required_displacement,
     shrinkage_from_snr,
     variance_shift_factor,

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Checks, DomainError
-from .gaussian import TwoModeGaussian
+from .gaussian import _check_finite
 from .special import _isfinite, _isinf, _square
 
 __all__ = [
     "ChannelParams",
     "ProtocolParams",
     "qpsk_symbol",
-    "shared_state",
-    "qi_baseline_state",
     "attenuation_db_to_transmissivity",
 ]
 
@@ -47,15 +45,6 @@ class ChannelParams:
             raise DomainError(
                 f"phase_noise_factor must be >= 0, got {self.phase_noise_factor}"
             )
-
-    @np.errstate(all="ignore")
-    def total_excess_noise(self, displacement: float) -> float:
-        """Channel excess noise plus the power-proportional phase-noise term."""
-        checks = Checks()
-        eps_tot = _total_excess_noise(checks, self.excess_noise, self.phase_noise_factor,
-                                      self.transmissivity, displacement)
-        checks.raise_first()
-        return float(eps_tot)
 
 
 @dataclass(frozen=True)
@@ -83,22 +72,26 @@ def _check_protocol(checks: Checks, v, d, beta) -> None:
                "reconciliation_efficiency must be in (0, 1], got {}", beta)
 
 
-def _total_excess_noise(checks: Checks, eps, sigma, t, d):
-    """``ChannelParams.total_excess_noise`` over arrays."""
+def _shared_state(checks: Checks, v, d, t, eps, sigma):
+    """(eps_tot, b, c) of the state the parties share after the channel, over arrays.
+
+    eps_tot is the excess noise plus the power-proportional phase-noise
+    term sigma*T*d^2.  The covariance is a = V, b = T*(V + eps_tot - 1) + 1,
+    c = sqrt(T*(V^2 - 1)); the receiver mode of symbol k is displaced by
+    sqrt(T) times its alphabet point, which only the Monte Carlo draws.
+    """
     power = _square(d)
     checks.add(_isinf(power) & _isfinite(d), DomainError,
                "displacement {} is too large", d)
-    return eps + sigma * t * power
+    eps_tot = eps + sigma * t * power
+    b, c = _covariance(v, t, eps_tot)
+    _check_finite(checks, v, b, c)
+    return eps_tot, b, c
 
 
 def _covariance(v, t, eps_tot):
-    """(b, c) of the shared state over arrays; a = V."""
+    """(b, c) of the state through a channel of noise eps_tot over arrays; a = V."""
     return t * (v + eps_tot - 1.0) + 1.0, np.sqrt(t * (v * v - 1.0))
-
-
-def _baseline_noise(eps_tot, d, e_c):
-    """The prior model's excess noise: bit errors as 4 d^2 e_c on top of eps_tot."""
-    return eps_tot + 4.0 * d * d * e_c
 
 
 def qpsk_symbol(displacement: float, symbol_index: int) -> complex:
@@ -107,46 +100,6 @@ def qpsk_symbol(displacement: float, symbol_index: int) -> complex:
         raise DomainError(f"symbol_index must be in 1..4, got {symbol_index}")
     phase = math.pi * (2 * symbol_index - 1) / 4.0
     return displacement * complex(math.cos(phase), math.sin(phase))
-
-
-def shared_state(proto: ProtocolParams, chan: ChannelParams,
-                 symbol_index: int = 1) -> TwoModeGaussian:
-    """State shared by the two parties after the channel, for one classical symbol.
-
-    Covariance: a = V, b = T*(V + eps_tot - 1) + 1, c = sqrt(T*(V^2 - 1)).
-    Mean: receiver mode displaced by sqrt(T) times the alphabet point,
-    i.e. (+-sqrt(T)*d/sqrt(2)) per quadrature.
-    """
-    v = proto.modulation_variance
-    t = chan.transmissivity
-    d = proto.displacement
-    eps_tot = chan.total_excess_noise(d)
-    sym = qpsk_symbol(d, symbol_index)
-    sqrt_t = math.sqrt(t)
-    b, c = _covariance(v, t, eps_tot)
-    return TwoModeGaussian(
-        mean=np.array([0.0, 0.0, sqrt_t * sym.real, sqrt_t * sym.imag]),
-        a=v,
-        b=float(b),
-        c=float(c),
-    )
-
-
-def qi_baseline_state(proto: ProtocolParams, chan: ChannelParams,
-                      e_c: float) -> TwoModeGaussian:
-    """Prior-literature coupling model: bit errors as Gaussian excess noise.
-
-    The classical-quantum coupling is folded into the channel as an extra
-    input-referred noise 4*d^2*e_c on top of the physical excess noise; the
-    state is treated as zero-mean and no renormalisation is applied.
-    """
-    if not (0.0 <= e_c <= 0.5):
-        raise DomainError(f"e_c must be in [0, 0.5], got {e_c}")
-    v = proto.modulation_variance
-    eps_prime = _baseline_noise(chan.total_excess_noise(proto.displacement),
-                                proto.displacement, e_c)
-    b, c = _covariance(v, chan.transmissivity, eps_prime)
-    return TwoModeGaussian(mean=np.zeros(4), a=v, b=float(b), c=float(c))
 
 
 def attenuation_db_to_transmissivity(db: float) -> float:

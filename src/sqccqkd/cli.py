@@ -28,12 +28,17 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissivity
-from .errors import DomainError, SqccError
+from .channel import (
+    ChannelParams,
+    ProtocolParams,
+    _shared_state,
+    attenuation_db_to_transmissivity,
+)
+from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
 from .keyrate import optimise_rows, rate_rows
 from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
-from .postprocess import RenormStrategy, postprocess_stats
+from .postprocess import RenormStrategy, _moments, _snr
 
 __all__ = ["main"]
 
@@ -112,7 +117,7 @@ _OPTIONS = (
     _Option("optimize_v", bool, default=False, commands=_SWEEPS,
             help="maximise the rate over V at each point"),
     _Option("N", many=True, default=(), commands=_FINITE,
-            help="block size(s); optimize takes the first"),
+            help="block size(s)"),
     _Option("p_f", commands=_FINITE, help="frame success probability"),
     _Option("d_rx", int, commands=_FINITE, help="discretization bits"),
     *(_Option(key, commands=_FINITE) for key in _SECURITY if key.startswith("eps_")),
@@ -166,6 +171,12 @@ def _grid(config: dict, **extra) -> Iterator[dict]:
     for t in config["T"]:
         for w in config["W"]:
             yield {"T": t, "W": w, **extra}
+
+
+def _blocks(config: dict, **extra) -> Iterator[dict]:
+    """The N x T x W points of a command that takes --N; N is blank if none is given."""
+    for n in config["N"] or [""]:
+        yield from _grid(config, N=n, **extra)
 
 
 def _batches(config: dict, d_default: list[float]) -> Iterator[dict]:
@@ -271,14 +282,19 @@ def _sampled(config: dict, p: dict) -> dict:
     """Analytic and empirical moment cells of one seeded batch, streamed in one pass."""
     proto = ProtocolParams(p["V"], p["d"], p["beta"])
     chan = ChannelParams(p["T"], p["eps"], p["sigma"])
-    stats = postprocess_stats(proto, chan)
+    checks = Checks()
+    with np.errstate(all="ignore"):
+        _, b, c = _shared_state(checks, p["V"], p["d"], p["T"], p["eps"], p["sigma"])
+        td2, snr = _snr(p["T"], p["d"], b)
+        e_c, _, b_d, c_d = _moments(checks, td2, snr, b, c)
+    checks.raise_first()
     chunks = shot_chunks(proto, chan, config["symbol"], p["n"], p["seed"])
     if config["shots_output"]:
         chunks = _dumped(chunks, config["shots_output"])
     m, est = estimate(chunks, p["n"], config["disclose"])
     cells = {
-        "snr": stats.snr, "e_C": stats.e_c,
-        "a_d": stats.a_d, "b_d": stats.b_d, "c_d": stats.c_d,
+        "snr": float(snr), "e_C": float(e_c),
+        "a_d": p["V"], "b_d": float(b_d), "c_d": float(c_d),
         "a_hat": m.a_hat, "a_se": m.a_se, "b_hat": m.b_hat, "b_se": m.b_se,
         "c_hat": m.c_hat, "c_se": m.c_se, "e_C_hat": m.e_c_hat, "e_C_se": m.e_c_se,
         "mean_bx_hat": float(m.mean_hat[2]), "mean_bx_se": float(m.mean_se[2]),
@@ -326,14 +342,12 @@ _COMMANDS = {
         "finite-block rates over a grid",
         (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
          + " K_PE K_F ell epsilon_total").split(),
-        lambda c: (p for n in c["N"] for p in _grid(c, N=n)),
-        _sweep_rows),
+        _blocks, _sweep_rows),
     "optimize": _Command(
-        "maximise the rate over V at one point",
+        "maximise the rate over V at each point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
          " bracket_low bracket_high error").split(),
-        lambda c: _grid(c, model="sqcc", N=c["N"][0] if c["N"] else ""),
-        _optimize_rows),
+        lambda c: _blocks(c, model="sqcc"), _optimize_rows),
     "simulate": _Command(
         "Monte Carlo moments at given displacement(s)",
         (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"
@@ -428,8 +442,9 @@ def _file_value(opt: _Option, value):
 def _merge(args: argparse.Namespace) -> dict:
     """CLI flags override config-file values, which override the table's defaults.
 
-    A null value or an empty list counts as not given.  Every value is
-    checked here, so bad input exits as a usage error before any row runs.
+    A null value or an empty list counts as not given, and a file value of
+    another command's option is type-checked, then ignored.  Every value
+    read is checked here, so bad input exits as a usage error before any row runs.
     Returns the option values keyed by dest, plus ``command`` and
     ``security``, with ``strategy`` as a RenormStrategy.
     """
@@ -446,8 +461,12 @@ def _merge(args: argparse.Namespace) -> dict:
         unknown = [key for key in file_values if key not in {o.dest for o in _OPTIONS}]
         if unknown:
             raise DomainError(f"config key {unknown[0]!r} names no option")
-    given = {opt.dest: _file_value(opt, file_values[opt.dest]) for opt in _OPTIONS
-             if file_values.get(opt.dest) not in (None, [])}
+    given = {}
+    for opt in _OPTIONS:
+        if file_values.get(opt.dest) not in (None, []):
+            value = _file_value(opt, file_values[opt.dest])
+            if flags["command"] in opt.commands:
+                given[opt.dest] = value
     given.update(flags)
 
     if sum(k in given for k in _T_ALTERNATIVES) > 1:

@@ -1,10 +1,11 @@
-"""Two-mode Gaussian states: symplectic spectra, entropy kernel, heterodyne statistics.
+"""Two-mode Gaussian states in (a, b, c) form: symplectic spectra, physicality, entropy.
 
 Conventions: shot-noise units (vacuum quadrature variance 1), quadrature
-ordering (q_A, p_A, q_B, p_B).  All heterodyne outcome statistics live in
-"double-quadrature" coordinates, chosen so that the outcome mean equals the
-state quadrature mean and the outcome covariance equals the state covariance
-plus one unit of shot noise per quadrature.
+ordering (q_A, p_A, q_B, p_B).  ``a`` and ``b`` are the per-quadrature
+variances of the two modes and ``c`` the cross correlation, entering the
+covariance matrix with a sigma_z sign fold (+c on q, -c on p).
+Sub-shot-noise triples are representable on purpose: physicality is a
+verdict (``_physicality``), not a construction constraint.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from .errors import Checks, DomainError, PhysicalityError
 from .special import _isfinite, _log1p, _log2, _where
 
 __all__ = [
-    "TwoModeGaussian",
     "SymplecticSpectrum",
-    "MeasurementDistribution",
     "g_function",
-    "measurement_distribution",
 ]
 
 # clamping windows for floating-point noise at physical boundaries
@@ -35,45 +33,6 @@ _REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # what a verdict fa
 
 
 @dataclass(frozen=True)
-class TwoModeGaussian:
-    """Bipartite Gaussian state in (a, b, c) covariance form.
-
-    ``mean`` is the 4-vector of quadrature means; ``a`` and ``b`` are the
-    per-quadrature variances of the two modes and ``c`` the cross
-    correlation, entering the covariance matrix with a sigma_z sign fold
-    (+c on q, -c on p).  Sub-shot-noise values are representable on
-    purpose: physicality is a predicate (``_physicality``), not a
-    construction constraint.
-    """
-
-    mean: np.ndarray
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (4,):
-            raise DomainError(f"mean must be a 4-vector, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise DomainError("mean must be finite")
-        checks = Checks()
-        _check_finite(checks, self.a, self.b, self.c)
-        checks.raise_first()
-        object.__setattr__(self, "mean", mean)
-
-    def covariance(self) -> np.ndarray:
-        """Full 4x4 covariance matrix."""
-        a, b, c = self.a, self.b, self.c
-        return np.array([
-            [a, 0.0, c, 0.0],
-            [0.0, a, 0.0, -c],
-            [c, 0.0, b, 0.0],
-            [0.0, -c, 0.0, b],
-        ])
-
-
-@dataclass(frozen=True)
 class SymplecticSpectrum:
     """Symplectic eigenvalues and the two invariants they derive from."""
 
@@ -81,25 +40,6 @@ class SymplecticSpectrum:
     lambda2: float
     d1: float
     d2: float
-
-
-@dataclass(frozen=True)
-class MeasurementDistribution:
-    """Gaussian outcome distribution of dual-quadrature (heterodyne) detection."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (4, 4) or not np.allclose(cov, cov.T):
-            raise DomainError("covariance must be a symmetric 4x4 matrix")
-        if np.any(np.diag(cov) < 1.0 - _PHYSICALITY_SLACK):
-            raise DomainError("outcome variances cannot be below one shot-noise unit")
-        if np.linalg.eigvalsh(cov)[0] <= 0.0:
-            raise DomainError("outcome covariance must be positive-definite")
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
 
 def _check_finite(checks: Checks, a, b, c) -> None:
@@ -181,15 +121,3 @@ def g_function(x: float) -> float:
     value = _entropy(checks, np.float64(x))
     checks.raise_first()
     return float(value)
-
-
-def measurement_distribution(state: TwoModeGaussian) -> MeasurementDistribution:
-    """Joint dual-quadrature outcome distribution of the state.
-
-    In double-quadrature coordinates the outcome mean equals the state mean
-    and the covariance gains one unit of shot noise per quadrature.
-    """
-    return MeasurementDistribution(
-        mean=state.mean.copy(),
-        covariance=state.covariance() + np.eye(4),
-    )

@@ -22,10 +22,9 @@ import numpy as np
 from .channel import (
     ChannelParams,
     ProtocolParams,
-    _baseline_noise,
     _check_protocol,
     _covariance,
-    _total_excess_noise,
+    _shared_state,
 )
 from .errors import Checks, DomainError, NumericError, PhysicalityError, SqccError
 from .finitekey import SecurityParams, _check_correlation, _worst_case
@@ -184,15 +183,17 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     """The closed-form chain at broadcast arrays of (V, d, T, eps, sigma).
 
     ``model`` "sqcc" postprocesses and renormalises with ``strategy``;
-    "baseline" is the prior model (``qi_baseline_state``), whose e_c comes
-    straight from the shared state's SNR.  Returns the cells named as the
-    CSV columns (``V``, ``d``, ``snr``, ``e_C``, the moments and ``delta_v``
-    for "sqcc", ``feasible``; with ``asymptotic`` also ``I_AB``,
-    ``chi_EB`` and ``K``; with ``finite`` also ``K_PE``, ``K_F`` and
-    ``ell``) and the checks, whose ``error(index)`` is the exception the
-    scalar chain raises first at that element.  ``checks`` may carry
-    errors found before the chain.  Cells of a failed element are
-    meaningless; at the broadcast shape () the cells are numpy scalars.
+    "baseline" is the prior model, which folds the bit errors into the
+    channel as Gaussian excess noise 4 d^2 e_c on a zero-mean state, takes
+    e_c straight from the shared state's SNR, and does not renormalise.
+    Returns the cells named as the CSV columns (``V``, ``d``, ``snr``,
+    ``e_C``, the moments and ``delta_v`` for "sqcc", ``feasible``; with
+    ``asymptotic`` also ``I_AB``, ``chi_EB`` and ``K``; with ``finite``
+    also ``K_PE``, ``K_F`` and ``ell``) and the checks, whose
+    ``error(index)`` is the exception the chain raises first on that
+    element alone.  ``checks`` may carry errors found before the chain.
+    Cells of a failed element are meaningless; at the broadcast shape ()
+    the cells are numpy scalars.
     """
     _check_model(model)
     inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
@@ -207,9 +208,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     else:
         v, d, t, eps, sigma = np.broadcast_arrays(*inputs)
     _check_protocol(checks, v, d, beta)
-    eps_tot = _total_excess_noise(checks, eps, sigma, t, d)
-    b, c = _covariance(v, t, eps_tot)
-    _check_finite(checks, v, b, c)  # the shared state
+    eps_tot, b, c = _shared_state(checks, v, d, t, eps, sigma)
     td2, snr = _snr(t, d, b)
     if model == "sqcc":
         e_c, delta, b_d, c_d = _moments(checks, td2, snr, b, c)
@@ -218,9 +217,10 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         cells = {"snr": snr, "e_C": e_c, "delta": delta, "a_d": v, "b_d": b_d,
                  "c_d": c_d, "delta_v": delta_v}
     else:
-        # snr is finite and >= 0 on a valid shared state, so e_c is in [0, 0.5]
+        # snr is finite and >= 0 on a valid shared state, so e_c is in [0, 0.5];
+        # the bit errors become excess noise
         e_c = _error_rate(snr)
-        b, c = _covariance(v, t, _baseline_noise(eps_tot, d, e_c))
+        b, c = _covariance(v, t, eps_tot + 4.0 * d * d * e_c)
         _check_finite(checks, v, b, c)
         verdict = _physicality(v, b, c)
         _check_overflow(checks, verdict.overflow, v, b, c)

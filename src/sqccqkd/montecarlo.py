@@ -15,9 +15,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, qpsk_symbol, shared_state
-from .errors import DomainError, NumericError
-from .gaussian import measurement_distribution
+from .channel import ChannelParams, ProtocolParams, _shared_state, qpsk_symbol
+from .errors import Checks, DomainError, NumericError
 from .postprocess import variance_shift_factor
 from .special import beta_quantile, erfc_inv
 
@@ -100,6 +99,20 @@ def _centroids(proto: ProtocolParams, chan: ChannelParams) -> np.ndarray:
     return np.array([[sqrt_t * p.real, sqrt_t * p.imag] for p in points])
 
 
+def _outcome_covariance(a, b, c) -> np.ndarray:
+    """Covariance of the dual-quadrature (heterodyne) outcomes of the state (a, b, c).
+
+    In double-quadrature coordinates the outcome mean is the state's
+    quadrature mean, and the covariance is the state's plus one unit of
+    shot noise per quadrature.
+    """
+    cov = np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c],
+                    [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]]) + np.eye(4)
+    if np.linalg.eigvalsh(cov)[0] <= 0.0:
+        raise DomainError("outcome covariance must be positive-definite")
+    return cov
+
+
 def _classify(points: np.ndarray) -> np.ndarray:
     """Quadrant decision with boundary ties resolved in case order 1, 2, 3, 4."""
     x, y = points[:, 0], points[:, 1]
@@ -107,23 +120,27 @@ def _classify(points: np.ndarray) -> np.ndarray:
     return np.select(cases, [1, 2, 3], default=4).astype(np.int64)
 
 
+@np.errstate(all="ignore")
 def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
                 symbol_schedule: str | int, n: int, seed: int) -> Iterator[ShotChunk]:
     """The n joint outcomes of one seeded batch, in chunks of at most ``_CHUNK``.
 
     ``symbol_schedule`` is either ``"uniform-random"`` or a fixed symbol
-    index 1..4.  Outcomes are the 4-dimensional Gaussian with the state
-    mean and state covariance plus identity, generated through the
+    index 1..4.  Outcomes are the 4-dimensional Gaussian with the shared
+    state's mean and its ``_outcome_covariance``, generated through the
     lower-triangular factor of the covariance, from the stream of one
     generator drawing all n symbols and then an (n, 4) normal array.
     Arguments are checked here, before the first chunk is drawn.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    state = shared_state(proto, chan, symbol_index=1)
-    outcome_cov = measurement_distribution(state).covariance
+    v = proto.modulation_variance
+    checks = Checks()
+    _, b, c = _shared_state(checks, v, proto.displacement, chan.transmissivity,
+                            chan.excess_noise, chan.phase_noise_factor)
+    checks.raise_first()
     try:
-        lower = np.linalg.cholesky(outcome_cov)
+        lower = np.linalg.cholesky(_outcome_covariance(v, b, c))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"outcome covariance not positive-definite: {exc}") from exc
     if symbol_schedule != "uniform-random" and not (

@@ -4,33 +4,28 @@ The receiver classifies each heterodyne outcome by phase-space quadrant,
 subtracts the centroid of the decided symbol, and rescales the result so
 the surviving Gaussian-order statistics match a physically legitimate
 effective channel.  This module carries the closed-form moments of that
-pipeline and both renormalisation strategies, written once over arrays
-(the ``_moments`` and ``_rescale`` stages of ``keyrate.rate_cells``); the
-public functions evaluate them at one point.
+pipeline and both renormalisation strategies over arrays (the ``_moments``
+and ``_rescale`` stages of ``keyrate.rate_cells``), and the displacement
+that meets a classical bit-error-rate target.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, shared_state
+from .channel import ChannelParams
 from .errors import Checks, DomainError, NumericError
-from .gaussian import TwoModeGaussian, _check_finite, _check_overflow, _physicality
+from .gaussian import _check_finite, _check_overflow, _physicality
 from .special import _erfc, _exp, _isinf, _square, _where, erfc_inv
 
 __all__ = [
     "RenormStrategy",
-    "PostprocessStats",
-    "RenormResult",
     "error_rate_from_snr",
     "shrinkage_from_snr",
     "variance_shift_factor",
-    "postprocess_stats",
-    "renormalise",
     "required_displacement",
 ]
 
@@ -42,50 +37,6 @@ class RenormStrategy(enum.Enum):
 
     B_PRESERVING = "b-preserving"
     C_PRESERVING = "c-preserving"
-
-
-@dataclass(frozen=True)
-class PostprocessStats:
-    """Gaussian-order statistics after discrimination and re-displacement.
-
-    ``base`` is the shared state (first alphabet symbol) they derive from.
-    """
-
-    snr: float
-    e_c: float
-    delta: float
-    a_d: float
-    b_d: float
-    c_d: float
-    mean_d: np.ndarray
-    base: TwoModeGaussian
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_d", np.asarray(self.mean_d, dtype=float))
-
-
-@dataclass(frozen=True)
-class RenormResult:
-    """Postprocessed moments, their rescaled state and its effective channel.
-
-    ``effective_transmissivity``/``effective_excess_noise`` describe the
-    single bosonic channel reproducing the rescaled covariance: (T, eps +
-    eps_eff) for the correlation-preserving choice, (T*T_v, eps + eps_v/T)
-    for the variance-preserving one.  ``passed`` says the rescaling
-    emulates a physical operation: its ``margin`` (slack where > 0) holds
-    and the rescaled state passes the uncertainty-principle test.
-    """
-
-    stats: PostprocessStats
-    strategy: RenormStrategy
-    delta_v: float
-    state_prime: TwoModeGaussian
-    effective_transmissivity: float
-    effective_excess_noise: float
-    virtual_transmissivity: float
-    virtual_excess_noise: float
-    passed: bool
-    margin: float
 
 
 def _check_snr(checks: Checks, snr) -> None:
@@ -151,10 +102,13 @@ def _moments(checks: Checks, td2, snr, b, c):
 
 
 def _rescale(checks: Checks, strategy: RenormStrategy, a, b, c, b_d, c_d, delta):
-    """``renormalise`` over arrays: (delta_v, b', c', margin, passed, verdict).
+    """The moments rescaled by 1/sqrt(Delta_V), over arrays.
 
-    ``verdict`` is the physicality verdict of the rescaled state, taken
-    for every element; its overflow is recorded only where the margin holds.
+    Returns (delta_v, b', c', margin, passed, verdict).  B_PRESERVING
+    restores the receiver variance (Delta_V = (b_d+1)/(b+1)), C_PRESERVING
+    the cross correlation (Delta_V = (1-delta)^2).  ``verdict`` is the
+    physicality verdict of the rescaled state, taken for every element; its
+    overflow is recorded only where the margin holds.
     """
     if strategy is RenormStrategy.B_PRESERVING:
         delta_v = (b_d + 1.0) / (b + 1.0)
@@ -195,83 +149,6 @@ def _judge(checks: Checks, margin, a, b_prime, c_prime):
     verdict = _physicality(a, b_prime, c_prime)
     _check_overflow(checks, verdict.overflow & margin_ok, a, b_prime, c_prime)
     return margin_ok & verdict.physical, verdict
-
-
-@np.errstate(all="ignore")
-def postprocess_stats(proto: ProtocolParams, chan: ChannelParams) -> PostprocessStats:
-    """Closed-form moments of the discriminated and re-displaced outcomes.
-
-    Derived for the sub-ensemble of the first alphabet symbol; by symmetry
-    the covariance applies to every symbol, with the residual mean pattern
-    reflected into the matching quadrant.
-    """
-    state = shared_state(proto, chan, symbol_index=1)
-    t = chan.transmissivity
-    d = proto.displacement
-    checks = Checks()
-    td2, snr = _snr(np.float64(t), d, state.b)
-    e_c, delta, b_d, c_d = (float(x)
-                            for x in _moments(checks, td2, snr, state.b, state.c))
-    checks.raise_first()
-    residual = 2.0 * math.sqrt(t) * d * e_c / math.sqrt(2.0)
-    return PostprocessStats(
-        snr=float(snr),
-        e_c=e_c,
-        delta=delta,
-        a_d=state.a,
-        b_d=b_d,
-        c_d=c_d,
-        mean_d=np.array([0.0, 0.0, residual, residual]),
-        base=state,
-    )
-
-
-@np.errstate(all="ignore")
-def renormalise(proto: ProtocolParams, chan: ChannelParams,
-                strategy: RenormStrategy = RenormStrategy.B_PRESERVING) -> RenormResult:
-    """Postprocessed moments at one operating point, rescaled by 1/sqrt(Delta_V).
-
-    B_PRESERVING restores the receiver variance (Delta_V = (b_d+1)/(b+1));
-    C_PRESERVING restores the cross correlation (Delta_V = (1-delta)^2).
-    The attached effective channel, built on the physical (T, eps_tot) of
-    ``chan``, reproduces the rescaled (b', c') exactly when re-composed,
-    which is the property the physicality check rests on.
-    """
-    stats = postprocess_stats(proto, chan)
-    base = stats.base
-    checks = Checks()
-    delta_v, b_prime, c_prime, margin, passed = (np.asarray(x).item() for x in _rescale(
-        checks, strategy, stats.a_d, np.float64(base.b), base.c, stats.b_d, stats.c_d,
-        stats.delta)[:5])
-    checks.raise_first()
-    t = chan.transmissivity
-    eps_tot = chan.total_excess_noise(proto.displacement)
-    if strategy is RenormStrategy.B_PRESERVING:
-        # virtual channel appended after the physical one; T_v is fixed by
-        # requiring the composed covariance to reproduce (b', c') exactly
-        t_v = (1.0 - stats.delta) ** 2 / delta_v
-        eps_v = (base.b - 1.0) * (1.0 / t_v - 1.0)
-        eff_t = t * t_v
-        eff_eps = eps_tot + eps_v / t
-    else:
-        t_v = 1.0
-        eps_v = 0.0
-        eff_t = t
-        eff_eps = eps_tot + (b_prime - base.b) / t
-    mean_prime = base.mean.copy()
-    mean_prime[2:] = stats.mean_d[2:] / math.sqrt(delta_v)
-    return RenormResult(
-        stats=stats,
-        strategy=strategy,
-        delta_v=delta_v,
-        state_prime=TwoModeGaussian(mean=mean_prime, a=stats.a_d, b=b_prime, c=c_prime),
-        effective_transmissivity=eff_t,
-        effective_excess_noise=eff_eps,
-        virtual_transmissivity=t_v,
-        virtual_excess_noise=eps_v,
-        passed=passed,
-        margin=margin,
-    )
 
 
 def _displacement_factor(qos_threshold: float) -> float:

@@ -2,22 +2,30 @@
 
 The package evaluates its formulas at operating points (``keyrate.rate_at``)
 and over arrays (``keyrate.rate_cells``).  ``on_triple`` runs one of the
-private array functions on the (a, b, c) of any state, physical or not,
-and raises the first error it records, as the kernel reports it.
+private array functions on any (a, b, c), physical or not, and raises the
+first error it records, as the kernel reports it.  ``shared`` and
+``renormalised`` run the kernel's stages at one operating point and return
+what its cells leave out: the shared state, the rescaled state, the
+residual mean and the effective channel.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from sqccqkd.channel import _shared_state
 from sqccqkd.errors import Checks
 from sqccqkd.gaussian import _check_overflow, _physicality
-from sqccqkd.keyrate import rate_rows
+from sqccqkd.keyrate import rate_cells, rate_rows
+from sqccqkd.postprocess import RenormStrategy, _rescale
 
 
 @np.errstate(all="ignore")
-def on_triple(fn, state, *args):
-    """``fn(checks, a, b, c, *args)`` on the state's triple; raises its first error."""
+def on_triple(fn, a, b, c, *args):
+    """``fn(checks, a, b, c, *args)`` on one triple; raises its first error."""
     checks = Checks()
-    value = fn(checks, *(np.float64(x) for x in (state.a, state.b, state.c)), *args)
+    value = fn(checks, *(np.float64(x) for x in (a, b, c)), *args)
     checks.raise_first()
     return value
 
@@ -27,6 +35,65 @@ def verdict(checks, a, b, c):
     result = _physicality(a, b, c)
     _check_overflow(checks, result.overflow, a, b, c)
     return result
+
+
+def _inputs(proto, chan):
+    return (np.float64(x) for x in (proto.modulation_variance, proto.displacement,
+                                    chan.transmissivity, chan.excess_noise,
+                                    chan.phase_noise_factor))
+
+
+@np.errstate(all="ignore")
+def shared(proto, chan):
+    """(a, b, c) of the state shared after the channel, as the kernel's first stage
+    computes it; raises its first error."""
+    checks = Checks()
+    v, d, t, eps, sigma = _inputs(proto, chan)
+    _, b, c = _shared_state(checks, v, d, t, eps, sigma)
+    checks.raise_first()
+    return float(v), float(b), float(c)
+
+
+@np.errstate(all="ignore")
+def renormalised(proto, chan, strategy=RenormStrategy.B_PRESERVING):
+    """The postprocessed and renormalised chain at one operating point.
+
+    Holds the cells of ``rate_cells`` (``snr``, ``e_c``, ``delta``, ``a_d``,
+    ``b_d``, ``c_d``, ``delta_v`` and ``passed`` for its ``feasible``), the
+    shared state (``a``, ``b``, ``c``), the rescaled state (``b_prime``,
+    ``c_prime``) with its ``margin``, the residual receiver mean per
+    quadrature before (``mean_d``) and after (``mean_prime``) rescaling, and
+    the effective channel.  That is the single channel (``t_eff``,
+    ``eps_eff``), built on the physical (T, eps_tot), that reproduces the
+    rescaled covariance: (T, eps_tot + eps_eff) for C_PRESERVING, and for
+    B_PRESERVING the physical channel followed by a virtual one (``t_v``,
+    ``eps_v``), so (T T_v, eps_tot + eps_v / T).
+    """
+    v, d, t, eps, sigma = _inputs(proto, chan)
+    cells, checks = rate_cells(v, d, t, eps, sigma, proto.reconciliation_efficiency,
+                               strategy, asymptotic=False)
+    checks.raise_first()
+    eps_tot, b, c = _shared_state(Checks(), v, d, t, eps, sigma)
+    _, b_prime, c_prime, margin, _, _ = _rescale(
+        Checks(), strategy, v, b, c, cells["b_d"], cells["c_d"], cells["delta"])
+    delta, delta_v = float(cells["delta"]), float(cells["delta_v"])
+    if strategy is RenormStrategy.B_PRESERVING:
+        # T_v is fixed by requiring the composed covariance to reproduce (b', c')
+        t_v = (1.0 - delta) ** 2 / delta_v
+        eps_v = (b - 1.0) * (1.0 / t_v - 1.0)
+        t_eff, eps_eff = t * t_v, eps_tot + eps_v / t
+    else:
+        t_v, eps_v = 1.0, 0.0
+        t_eff, eps_eff = t, eps_tot + (b_prime - b) / t
+    mean_d = 2.0 * math.sqrt(t) * d * float(cells["e_C"]) / math.sqrt(2.0)
+    return SimpleNamespace(
+        snr=float(cells["snr"]), e_c=float(cells["e_C"]), delta=delta,
+        a_d=float(cells["a_d"]), b_d=float(cells["b_d"]), c_d=float(cells["c_d"]),
+        delta_v=delta_v, passed=bool(cells["feasible"]), strategy=strategy,
+        a=float(v), b=float(b), c=float(c), b_prime=float(b_prime),
+        c_prime=float(c_prime), margin=float(margin), mean_d=mean_d,
+        mean_prime=mean_d / math.sqrt(delta_v), t_v=float(t_v), eps_v=float(eps_v),
+        t_eff=float(t_eff), eps_eff=float(eps_eff))
 
 
 def qos_objective(chan, qos_threshold):

@@ -12,20 +12,15 @@ import numpy as np
 import pytest
 
 import sqccqkd.cli as cli
-from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import optimise_v, rate_at
 from sqccqkd.montecarlo import estimate, shot_chunks
-from sqccqkd.postprocess import (
-    RenormStrategy,
-    postprocess_stats,
-    renormalise,
-    required_displacement,
-)
+from sqccqkd.postprocess import RenormStrategy, required_displacement
 from sqccqkd.special import beta_inv_cdf_symmetric, beta_reg, erfc, erfc_inv, \
     normal_quantile
 
-from helpers import qos_objective
+from helpers import qos_objective, renormalised, shared
 from oracles import beta_density_integral, brute_force_optimum
 
 REF_CHAN = ChannelParams(0.1, 0.05)
@@ -53,7 +48,7 @@ def reference_sweep():
     points = []
     for i, d in enumerate(D_GRID):
         proto = ProtocolParams(5.0, d, 0.95)
-        stats = postprocess_stats(proto, REF_CHAN)
+        stats = renormalised(proto, REF_CHAN)
         moments, _ = estimate(shot_chunks(proto, REF_CHAN, 1, SHOTS, 1000 + i), SHOTS)
         points.append(SweepPoint(d, stats, moments))
     return points, time.monotonic() - t0
@@ -105,7 +100,7 @@ def test_criterion_2_classical_ber_oracle(reference_sweep):
         chan = ChannelParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, 0.4))
         w = 10 ** rng.uniform(-8, math.log10(0.5))
         d = required_displacement(v, chan, w)
-        e_c = postprocess_stats(ProtocolParams(v, d), chan).e_c
+        e_c = renormalised(ProtocolParams(v, d), chan).e_c
         worst_rt = max(worst_rt, abs(e_c - w))
     passed = worst <= 5.0 and worst_rt < 1e-9
     report(2, passed,
@@ -122,7 +117,7 @@ def test_criterion_3_limit_consistency():
         d_half = required_displacement(5.0, chan, 0.5)
         at_half = rate_at(ProtocolParams(5.0, d_half, 0.95), chan)["K"]
         worst_half = max(worst_half, abs(at_half - plain))
-        b = shared_state(ProtocolParams(5.0, 0.0), chan, 1).b
+        b = shared(ProtocolParams(5.0, 0.0), chan)[1]
         d_big = math.sqrt(1e4 * (b + 1.0) / float(t))  # snr = 1e4
         at_big = rate_at(ProtocolParams(5.0, d_big, 0.95), chan)["K"]
         worst_big = max(worst_big, abs(at_big - plain))
@@ -164,14 +159,14 @@ def test_criterion_5_physicality_suite(advantage_grid):
             for v in (1.5, 3.0, 5.0, 12.0, 60.0):
                 d = required_displacement(v, chan, w)
                 proto = ProtocolParams(v, d, 0.95)
-                state = shared_state(proto, chan, 1)
-                res_b = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
-                res_c = renormalise(proto, chan, RenormStrategy.C_PRESERVING)
+                _, b, c = shared(proto, chan)
+                res_b = renormalised(proto, chan, RenormStrategy.B_PRESERVING)
+                res_c = renormalised(proto, chan, RenormStrategy.C_PRESERVING)
                 checks += 1
-                if not (res_b.state_prime.c <= state.c + 1e-12
-                        and res_b.virtual_transmissivity <= 1.0 + 1e-12
+                if not (res_b.c_prime <= c + 1e-12
+                        and res_b.t_v <= 1.0 + 1e-12
                         and res_b.passed
-                        and res_c.state_prime.b >= state.b - 1e-12
+                        and res_c.b_prime >= b - 1e-12
                         and res_c.passed):
                     violations += 1
     passed = violations == 0

@@ -37,6 +37,19 @@ class TestOptimizeCommand:
         assert float(rows[0]["v_star"]) == opt.v_star
         assert rows[0]["T"] == "0.6" and rows[0]["W"] == "0.001"
 
+    def test_each_block_size_is_a_row(self, tmp_path):
+        """Every --N gives its own row, as a run at that N alone writes it."""
+        out = tmp_path / "optn.csv"
+        assert cli.main(["optimize", "--T", "0.6", "--W", "1e-3", "--N", "1e6", "1e8",
+                         "--output", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["N"] for row in rows] == ["1000000.0", "100000000.0"]
+        for n, row in zip((1e6, 1e8), rows):
+            alone = tmp_path / "alone.csv"
+            assert cli.main(["optimize", "--T", "0.6", "--W", "1e-3", "--N", str(n),
+                             "--output", str(alone)]) == 0
+            assert read_csv(alone) == [row]
+
 
 class TestValidateCommand:
     def test_byte_identical_reruns(self, tmp_path):
@@ -157,6 +170,21 @@ class TestSimulateCommand:
                                 "bob_raw_y", "bob_post_x", "bob_post_y",
                                 "true_symbol", "decided_symbol"}
 
+    @pytest.mark.parametrize("argv, b_d, error", [
+        (["--V", "1", "--eps", "1e100", "--d", "0"], "1.0000000000000001e+99", ""),
+        (["--V", "1.001", "--sigma", "1", "--d", "1e10"], "",
+         "outcome covariance must be positive-definite"),
+    ], ids=["huge-noise-row", "indefinite-outcome-covariance"])
+    def test_edge_rows(self, tmp_path, argv, b_d, error):
+        """The analytic moments come from the shared-state stage, not from the rate's
+        renormalisation checks: a huge-noise batch is a row, and an outcome
+        covariance that is not positive-definite flags it."""
+        out = tmp_path / "edge.csv"
+        assert cli.main(["simulate", "--T", "0.1", *argv, "--n", "300",
+                         "--output", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert (row["b_d"], row["error"]) == (b_d, error)
+
     def test_pipeline_columns_with_disclosure(self, tmp_path):
         out = tmp_path / "sim2.csv"
         cli.main(["simulate", "--T", "0.1", "--eps", "0.05", "--V", "5",
@@ -187,6 +215,19 @@ class TestConfigPrecedence:
         assert cli.main(["sweep-asymptotic", "--config", str(cfg),
                          "--output", str(out)]) == 0
         assert read_csv(out)[0]["T"] == "0.4"
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep-asymptotic", {"disclose": 1.5}),
+        ("validate-fig2", {"T": [5]}),
+    ])
+    def test_other_commands_keys_are_not_range_checked(self, tmp_path, command, config):
+        """A value that would be out of range for its own command is still ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+        if command == "validate-fig2":
+            argv += ["--n", "300"]
+        assert cli.main(argv) == 0
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -455,7 +496,9 @@ class TestPipelineEvaluations:
         (["optimize", "--T", "0.6", "--N", "1e6"], 1),
         (["optimize", "--T", "0.6"], 0),
         (["sweep-finite", "--optimize-v", "--T", "0.3", "0.6", "--N", "1e8", "1e4"], 4),
-    ], ids=["optimize-N", "optimize-asymptotic", "sweep-finite-optimize-v"])
+        (["optimize", "--T", "0.6", "--N", "1e6", "1e4"], 2),
+    ], ids=["optimize-N", "optimize-asymptotic", "sweep-finite-optimize-v",
+            "optimize-two-N"])
     def test_two_beta_quantiles_per_finite_row(self, tmp_path, quantile_calls,
                                                argv, rows):
         """The optimiser and the row's K^F share one pair of quantiles per block size."""

@@ -3,15 +3,13 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
-from sqccqkd.channel import ChannelParams, ProtocolParams, qi_baseline_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
 from sqccqkd.finitekey import SecurityParams, delta_terms, worst_case_estimators
-from sqccqkd.gaussian import TwoModeGaussian
-from sqccqkd.keyrate import _FiniteTerms, _holevo, _rate, optimise_v, rate_at
-from sqccqkd.postprocess import postprocess_stats, required_displacement
+from sqccqkd.keyrate import _holevo, optimise_v, rate_at
+from sqccqkd.postprocess import required_displacement
 
 from helpers import on_triple
 
@@ -108,11 +106,10 @@ class TestWorstCaseEstimators:
 
     def test_holevo_ordering(self):
         """The eavesdropper bound at worst case dominates the mean-value bound."""
-        mean_state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, 1.5)
-        chi_mean = on_triple(_holevo, mean_state)
+        chi_mean = on_triple(_holevo, 5.0, 1.405, 1.5)
         for n in (1e6, 1e8, 1e12):
             sa, sb, sc = worst_case_estimators(5.0, 1.405, 1.5, sec_at(n))
-            chi_worst = on_triple(_holevo, TwoModeGaussian(np.zeros(4), sa, sb, sc))
+            chi_worst = on_triple(_holevo, sa, sb, sc)
             assert chi_worst >= chi_mean
 
     def test_zero_correlation_rejected(self):
@@ -192,12 +189,7 @@ class TestOptimiseVFinite:
 
         def objective(v):
             proto = ProtocolParams(v, required_displacement(v, chan, w), 0.95)
-            if model == "sqcc":
-                return rate_at(proto, chan, sec=sec)["K_F"]
-            state = qi_baseline_state(proto, chan, postprocess_stats(proto, chan).e_c)
-            terms = _FiniteTerms.of([sec]).take(0)
-            _, _, _, k_f, _ = on_triple(_rate, state, 0.95, False, terms)
-            return k_f
+            return rate_at(proto, chan, model=model, sec=sec)["K_F"]
 
         ref = brute_force_optimum(objective, n_points=3000)
         assert opt.k_star == pytest.approx(ref, rel=1e-5)

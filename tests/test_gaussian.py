@@ -1,30 +1,25 @@
-"""State representation, symplectic spectra, entropy kernel, physicality."""
+"""(a, b, c) covariance triples: symplectic spectra, entropy kernel, physicality,
+and the heterodyne outcome covariance the Monte Carlo draws from."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError, PhysicalityError
-from sqccqkd.gaussian import (
-    _REASONS,
-    TwoModeGaussian,
-    _conditional,
-    g_function,
-    measurement_distribution,
-)
-from sqccqkd.postprocess import postprocess_stats
+from sqccqkd.gaussian import _REASONS, _conditional, g_function
+from sqccqkd.montecarlo import _centroids, _outcome_covariance
 
-from helpers import on_triple, verdict
+from helpers import on_triple, renormalised, shared, verdict
 
 
-def tmsvs(v: float) -> TwoModeGaussian:
-    return TwoModeGaussian(np.zeros(4), v, v, math.sqrt(v * v - 1.0))
+def tmsvs(v: float) -> tuple:
+    return v, v, math.sqrt(v * v - 1.0)
 
 
 def physicality(state):
-    return on_triple(verdict, state)
+    return on_triple(verdict, *state)
 
 
 def spectrum_of(state):
@@ -32,7 +27,13 @@ def spectrum_of(state):
 
 
 def lambda3(state):
-    return on_triple(_conditional, state)
+    return on_triple(_conditional, *state)
+
+
+def state_covariance(a, b, c):
+    """The 4x4 covariance of a triple, with the sigma_z sign fold."""
+    return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c],
+                     [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
 
 
 def random_channel_states(n: int, seed: int):
@@ -43,8 +44,8 @@ def random_channel_states(n: int, seed: int):
         t = rng.uniform(0.05, 1.0)
         eps = rng.uniform(0.0, 0.3)
         d = rng.uniform(0.0, 20.0)
-        k = int(rng.integers(1, 5))
-        yield shared_state(ProtocolParams(v, d), ChannelParams(t, eps), k)
+        rng.integers(1, 5)  # the symbol, which only moves the mean
+        yield shared(ProtocolParams(v, d), ChannelParams(t, eps))
 
 
 class TestSymplecticSpectrum:
@@ -55,24 +56,24 @@ class TestSymplecticSpectrum:
             assert spec.lambda2 == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
-        state = TwoModeGaussian(np.zeros(4), 5.0, 3.0, 0.0)
+        state = (5.0, 3.0, 0.0)
         spec = spectrum_of(state)
         assert spec.lambda1 == pytest.approx(5.0, abs=1e-12)
         assert spec.lambda2 == pytest.approx(3.0, abs=1e-12)
 
     def test_invariant_identities(self):
         """lambda1*lambda2 = D2 and lambda1^2 + lambda2^2 = D1 on channel states."""
-        for state in random_channel_states(200, seed=42):
-            spec = spectrum_of(state)
-            d1 = state.a ** 2 + state.b ** 2 - 2 * state.c ** 2
-            d2 = state.a * state.b - state.c ** 2
+        for a, b, c in random_channel_states(200, seed=42):
+            spec = spectrum_of((a, b, c))
+            d1 = a ** 2 + b ** 2 - 2 * c ** 2
+            d2 = a * b - c ** 2
             assert spec.lambda1 * spec.lambda2 == pytest.approx(d2, rel=1e-10)
             assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(d1, rel=1e-10)
             assert spec.lambda1 >= spec.lambda2
             assert spec.d1 ** 2 >= 4 * spec.d2 ** 2 - 1e-9
 
     def test_specific_point(self):
-        state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, math.sqrt(2.4))
+        state = (5.0, 1.405, math.sqrt(2.4))
         spec = spectrum_of(state)
         assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-10)
         assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(spec.d1,
@@ -80,7 +81,7 @@ class TestSymplecticSpectrum:
 
     def test_large_noise_keeps_second_eigenvalue(self):
         """At eps = 1e40 lambda2 survives: (d1 - root) / 2 would cancel it to 0."""
-        state = shared_state(ProtocolParams(5.0, 0.0), ChannelParams(0.1, 1e40), 1)
+        state = shared(ProtocolParams(5.0, 0.0), ChannelParams(0.1, 1e40))
         spec = spectrum_of(state)
         assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-12)
         assert spec.lambda2 == pytest.approx(5.0, rel=1e-12)
@@ -88,7 +89,7 @@ class TestSymplecticSpectrum:
 
     def test_overflow_is_a_domain_error_not_a_verdict(self):
         """An overflowing covariance is named, not read as a vacuum violation."""
-        state = TwoModeGaussian(np.zeros(4), 5.0, 1e299, 1.5)
+        state = (5.0, 1e299, 1.5)
         with pytest.raises(DomainError, match="overflows"):
             physicality(state)
 
@@ -99,16 +100,16 @@ class TestConditionalEigenvalue:
             assert lambda3(tmsvs(v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncorrelated_passthrough(self):
-        state = TwoModeGaussian(np.zeros(4), 5.0, 3.0, 0.0)
+        state = (5.0, 3.0, 0.0)
         assert lambda3(state) == 5.0
 
     def test_reference_point(self):
-        state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, math.sqrt(2.4))
+        state = (5.0, 1.405, math.sqrt(2.4))
         assert lambda3(state) == pytest.approx(
             4.002079002079002, abs=1e-12)
 
     def test_unphysical_rejected(self):
-        state = TwoModeGaussian(np.zeros(4), 1.0, 1.0, 1.2)
+        state = (1.0, 1.0, 1.2)
         with pytest.raises(PhysicalityError):
             lambda3(state)
 
@@ -148,33 +149,29 @@ class TestGFunction:
 
 class TestMeasurementDistribution:
     def test_vacuum_heterodyne(self):
-        dist = measurement_distribution(TwoModeGaussian(np.zeros(4), 1.0, 1.0, 0.0))
-        np.testing.assert_allclose(dist.covariance, 2.0 * np.eye(4))
+        np.testing.assert_allclose(_outcome_covariance(1.0, 1.0, 0.0), 2.0 * np.eye(4))
 
     def test_receiver_marginal_variance(self):
-        state = TwoModeGaussian(np.zeros(4), 5.0, 1.405, math.sqrt(2.4))
-        dist = measurement_distribution(state)
-        assert dist.covariance[2, 2] == pytest.approx(2.405)
-        assert dist.covariance[3, 3] == pytest.approx(2.405)
+        cov = _outcome_covariance(5.0, 1.405, math.sqrt(2.4))
+        assert cov[2, 2] == pytest.approx(2.405)
+        assert cov[3, 3] == pytest.approx(2.405)
 
     def test_mean_passthrough(self):
-        m = np.array([0.0, 0.0, 1.7, 1.7])
-        state = TwoModeGaussian(m, 2.0, 1.5, 0.5)
-        dist = measurement_distribution(state)
-        np.testing.assert_array_equal(dist.mean, m)
+        """The outcome mean is the state's: sqrt(T) times the symbol's alphabet point."""
+        d = 1.7 * math.sqrt(2.0) / math.sqrt(0.5)
+        centroid = _centroids(ProtocolParams(2.0, d), ChannelParams(0.5, 0.0))[0]
+        np.testing.assert_allclose(centroid, [1.7, 1.7], rtol=1e-15)
 
     def test_covariance_roundtrip(self):
         """Outcome covariance minus identity reproduces the state covariance."""
         for state in random_channel_states(50, seed=9):
-            dist = measurement_distribution(state)
-            np.testing.assert_allclose(dist.covariance - np.eye(4),
-                                       state.covariance(), atol=1e-14)
+            np.testing.assert_allclose(_outcome_covariance(*state) - np.eye(4),
+                                       state_covariance(*state), atol=1e-14)
 
     def test_indefinite_covariance_rejected(self):
         # correlation beyond the geometric bound makes cov + I indefinite
-        wild = TwoModeGaussian(np.zeros(4), 1.0, 1.0, 3.0)
-        with pytest.raises(DomainError):
-            measurement_distribution(wild)
+        with pytest.raises(DomainError, match="must be positive-definite"):
+            _outcome_covariance(1.0, 1.0, 3.0)
 
 
 class TestIsPhysical:
@@ -182,13 +179,13 @@ class TestIsPhysical:
         assert physicality(tmsvs(4.0)).physical
 
     def test_sub_shot_noise_mode(self):
-        result = physicality(TwoModeGaussian(np.zeros(4), 1.0, 0.8, 0.0))
+        result = physicality((1.0, 0.8, 0.0))
         assert not result.physical
         assert result.worst == pytest.approx(0.2, abs=1e-12)
 
     def test_zero_symplectic_invariant_root(self):
         """d1 = -2 * |d2| gives lambda1 = 0: flagged, not a division error."""
-        result = physicality(TwoModeGaussian(np.zeros(4), 1.0, 1.0, 2.0))
+        result = physicality((1.0, 1.0, 2.0))
         assert not result.physical
         assert _REASONS[result.reason] == "symplectic" and result.worst == 1.0
 
@@ -197,23 +194,16 @@ class TestIsPhysical:
 
     def test_postprocessed_dip_detected(self):
         """Small displacements drive the receiver variance sub-shot-noise."""
-        stats = postprocess_stats(ProtocolParams(5.0, 6.0),
-                                  ChannelParams(0.1, 0.05))
+        stats = renormalised(ProtocolParams(5.0, 6.0), ChannelParams(0.1, 0.05))
         assert stats.b_d < 1.0
-        dipped = TwoModeGaussian(np.zeros(4), stats.a_d, stats.b_d, stats.c_d)
+        dipped = (stats.a_d, stats.b_d, stats.c_d)
         result = physicality(dipped)
         assert not result.physical and result.worst > 0.1
 
 
 class TestTwoModeGaussian:
     def test_covariance_layout(self):
-        state = TwoModeGaussian(np.zeros(4), 2.0, 1.5, 0.7)
-        cov = state.covariance()
+        """The outcome covariance carries the sigma_z fold: +c on q, -c on p."""
+        cov = _outcome_covariance(2.0, 1.5, 0.7)
         assert cov[0, 2] == 0.7 and cov[1, 3] == -0.7
         np.testing.assert_allclose(cov, cov.T)
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(DomainError):
-            TwoModeGaussian(np.zeros(3), 1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            TwoModeGaussian(np.array([0.0, 0.0, math.nan, 0.0]), 1.0, 1.0, 0.0)

@@ -19,8 +19,9 @@ from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import SqccError
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import _FiniteTerms, optimise_rows, optimise_v, rate_cells, rate_rows
-from sqccqkd.postprocess import RenormStrategy, renormalise, required_displacement
+from sqccqkd.postprocess import RenormStrategy, required_displacement
 
+from helpers import renormalised
 from oracles import rate_from_triple
 
 # a few block sizes, so the Beta-quantile margins are computed once per module
@@ -98,8 +99,8 @@ def test_rate_matches_spreadsheet_oracle(points, strategy):
     for i, chan in enumerate(chans):
         if checks.error(i) is not None:
             continue
-        state = renormalise(ProtocolParams(v[i], d[i]), chan, strategy).state_prime
-        _, _, k_ref = rate_from_triple(state.a, state.b, state.c, 0.95)
+        res = renormalised(ProtocolParams(v[i], d[i]), chan, strategy)
+        _, _, k_ref = rate_from_triple(res.a, res.b_prime, res.c_prime, 0.95)
         assert cells["K"][i] == pytest.approx(k_ref, abs=1e-10)
 
 

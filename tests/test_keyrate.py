@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sqccqkd import gaussian
-from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import PhysicalityError
-from sqccqkd.gaussian import TwoModeGaussian, g_function
+from sqccqkd.gaussian import g_function
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
     _FiniteTerms,
@@ -22,7 +22,7 @@ from sqccqkd.keyrate import (
 )
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
-from helpers import on_triple, qos_objective
+from helpers import on_triple, qos_objective, shared
 from oracles import brute_force_optimum, rate_from_triple
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -30,15 +30,15 @@ REF_CHAN = ChannelParams(0.1, 0.05)
 
 
 def triple(a, b, c):
-    return TwoModeGaussian(np.zeros(4), a, b, c)
+    return a, b, c
 
 
 def mi_of(state, double=False):
-    return on_triple(_mutual_information, state, double)
+    return on_triple(_mutual_information, *state, double)
 
 
 def chi_of(state):
-    return on_triple(_holevo, state)
+    return on_triple(_holevo, *state)
 
 
 class TestMutualInformation:
@@ -111,14 +111,13 @@ class TestAsymptoticRate:
     def test_zero_displacement_equals_plain_heterodyne(self):
         proto = ProtocolParams(5.0, 0.0, 0.95)
         res = rate_at(proto, REF_CHAN)
-        state = shared_state(proto, REF_CHAN, 1)
-        i_ref, chi_ref, k_ref = rate_from_triple(state.a, state.b, state.c, 0.95)
+        i_ref, chi_ref, k_ref = rate_from_triple(*shared(proto, REF_CHAN), 0.95)
         assert res["K"] == pytest.approx(k_ref, abs=1e-12)
         assert res["K"] == pytest.approx(0.017786234976678, abs=1e-12)
 
     def test_large_displacement_recovers_decoupled_curve(self):
         chan = ChannelParams(0.5, 0.05)
-        b = shared_state(ProtocolParams(5.0, 0.0), chan, 1).b
+        b = shared(ProtocolParams(5.0, 0.0), chan)[1]
         d = math.sqrt(1e4 * (b + 1.0) / 0.5)  # snr = 1e4
         with_d = rate_at(ProtocolParams(5.0, d, 0.95), chan)
         without = rate_at(ProtocolParams(5.0, 0.0, 0.95), chan)

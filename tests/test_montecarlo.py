@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from sqccqkd import montecarlo
-from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
 from sqccqkd.montecarlo import estimate, shot_chunks
-from sqccqkd.postprocess import postprocess_stats, renormalise, RenormStrategy
+from sqccqkd.postprocess import RenormStrategy
+
+from helpers import renormalised, shared
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
 REF_CHAN = ChannelParams(0.1, 0.05)
@@ -66,8 +68,8 @@ class TestSampler:
         """Per-component sample variance equals the state variance plus one."""
         proto = ProtocolParams(5.0, 0.0)
         batch = whole(proto, REF_CHAN, "uniform-random", 200_000, 10)
-        state = shared_state(proto, REF_CHAN, 1)
-        targets = [state.a + 1, state.a + 1, state.b + 1, state.b + 1]
+        a, b, _ = shared(proto, REF_CHAN)
+        targets = [a + 1, a + 1, b + 1, b + 1]
         joint = np.hstack([batch["alice"], batch["bob_raw"]])
         for col, target in enumerate(targets):
             sample = np.var(joint[:, col], ddof=1)
@@ -98,7 +100,7 @@ class TestSampler:
 
 class TestDiscrimination:
     def test_bit_error_rate_matches_analytic(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
+        stats = renormalised(REF_PROTO, REF_CHAN)
         e_hat = moments(REF_PROTO, REF_CHAN, "uniform-random", 200_000, 13).e_c_hat
         se = math.sqrt(stats.e_c * (1 - stats.e_c) / (2 * 200_000))
         assert abs(e_hat - stats.e_c) < 5 * se
@@ -133,21 +135,21 @@ class TestDiscrimination:
 class TestEmpiricalMoments:
     def test_identity_at_zero_displacement(self):
         proto = ProtocolParams(5.0, 0.0)
-        state = shared_state(proto, REF_CHAN, 1)
+        a, b, c = shared(proto, REF_CHAN)
         m = moments(proto, REF_CHAN, "uniform-random", 200_000, 17)
-        assert abs(m.a_hat - state.a) < 5 * m.a_se
-        assert abs(m.b_hat - state.b) < 5 * m.b_se
-        assert abs(m.c_hat - state.c) < 5 * m.c_se
+        assert abs(m.a_hat - a) < 5 * m.a_se
+        assert abs(m.b_hat - b) < 5 * m.b_se
+        assert abs(m.c_hat - c) < 5 * m.c_se
 
     def test_postprocessed_moments_match_analytics(self):
         """The acceptance core at one point: 5-SE agreement with closed forms."""
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
+        stats = renormalised(REF_PROTO, REF_CHAN)
         m = moments(REF_PROTO, REF_CHAN, 1, 200_000, 18)
         assert abs(m.a_hat - stats.a_d) < 5 * m.a_se
         assert abs(m.b_hat - stats.b_d) < 5 * m.b_se
         assert abs(m.c_hat - stats.c_d) < 5 * m.c_se
-        assert abs(m.mean_hat[2] - stats.mean_d[2]) < 5 * m.mean_se[2]
-        assert abs(m.mean_hat[3] - stats.mean_d[3]) < 5 * m.mean_se[3]
+        assert abs(m.mean_hat[2] - stats.mean_d) < 5 * m.mean_se[2]
+        assert abs(m.mean_hat[3] - stats.mean_d) < 5 * m.mean_se[3]
 
     def test_standard_errors_scale_with_shots(self):
         """Doubling twice halves the standard error, within a factor two."""
@@ -166,19 +168,17 @@ class TestSubShotNoiseHazard:
     def test_dip_and_rescue(self):
         """Small displacements drive the receiver sub-shot-noise; rescaling fixes it."""
         proto = ProtocolParams(5.0, 6.0)
-        stats = postprocess_stats(proto, REF_CHAN)
-        state = shared_state(proto, REF_CHAN, 1)
-        assert stats.b_d < 1.0
+        renorm = renormalised(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
+        assert renorm.b_d < 1.0
         m = moments(proto, REF_CHAN, 1, 100_000, 21)
         assert m.b_hat < 1.0  # illegitimate before rescaling
-        renorm = renormalise(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
         post = whole(proto, REF_CHAN, 1, 100_000, 21)["bob_post"]
         rescaled = post / math.sqrt(renorm.delta_v)
         b_rescaled = (np.var(rescaled[:, 0], ddof=1)
                       + np.var(rescaled[:, 1], ddof=1)) / 2.0 - 1.0
         assert b_rescaled >= 1.0
-        se = (state.b + 1.0) * math.sqrt(2.0 / (2 * 100_000))
-        assert abs(b_rescaled - state.b) < 5 * se
+        se = (renorm.b + 1.0) * math.sqrt(2.0 / (2 * 100_000))
+        assert abs(b_rescaled - renorm.b) < 5 * se
 
 
 class TestEstimationPipeline:
@@ -194,7 +194,7 @@ class TestEstimationPipeline:
         assert est.delta_v_hat == pytest.approx(1.0, abs=1e-6)
 
     def test_certified_snr_within_ten_percent(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
+        stats = renormalised(REF_PROTO, REF_CHAN)
         est = estimation(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 23)
         assert abs(est.snr_hat - stats.snr) / stats.snr < 0.10
         assert est.e_c_bound > est.e_c_point  # one-sided upper bound
@@ -203,20 +203,19 @@ class TestEstimationPipeline:
         """After rescaling the conditional receiver variance returns to b + 1."""
         chan = REF_CHAN
         proto = ProtocolParams(5.0, 20.0)  # snr ~ 16.6, e_C ~ 2e-3
-        state = shared_state(proto, chan, 1)
+        _, b, _ = shared(proto, chan)
         est = estimation(proto, chan, "uniform-random", 200_000, 24)
         batch = whole(proto, chan, "uniform-random", 200_000, 24)
         decided = batch["decided"]
         rescaled = ((batch["bob_raw"] - est.centroid_hat[decided - 1])
                     / math.sqrt(est.delta_v_hat))
         rescaled_var = pooled_class_variance(rescaled, decided)
-        se = (state.b + 1.0) * math.sqrt(2.0 / (2 * 200_000))
-        assert abs(rescaled_var - (state.b + 1.0)) < 5 * se
+        se = (b + 1.0) * math.sqrt(2.0 / (2 * 200_000))
+        assert abs(rescaled_var - (b + 1.0)) < 5 * se
 
     def test_delta_v_tracks_analytic_value(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
-        true_dv = (stats.b_d + 1.0) / (state.b + 1.0)
+        stats = renormalised(REF_PROTO, REF_CHAN)
+        true_dv = (stats.b_d + 1.0) / (stats.b + 1.0)
         est = estimation(REF_PROTO, REF_CHAN, "uniform-random", 1_000_000, 25)
         assert est.delta_v_hat == pytest.approx(true_dv, rel=0.01)
 

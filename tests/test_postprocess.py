@@ -10,22 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from sqccqkd.channel import ChannelParams, ProtocolParams, shared_state
+from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import Checks, DomainError
-from sqccqkd.gaussian import TwoModeGaussian
+from sqccqkd.montecarlo import _centroids
 from sqccqkd.postprocess import (
     RenormStrategy,
     _judge,
     _margin,
     error_rate_from_snr,
-    postprocess_stats,
-    renormalise,
     required_displacement,
     shrinkage_from_snr,
     variance_shift_factor,
 )
 
-from helpers import on_triple, verdict
+from helpers import on_triple, renormalised, shared, verdict
 from oracles import postprocessed_axis_moments
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -35,23 +33,22 @@ REF_CHAN = ChannelParams(0.1, 0.05)
 class TestPostprocessStats:
     def test_no_classical_signal_is_identity(self):
         proto = ProtocolParams(5.0, 0.0)
-        stats = postprocess_stats(proto, REF_CHAN)
-        state = shared_state(proto, REF_CHAN, 1)
+        stats = renormalised(proto, REF_CHAN)
         assert stats.snr == 0.0
         assert stats.e_c == 0.5
         assert stats.delta == 0.0
-        assert (stats.a_d, stats.b_d, stats.c_d) == (state.a, state.b, state.c)
-        np.testing.assert_array_equal(stats.mean_d, np.zeros(4))
+        assert (stats.a_d, stats.b_d, stats.c_d) == shared(proto, REF_CHAN)
+        assert stats.mean_d == 0.0
 
     def test_reference_point_frozen(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
+        stats = renormalised(REF_PROTO, REF_CHAN)
         assert stats.snr == pytest.approx(5.987525987525988, rel=1e-14)
         assert stats.e_c == pytest.approx(0.04179286266808296, rel=1e-12)
         assert stats.delta == pytest.approx(0.3090020745681698, rel=1e-12)
         assert stats.a_d == 5.0
         assert stats.b_d == pytest.approx(1.072031137112087, rel=1e-12)
         assert stats.c_d == pytest.approx(1.070489382984541, rel=1e-12)
-        assert stats.mean_d[2] == pytest.approx(0.22428403656035215, rel=1e-12)
+        assert stats.mean_d == pytest.approx(0.22428403656035215, rel=1e-12)
 
     def test_against_quadrature_oracle(self):
         """Closed forms match direct integration of the re-displaced Gaussian."""
@@ -59,29 +56,29 @@ class TestPostprocessStats:
                              (0.8, 0.1, 10.0, 15.0), (0.1, 0.05, 5.0, 2.0)]:
             proto = ProtocolParams(v, d)
             chan = ChannelParams(t, eps)
-            state = shared_state(proto, chan, 1)
-            stats = postprocess_stats(proto, chan)
-            mu = state.mean[2]
-            sigma = math.sqrt(state.b + 1.0)
+            _, b, c = shared(proto, chan)
+            stats = renormalised(proto, chan)
+            mu = _centroids(proto, chan)[0][0]  # the first symbol's mean per axis
+            sigma = math.sqrt(b + 1.0)
             oracle = postprocessed_axis_moments(mu, sigma)
             assert stats.e_c == pytest.approx(oracle["e_c"], abs=1e-11)
-            assert stats.mean_d[2] == pytest.approx(oracle["mean"], abs=1e-10)
+            assert stats.mean_d == pytest.approx(oracle["mean"], abs=1e-10)
             assert stats.b_d + 1.0 == pytest.approx(oracle["variance"], abs=1e-9)
             # correlation shrinks by cross / sigma^2 through the conditional mean
             assert stats.c_d == pytest.approx(
-                state.c * oracle["cross"] / (state.b + 1.0), abs=1e-9)
+                c * oracle["cross"] / (b + 1.0), abs=1e-9)
 
     def test_asymptotic_decoupling(self):
         # snr > 100: coupling suppressed to analytical noise level
         chan = ChannelParams(0.5, 0.05)
         proto = ProtocolParams(3.0, 40.0)
-        stats = postprocess_stats(proto, chan)
-        state = shared_state(proto, chan, 1)
+        stats = renormalised(proto, chan)
+        _, b, c = shared(proto, chan)
         assert stats.snr > 100.0
         assert stats.e_c < 1e-6
         assert stats.delta < 1e-9
-        assert abs(stats.b_d - state.b) < 1e-4
-        assert abs(stats.c_d - state.c) < 1e-4
+        assert abs(stats.b_d - b) < 1e-4
+        assert abs(stats.c_d - c) < 1e-4
 
     def test_a_invariant_and_c_shrinks(self):
         rng = np.random.default_rng(23)
@@ -89,22 +86,22 @@ class TestPostprocessStats:
             proto = ProtocolParams(10 ** rng.uniform(0.01, 1.5),
                                    rng.uniform(0.01, 25.0))
             chan = ChannelParams(rng.uniform(0.05, 1.0), rng.uniform(0, 0.3))
-            state = shared_state(proto, chan, 1)
-            stats = postprocess_stats(proto, chan)
-            assert stats.a_d == state.a
-            assert stats.c_d <= state.c
+            a, _, c = shared(proto, chan)
+            stats = renormalised(proto, chan)
+            assert stats.a_d == a
+            assert stats.c_d <= c
             if stats.delta > 1e-15:  # strict below the float-equality regime
-                assert stats.c_d < state.c
+                assert stats.c_d < c
 
     def test_mean_tracks_error_rate(self):
         # residual mean vanishes with the bit-error rate
         chan = ChannelParams(0.2, 0.05)
         smaller = None
         for d in (30.0, 40.0, 50.0):
-            stats = postprocess_stats(ProtocolParams(5.0, d), chan)
+            stats = renormalised(ProtocolParams(5.0, d), chan)
             if smaller is not None:
-                assert stats.mean_d[2] < smaller
-            smaller = stats.mean_d[2]
+                assert stats.mean_d < smaller
+            smaller = stats.mean_d
 
 
 class TestScalarHelpers:
@@ -118,10 +115,9 @@ class TestScalarHelpers:
         assert shrinkage_from_snr(1e9) == 0.0  # exponent underflow
 
     def test_shift_consistency(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
+        stats = renormalised(REF_PROTO, REF_CHAN)
         g = variance_shift_factor(stats.snr)
-        assert stats.b_d + 1.0 == pytest.approx((state.b + 1.0) * (1.0 + g),
+        assert stats.b_d + 1.0 == pytest.approx((stats.b + 1.0) * (1.0 + g),
                                                 rel=1e-12)
 
     def test_negative_snr_rejected(self):
@@ -132,52 +128,47 @@ class TestScalarHelpers:
 class TestRenormalise:
     def test_zero_displacement_identity(self):
         proto = ProtocolParams(5.0, 0.0)
-        state = shared_state(proto, REF_CHAN, 1)
+        _, b, c = shared(proto, REF_CHAN)
         for strategy in RenormStrategy:
-            res = renormalise(proto, REF_CHAN, strategy)
+            res = renormalised(proto, REF_CHAN, strategy)
             assert res.delta_v == pytest.approx(1.0, abs=1e-15)
-            assert res.state_prime.b == pytest.approx(state.b, abs=1e-14)
-            assert res.state_prime.c == pytest.approx(state.c, abs=1e-14)
-            assert res.virtual_transmissivity == pytest.approx(1.0, abs=1e-14)
-            assert res.virtual_excess_noise == pytest.approx(0.0, abs=1e-12)
+            assert res.b_prime == pytest.approx(b, abs=1e-14)
+            assert res.c_prime == pytest.approx(c, abs=1e-14)
+            assert res.t_v == pytest.approx(1.0, abs=1e-14)
+            assert res.eps_v == pytest.approx(0.0, abs=1e-12)
             assert res.passed
 
     def test_b_preserving_frozen(self):
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
-        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
+        _, b, c = shared(REF_PROTO, REF_CHAN)
+        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         assert res.delta_v == pytest.approx(0.8615514083626141, rel=1e-12)
-        assert res.state_prime.b == state.b
-        assert res.state_prime.c == pytest.approx(1.1532986031165338, rel=1e-12)
-        assert res.state_prime.c <= state.c
-        assert res.virtual_transmissivity == pytest.approx(0.5542073616460618,
-                                                           rel=1e-12)
-        assert res.virtual_excess_noise == pytest.approx(0.3257734036536466,
-                                                         rel=1e-11)
-        assert res.effective_transmissivity == pytest.approx(
-            0.05542073616460618, rel=1e-12)
-        assert res.effective_excess_noise == pytest.approx(
-            3.3077340365364662, rel=1e-11)
+        assert res.b_prime == b
+        assert res.c_prime == pytest.approx(1.1532986031165338, rel=1e-12)
+        assert res.c_prime <= c
+        assert res.t_v == pytest.approx(0.5542073616460618, rel=1e-12)
+        assert res.eps_v == pytest.approx(0.3257734036536466, rel=1e-11)
+        assert res.t_eff == pytest.approx(0.05542073616460618, rel=1e-12)
+        assert res.eps_eff == pytest.approx(3.3077340365364662, rel=1e-11)
         assert res.passed
         assert res.margin == pytest.approx(0.3958947353664329, rel=1e-10)
 
     def test_c_preserving_frozen(self):
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
-        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.C_PRESERVING)
+        _, b, c = shared(REF_PROTO, REF_CHAN)
+        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.C_PRESERVING)
         assert res.delta_v == pytest.approx(0.4774781329510931, rel=1e-12)
-        assert res.state_prime.c == state.c
-        assert res.state_prime.b == pytest.approx(3.3395309525605435, rel=1e-12)
-        assert res.state_prime.b >= state.b
+        assert res.c_prime == c
+        assert res.b_prime == pytest.approx(3.3395309525605435, rel=1e-12)
+        assert res.b_prime >= b
         # effective channel keeps T and absorbs the inflation as excess noise
-        assert res.effective_transmissivity == pytest.approx(0.1, rel=1e-12)
-        assert res.effective_excess_noise == pytest.approx(
+        assert res.t_eff == pytest.approx(0.1, rel=1e-12)
+        assert res.eps_eff == pytest.approx(
             0.05 + 19.345309525605435, rel=1e-11)
         assert res.passed
 
     def test_mean_rescaled(self):
-        stats = postprocess_stats(REF_PROTO, REF_CHAN)
-        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
-        expected = stats.mean_d[2] / math.sqrt(res.delta_v)
-        assert res.state_prime.mean[2] == pytest.approx(expected, rel=1e-14)
+        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
+        expected = res.mean_d / math.sqrt(res.delta_v)
+        assert res.mean_prime == pytest.approx(expected, rel=1e-14)
 
     def test_effective_channel_at_unit_variance(self):
         """At V = 1 (c = 0) the effective channel still rests on the physical T.
@@ -186,14 +177,13 @@ class TestRenormalise:
         see a wrong split between the two.
         """
         proto = ProtocolParams(1.0, 5.0)
-        res_c = renormalise(proto, REF_CHAN, RenormStrategy.C_PRESERVING)
-        res_b = renormalise(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
-        assert res_c.effective_transmissivity == 0.1
-        assert res_b.effective_transmissivity == 0.1 * res_b.virtual_transmissivity
+        res_c = renormalised(proto, REF_CHAN, RenormStrategy.C_PRESERVING)
+        res_b = renormalised(proto, REF_CHAN, RenormStrategy.B_PRESERVING)
+        assert res_c.t_eff == 0.1
+        assert res_b.t_eff == 0.1 * res_b.t_v
         for res in (res_c, res_b):
-            near = renormalise(ProtocolParams(1.0 + 1e-9, 5.0), REF_CHAN, res.strategy)
-            assert res.effective_excess_noise == pytest.approx(
-                near.effective_excess_noise, rel=1e-6)
+            near = renormalised(ProtocolParams(1.0 + 1e-9, 5.0), REF_CHAN, res.strategy)
+            assert res.eps_eff == pytest.approx(near.eps_eff, rel=1e-6)
 
     def test_composition_reproduces_rescaled_covariance(self):
         """Arbiter: the two-channel composition must reproduce (b', c') exactly.
@@ -210,47 +200,43 @@ class TestRenormalise:
             d = rng.uniform(0.5, 25.0)
             proto = ProtocolParams(v, d)
             chan = ChannelParams(t, eps)
-            res = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
-            t_tot = res.effective_transmissivity
-            eps_tot = res.effective_excess_noise
+            res = renormalised(proto, chan, RenormStrategy.B_PRESERVING)
+            t_tot = res.t_eff
+            eps_tot = res.eps_eff
             b_comp = t_tot * (v + eps_tot - 1.0) + 1.0
             c_comp = math.sqrt(t_tot * (v * v - 1.0))
-            assert b_comp == pytest.approx(res.state_prime.b, abs=1e-10)
-            assert c_comp == pytest.approx(res.state_prime.c, abs=1e-10)
+            assert b_comp == pytest.approx(res.b_prime, abs=1e-10)
+            assert c_comp == pytest.approx(res.c_prime, abs=1e-10)
 
     def test_first_order_effective_noise(self):
         """(b'_C - b)/T tracks 2 d^2 e_C (1 + 2 delta) within 5% for snr > 25."""
         for t, eps, v in [(0.1, 0.05, 5.0), (0.5, 0.02, 3.0), (0.9, 0.1, 8.0)]:
             chan = ChannelParams(t, eps)
             for snr_target in (25.5, 40.0, 60.0):
-                b = shared_state(ProtocolParams(v, 0.0), chan, 1).b
+                b = shared(ProtocolParams(v, 0.0), chan)[1]
                 d = math.sqrt(snr_target * (b + 1.0) / t)
                 proto = ProtocolParams(v, d)
-                state = shared_state(proto, chan, 1)
-                stats = postprocess_stats(proto, chan)
-                res = renormalise(proto, chan, RenormStrategy.C_PRESERVING)
-                eps_eff = (res.state_prime.b - state.b) / t
-                approx = 2.0 * d * d * stats.e_c * (1.0 + 2.0 * stats.delta)
+                res = renormalised(proto, chan, RenormStrategy.C_PRESERVING)
+                eps_eff = (res.b_prime - res.b) / t
+                approx = 2.0 * d * d * res.e_c * (1.0 + 2.0 * res.delta)
                 assert eps_eff == pytest.approx(approx, rel=0.05)
 
 
 class TestPhysicalityCheck:
     def test_reference_margin(self):
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
-        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
+        _, _, c = shared(REF_PROTO, REF_CHAN)
+        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
         assert res.passed
-        assert res.margin == pytest.approx(state.c - res.state_prime.c,
-                                                    abs=1e-15)
+        assert res.margin == pytest.approx(c - res.c_prime, abs=1e-15)
 
     def test_constructed_violation(self):
-        state = shared_state(REF_PROTO, REF_CHAN, 1)
-        res = renormalise(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
-        inflated = TwoModeGaussian(res.state_prime.mean, state.a, state.b,
-                                   state.c * 1.05)
-        margin = _margin(res.strategy, state.b, state.c, inflated.b, inflated.c)
-        passed, _ = _judge(Checks(), margin, inflated.a, inflated.b, inflated.c)
+        a, b, c = shared(REF_PROTO, REF_CHAN)
+        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
+        inflated = (a, b, c * 1.05)
+        margin = _margin(res.strategy, b, c, inflated[1], inflated[2])
+        passed, _ = _judge(Checks(), margin, *inflated)
         assert not passed
-        assert margin == pytest.approx(-0.05 * state.c, rel=1e-12)
+        assert margin == pytest.approx(-0.05 * c, rel=1e-12)
 
     def test_grid_physicality(self):
         """Both strategies stay physical across the operating grid."""
@@ -260,11 +246,11 @@ class TestPhysicalityCheck:
                                    rng.uniform(0.0, 30.0))
             chan = ChannelParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, 0.2))
             for strategy in RenormStrategy:
-                res = renormalise(proto, chan, strategy)
+                res = renormalised(proto, chan, strategy)
                 assert res.passed
-                assert on_triple(verdict, res.state_prime).physical
-            res_b = renormalise(proto, chan, RenormStrategy.B_PRESERVING)
-            assert res_b.virtual_transmissivity <= 1.0 + 1e-12
+                assert on_triple(verdict, res.a, res.b_prime, res.c_prime).physical
+            res_b = renormalised(proto, chan, RenormStrategy.B_PRESERVING)
+            assert res_b.t_v <= 1.0 + 1e-12
 
 
 class TestRequiredDisplacement:
@@ -283,7 +269,7 @@ class TestRequiredDisplacement:
             chan = ChannelParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, 0.4))
             w = 10 ** rng.uniform(-8, math.log10(0.5))
             d = required_displacement(v, chan, w)
-            stats = postprocess_stats(ProtocolParams(v, d), chan)
+            stats = renormalised(ProtocolParams(v, d), chan)
             assert abs(stats.e_c - w) < 1e-9
 
     def test_domain(self):
