@@ -16,6 +16,7 @@ lockstep V search and one kernel call for the diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -439,12 +440,26 @@ def _file_value(opt: _Option, value):
     return items if opt.many else items[0]
 
 
+@contextlib.contextmanager
+def _naming(file_keys, *keys: str):
+    """A DomainError raised inside names the first of ``keys`` whose value the
+    config file gave; an error about flag or default values is left as it is."""
+    try:
+        yield
+    except DomainError as exc:
+        key = next((k for k in keys if k in file_keys), None)
+        if key is None:
+            raise
+        raise DomainError(f"config key {key!r}: {exc}") from None
+
+
 def _merge(args: argparse.Namespace) -> dict:
     """CLI flags override config-file values, which override the table's defaults.
 
     A null value or an empty list counts as not given, and a file value of
     another command's option is type-checked, then ignored.  Every value
-    read is checked here, so bad input exits as a usage error before any row runs.
+    read is checked here, so bad input exits as a usage error before any row runs;
+    the message of a file value's error names its key.
     Returns the option values keyed by dest, plus ``command`` and
     ``security``, with ``strategy`` as a RenormStrategy.
     """
@@ -467,12 +482,15 @@ def _merge(args: argparse.Namespace) -> dict:
             value = _file_value(opt, file_values[opt.dest])
             if flags["command"] in opt.commands:
                 given[opt.dest] = value
+    named = functools.partial(_naming, given.keys() - flags.keys())
     given.update(flags)
 
     if sum(k in given for k in _T_ALTERNATIVES) > 1:
         raise DomainError("T, db and T-grid are mutually exclusive")
+    t_key = next((k for k in _T_ALTERNATIVES if k in given), "T")
     if "db" in given:
-        given["T"] = [attenuation_db_to_transmissivity(v) for v in given["db"]]
+        with named("db"):
+            given["T"] = [attenuation_db_to_transmissivity(v) for v in given["db"]]
     elif "t_grid" in given:
         given["T"] = given["t_grid"]
     values = {opt.dest: given.get(opt.dest, opt.default) for opt in _OPTIONS}
@@ -483,28 +501,48 @@ def _merge(args: argparse.Namespace) -> dict:
 
     if flags["command"] == "sweep-finite" and not values["N"]:
         values["N"] = [_DEFAULT_BLOCK]
+    for dest, name in _SECURITY.items():  # each alone, in the order SecurityParams checks
+        if dest in given:
+            with named(dest):
+                SecurityParams(math.inf, **{name: given[dest]})
     security = SecurityParams(math.inf, **{  # a template: each N replaces its block size
         name: given[dest] for dest, name in _SECURITY.items() if dest in given})
     for n in values["N"]:
-        if not 2 <= n < math.inf:
-            raise DomainError(f"N must be >= 2 and finite, got {n}")
-        dataclasses.replace(security, block_size=n)  # checks p_f N >= 1 at this N
-    for t in values["T"]:
-        ChannelParams(t, values["eps"], values["sigma"])
-    ProtocolParams(values["V"], 0.0, values["beta"])
-    for w in values["W"]:
-        if not 0.0 < w <= 0.5:
-            raise DomainError(f"W must be in (0, 0.5], got {w}")
-    if values["seed"] < 0:
-        raise DomainError(f"seed must be >= 0, got {values['seed']}")
+        with named("N"):
+            if not 2 <= n < math.inf:
+                raise DomainError(f"N must be >= 2 and finite, got {n}")
+        with named("N", "p_f"):
+            dataclasses.replace(security, block_size=n)  # checks p_f N >= 1 at this N
+    with named(t_key):
+        for t in values["T"]:
+            ChannelParams(t)
+    with named("eps"):
+        ChannelParams(1.0, values["eps"])
+    with named("sigma"):
+        ChannelParams(1.0, 0.0, values["sigma"])
+    with named("V"):
+        ProtocolParams(values["V"])
+    with named("beta"):
+        ProtocolParams(1.0, 0.0, values["beta"])
+    with named("W"):
+        for w in values["W"]:
+            if not 0.0 < w <= 0.5:
+                raise DomainError(f"W must be in (0, 0.5], got {w}")
+    with named("seed"):
+        if values["seed"] < 0:
+            raise DomainError(f"seed must be >= 0, got {values['seed']}")
     disclose = values["disclose"]
-    if disclose is not None and not 0.0 < disclose < 1.0:
-        raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
+    with named("disclose"):
+        if disclose is not None and not 0.0 < disclose < 1.0:
+            raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
     if flags["command"] in _SIM and len(values["T"]) > 1:
-        raise DomainError(f"simulate runs at one T, got {len(values['T'])} transmissivities")
+        with named(t_key):
+            raise DomainError(
+                f"simulate runs at one T, got {len(values['T'])} transmissivities")
     if flags["command"] in _SIM and values["shots_output"] and len(values["d"]) > 1:
-        raise DomainError(f"--shots-output holds the shots of one displacement, "
-                          f"got {len(values['d'])} displacements")
+        with named("d", "shots_output"):
+            raise DomainError(f"--shots-output holds the shots of one displacement, "
+                              f"got {len(values['d'])} displacements")
     if flags["command"] == "validate-fig2":
         values.update(_FIG2)
     return {**values, "command": flags["command"], "security": security,

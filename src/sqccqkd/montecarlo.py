@@ -43,6 +43,13 @@ _EPS_PE = 1e-10  # failure probability of the disclosed-bit error-rate bound
 _BIT_ERRORS = np.array([[0, 0, 0, 0, 0], [0, 0, 1, 2, 1], [0, 1, 0, 1, 2],
                         [0, 2, 1, 0, 1], [0, 1, 2, 1, 0]])
 
+# the decided symbol, indexed by 4 * x's sign class + y's; a coordinate's class is
+# 2 * (u >= 0) + (u <= 0): 0 NaN, 1 negative, 2 positive, 3 zero (either sign)
+_DECISIONS = np.array([4, 4, 4, 4,  # x NaN
+                       4, 3, 2, 3,  # x < 0
+                       4, 4, 1, 1,  # x > 0
+                       4, 3, 1, 1], dtype=np.int64)  # x = 0
+
 
 @dataclass(frozen=True, eq=False)
 class ShotChunk:
@@ -108,16 +115,23 @@ def _outcome_covariance(a, b, c) -> np.ndarray:
     """
     cov = np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c],
                     [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]]) + np.eye(4)
-    if np.linalg.eigvalsh(cov)[0] <= 0.0:
+    # each quadrature's 2x2 block is [[a + 1, +-c], [+-c, b + 1]]: positive-definite
+    # iff a + 1 > 0 and its Schur complement is, here beyond 4 ulp of b + 1
+    schur = (b + 1.0) - c * c / (a + 1.0)
+    if not (a + 1.0 > 0.0 and schur > 4.0 * np.finfo(float).eps * (b + 1.0)):
         raise DomainError("outcome covariance must be positive-definite")
     return cov
 
 
 def _classify(points: np.ndarray) -> np.ndarray:
-    """Quadrant decision with boundary ties resolved in case order 1, 2, 3, 4."""
-    x, y = points[:, 0], points[:, 1]
-    cases = [(x >= 0.0) & (y >= 0.0), (x < 0.0) & (y > 0.0), (x <= 0.0) & (y <= 0.0)]
-    return np.select(cases, [1, 2, 3], default=4).astype(np.int64)
+    """Quadrant decision with boundary ties resolved in case order 1, 2, 3, 4.
+
+    Symbol 1 takes x >= 0 and y >= 0, then 2 takes x < 0 and y > 0, then 3
+    x <= 0 and y <= 0; every other point, a NaN coordinate included, is 4.
+    """
+    sign = (points >= 0.0).view(np.uint8) * np.uint8(2)
+    sign += (points <= 0.0).view(np.uint8)
+    return _DECISIONS.take(sign[:, 0] * np.uint8(4) + sign[:, 1])
 
 
 @np.errstate(all="ignore")
@@ -152,6 +166,7 @@ def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
 
 def _draw(lower: np.ndarray, centroids: np.ndarray, symbol_schedule: str | int,
           n: int, seed: int) -> Iterator[ShotChunk]:
+    table = np.vstack([np.full(2, np.nan), centroids])  # row k: symbol k's centroid
     symbol_rng = normal_rng = _make_rng(seed)
     uniform = symbol_schedule == "uniform-random"
     if uniform:  # the normals follow all n symbols: a second generator skips them
@@ -163,15 +178,15 @@ def _draw(lower: np.ndarray, centroids: np.ndarray, symbol_schedule: str | int,
         symbols = (symbol_rng.integers(1, 5, size=k, dtype=np.int64) if uniform
                    else np.full(k, symbol_schedule, dtype=np.int64))
         joint = normal_rng.standard_normal((k, 4)) @ lower.T
-        bob = joint[:, 2:] + centroids[symbols - 1]
+        bob = joint[:, 2:] + table.take(symbols, axis=0)
         decided = _classify(bob)
-        joint[:, 2:] = bob - centroids[decided - 1]
+        joint[:, 2:] = bob - table.take(decided, axis=0)
         yield ShotChunk(start, joint, bob, symbols, decided)
 
 
-def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> int:
-    """The (x, y) bit errors of these shots: the axis signs that differ."""
-    return int(_BIT_ERRORS[true_symbols, decided_symbols].sum())
+def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> np.ndarray:
+    """The (x, y) bit errors of each shot: the axis signs that differ."""
+    return _BIT_ERRORS.take(5 * true_symbols + decided_symbols)
 
 
 class _Moments:
@@ -261,13 +276,13 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
         base, pos = pos, pos + len(chunk.joint)
         if pos > n:
             break
+        errors = _bit_errors(chunk.true_symbols, chunk.decided_symbols)
         lo = base
         while lo < pos:  # the pieces of this chunk in each sub-batch
             hi = min(pos, ends[j])
             piece = slice(lo - base, hi - base)
             subs[j].add(chunk.joint[piece])
-            sub_errors[j] += _bit_errors(chunk.true_symbols[piece],
-                                         chunk.decided_symbols[piece])
+            sub_errors[j] += int(errors[piece].sum())
             if hi == ends[j]:
                 j += 1
             lo = hi
@@ -275,9 +290,7 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
             for k, moments in enumerate(classes):
                 moments.add(chunk.bob_raw.compress(chunk.decided_symbols == k + 1, axis=0))
             if base < m:
-                head = slice(0, m - base)
-                disclosed_errors += _bit_errors(chunk.true_symbols[head],
-                                                chunk.decided_symbols[head])
+                disclosed_errors += int(errors[:m - base].sum())
     if pos != n:
         raise DomainError(f"the chunks hold other than the {n} shots of the batch")
 

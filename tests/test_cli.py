@@ -172,13 +172,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv, b_d, error", [
         (["--V", "1", "--eps", "1e100", "--d", "0"], "1.0000000000000001e+99", ""),
-        (["--V", "1.001", "--sigma", "1", "--d", "1e10"], "",
+        (["--V", "1.001", "--sigma", "1", "--d", "1e10"], "9.573611027154671e+17", ""),
+        (["--V", "1e20", "--d", "12"], "",
          "outcome covariance must be positive-definite"),
-    ], ids=["huge-noise-row", "indefinite-outcome-covariance"])
+    ], ids=["huge-noise-row", "receiver-noise-far-above-a", "indefinite-outcome-covariance"])
     def test_edge_rows(self, tmp_path, argv, b_d, error):
         """The analytic moments come from the shared-state stage, not from the rate's
-        renormalisation checks: a huge-noise batch is a row, and an outcome
-        covariance that is not positive-definite flags it."""
+        renormalisation checks: a huge-noise batch is a row, a receiver variance
+        far above the sender's is one too, and an outcome covariance that is not
+        positive-definite in double precision flags the row."""
         out = tmp_path / "edge.csv"
         assert cli.main(["simulate", "--T", "0.1", *argv, "--n", "300",
                          "--output", str(out)]) == 0
@@ -299,6 +301,26 @@ class TestHardenedInputs:
                       "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flag, message", [
+        ({"disclose": 1.5}, ["--disclose", "1.5"],
+         "disclose fraction must be in (0, 1), got 1.5"),
+        ({"T": [5]}, ["--T", "5"], "transmissivity must be in (0, 1], got 5.0"),
+        ({"eps": -1}, ["--eps", "-1"], "excess_noise must be >= 0, got -1.0"),
+    ], ids=["disclose", "T", "eps"])
+    def test_config_range_error_names_key(self, tmp_path, capsys, config, flag, message):
+        """A file value out of range names its key; the same flag value does not."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (["--config", str(cfg)], flag):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate", *argv, "--n", "300",
+                          "--output", str(tmp_path / "o.csv")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            named = f"config key {next(iter(config))!r}: {message}" in err
+            assert message in err and named == (argv != flag)
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["simulate", "--seed", "-1", "--n", "200"], "seed"),

@@ -119,6 +119,18 @@ class TestDiscrimination:
         proto = ProtocolParams(3.0, 50.0)  # snr ~ 280
         assert moments(proto, chan, "uniform-random", 100_000, 15).e_c_hat == 0.0
 
+    def test_classify_keeps_the_case_order(self):
+        """Signed zeros, infinities and NaN decide as the case list 1, 2, 3 with
+        default 4 does; continuous draws reach none of these points."""
+        values = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan]
+        points = np.array([[x, y] for x in values for y in values])
+        x, y = points[:, 0], points[:, 1]
+        oracle = np.select([(x >= 0.0) & (y >= 0.0), (x < 0.0) & (y > 0.0),
+                            (x <= 0.0) & (y <= 0.0)], [1, 2, 3], default=4)
+        decided = montecarlo._classify(points)
+        assert decided.dtype == np.int64
+        np.testing.assert_array_equal(decided, oracle)
+
     def test_decision_no_op_on_redisplaced_batch(self):
         """Re-displacement subtracts the decided centroid; every shot stays, in order."""
         n = 150_000  # three chunks
@@ -303,6 +315,27 @@ class TestStreamedPass:
             assert est.b_hat + 1.0 == pytest.approx(
                 ref["pooled"] / (1.0 + montecarlo.variance_shift_factor(est.snr_point)),
                 rel=1e-12)
+
+    def test_bit_error_counts_match_the_two_dimensional_sum(self, monkeypatch):
+        """Chunks of 1,000 cross the 16 sub-batches of 625 or 626 shots, and the
+        m = 1,501 disclosed shots end inside a chunk; every count is exact."""
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
+        n, fraction = 10_007, 0.15
+        proto = ProtocolParams(5.0, 3.0)  # e_C ~ 0.3: errors in every sub-batch
+        chunks = list(shot_chunks(proto, REF_CHAN, "uniform-random", n, 34))
+        for c in chunks:
+            np.testing.assert_array_equal(
+                montecarlo._bit_errors(c.true_symbols, c.decided_symbols),
+                montecarlo._BIT_ERRORS[c.true_symbols, c.decided_symbols])
+        per_shot = montecarlo._BIT_ERRORS[np.concatenate([c.true_symbols for c in chunks]),
+                                          np.concatenate([c.decided_symbols for c in chunks])]
+        subs = np.array_split(per_shot, 16)
+        rates = [int(sub.sum()) / (2 * len(sub)) for sub in subs]
+        m = int(fraction * n)
+        got, est = estimate(iter(chunks), n, fraction)
+        assert got.e_c_hat == int(per_shot.sum()) / (2 * n)
+        assert got.e_c_se == float(np.std(rates, ddof=1) / 4.0)
+        assert est.e_c_point == int(per_shot[:m].sum()) / (2 * m)
 
     def test_chunk_count_must_match(self):
         chunks = shot_chunks(REF_PROTO, REF_CHAN, 1, 100, 33)
