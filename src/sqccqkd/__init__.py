@@ -20,12 +20,10 @@ from .errors import (
     SqccError,
 )
 from .finitekey import (
-    DeltaTerms,
     SecurityParams,
-    delta_terms,
     worst_case_estimators,
 )
-from .gaussian import SymplecticSpectrum, g_function
+from .gaussian import SymplecticSpectrum
 from .keyrate import Optimum, optimise_v, rate_at
 from .montecarlo import (
     EmpiricalMoments,
@@ -37,16 +35,12 @@ from .montecarlo import (
 )
 from .postprocess import (
     RenormStrategy,
-    error_rate_from_snr,
     required_displacement,
-    shrinkage_from_snr,
-    variance_shift_factor,
 )
 from .special import (
     beta_inv_cdf_symmetric,
     beta_quantile,
     beta_reg,
-    erfc,
     erfc_inv,
     normal_quantile,
 )

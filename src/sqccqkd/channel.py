@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import _check_finite
-from .special import _isfinite, _isinf, _square
+from .special import _isfinite, _isinf
 
 __all__ = [
     "ChannelParams",
@@ -34,17 +34,10 @@ class ChannelParams:
     phase_noise_factor: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.transmissivity <= 1.0):
-            raise DomainError(
-                f"transmissivity must be in (0, 1], got {self.transmissivity}"
-            )
-        if not (self.excess_noise >= 0.0 and math.isfinite(self.excess_noise)):
-            raise DomainError(f"excess_noise must be >= 0, got {self.excess_noise}")
-        if not (self.phase_noise_factor >= 0.0
-                and math.isfinite(self.phase_noise_factor)):
-            raise DomainError(
-                f"phase_noise_factor must be >= 0, got {self.phase_noise_factor}"
-            )
+        checks = Checks()
+        _check_channel(checks, self.transmissivity, self.excess_noise,
+                       self.phase_noise_factor)
+        checks.raise_first()
 
 
 @dataclass(frozen=True)
@@ -72,6 +65,16 @@ def _check_protocol(checks: Checks, v, d, beta) -> None:
                "reconciliation_efficiency must be in (0, 1], got {}", beta)
 
 
+def _check_channel(checks: Checks, t, eps, sigma) -> None:
+    """``ChannelParams`` validation over arrays."""
+    checks.add(np.logical_not((0.0 < t) & (t <= 1.0)), DomainError,
+               "transmissivity must be in (0, 1], got {}", t)
+    checks.add(np.logical_not((eps >= 0.0) & _isfinite(eps)), DomainError,
+               "excess_noise must be >= 0, got {}", eps)
+    checks.add(np.logical_not((sigma >= 0.0) & _isfinite(sigma)), DomainError,
+               "phase_noise_factor must be >= 0, got {}", sigma)
+
+
 def _shared_state(checks: Checks, v, d, t, eps, sigma):
     """(eps_tot, b, c) of the state the parties share after the channel, over arrays.
 
@@ -80,7 +83,7 @@ def _shared_state(checks: Checks, v, d, t, eps, sigma):
     c = sqrt(T*(V^2 - 1)); the receiver mode of symbol k is displaced by
     sqrt(T) times its alphabet point, which only the Monte Carlo draws.
     """
-    power = _square(d)
+    power = d * d
     checks.add(_isinf(power) & _isfinite(d), DomainError,
                "displacement {} is too large", d)
     eps_tot = eps + sigma * t * power

@@ -37,6 +37,7 @@ from .channel import (
 )
 from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
+from .gaussian import _check_finite
 from .keyrate import optimise_rows, rate_rows
 from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, _moments, _snr
@@ -288,6 +289,7 @@ def _sampled(config: dict, p: dict) -> dict:
         _, b, c = _shared_state(checks, p["V"], p["d"], p["T"], p["eps"], p["sigma"])
         td2, snr = _snr(p["T"], p["d"], b)
         e_c, _, b_d, c_d = _moments(checks, td2, snr, b, c)
+        _check_finite(checks, p["V"], b_d, c_d)
     checks.raise_first()
     chunks = shot_chunks(proto, chan, config["symbol"], p["n"], p["seed"])
     if config["shots_output"]:

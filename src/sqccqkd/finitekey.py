@@ -16,12 +16,10 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import _check_finite
-from .special import _square, beta_inv_cdf_symmetric
+from .special import beta_inv_cdf_symmetric
 
 __all__ = [
     "SecurityParams",
-    "DeltaTerms",
-    "delta_terms",
     "worst_case_estimators",
 ]
 
@@ -89,35 +87,26 @@ class SecurityParams:
         return delta_var, 0.5 * shrink_var + shrink_cov
 
     @cached_property
-    def _delta_terms(self) -> DeltaTerms:
-        """``delta_terms(self)``, computed once per instance like the margins."""
-        return delta_terms(self)
+    def _penalties(self) -> tuple[float, float, float, float]:
+        """The rate's finite-size penalties, scaled by N and p_f, once per instance.
 
-
-@dataclass(frozen=True)
-class DeltaTerms:
-    """Finite-size penalty terms (bits, before block-size scaling)."""
-
-    aep: float
-    ent: float
-    s: float
-    h: float
-
-
-def delta_terms(sec: SecurityParams) -> DeltaTerms:
-    """Penalties for min-entropy smoothing, entropy estimation, frame errors, hashing."""
-    p_f = sec.frame_success
-    inner = 2.0 / (p_f * sec.eps_s ** 2 / 3.0) ** 2
-    if inner <= 1.0:
-        raise DomainError("smoothing penalty logarithm out of range")
-    aep = 4.0 * (sec.discretization_bits + 1) * math.sqrt(math.log2(inner))
-    ent = math.sqrt(2.0 * math.log2(2.0 / sec.eps_ent))
-    s_arg = p_f - p_f * sec.eps_s ** 2 / 3.0
-    if s_arg <= 0.0:
-        raise DomainError("frame-error penalty logarithm out of range")
-    s = math.log2(s_arg)
-    h = 2.0 * math.log2(math.sqrt(2.0) * sec.eps_h)
-    return DeltaTerms(aep=aep, ent=ent, s=s, h=h)
+        sqrt(p_f / N) Delta_AEP, sqrt(p_f log2(p_f N) / N) Delta_ent,
+        Delta_S / N and Delta_H / N: min-entropy smoothing, entropy
+        estimation, frame errors and hashing.
+        """
+        n = self.block_size
+        p_f = self.frame_success
+        inner = 2.0 / (p_f * self.eps_s ** 2 / 3.0) ** 2
+        if inner <= 1.0:
+            raise DomainError("smoothing penalty logarithm out of range")
+        aep = 4.0 * (self.discretization_bits + 1) * math.sqrt(math.log2(inner))
+        ent = math.sqrt(2.0 * math.log2(2.0 / self.eps_ent))
+        s_arg = p_f - p_f * self.eps_s ** 2 / 3.0
+        if s_arg <= 0.0:
+            raise DomainError("frame-error penalty logarithm out of range")
+        h = 2.0 * math.log2(math.sqrt(2.0) * self.eps_h)
+        return (math.sqrt(p_f / n) * aep, math.sqrt(p_f * math.log2(p_f * n) / n) * ent,
+                math.log2(s_arg) / n, h / n)
 
 
 def _confidence_shrink(z: float, n: float) -> float:
@@ -134,7 +123,7 @@ def _worst_case(a_hat, b_hat, c_hat, delta_var, delta_cov):
     """``worst_case_estimators`` over arrays, from the margins of each element."""
     sigma_a = (1.0 + delta_var) * a_hat
     sigma_b = (1.0 + delta_var) * b_hat
-    sigma_c = (1.0 - 2.0 * np.sqrt(a_hat * b_hat / _square(c_hat)) * delta_cov) * c_hat
+    sigma_c = (1.0 - 2.0 * np.sqrt(a_hat * b_hat / (c_hat * c_hat)) * delta_cov) * c_hat
     return sigma_a, sigma_b, sigma_c
 
 

@@ -21,7 +21,6 @@ from .special import _isfinite, _log1p, _log2, _where
 
 __all__ = [
     "SymplecticSpectrum",
-    "g_function",
 ]
 
 # clamping windows for floating-point noise at physical boundaries
@@ -104,20 +103,12 @@ def _conditional(checks: Checks, a, b, c):
 
 
 def _entropy(checks: Checks, x):
-    """``g_function`` over arrays."""
+    """g(x): entropy (bits) of a thermal mode of symplectic eigenvalue x, over arrays."""
     checks.add(np.logical_not(_isfinite(x)), DomainError,
-               "g_function argument must be finite, got {}", x)
-    checks.add(x < 1.0 - _G_CLAMP, DomainError, "g_function requires x >= 1, got {}", x)
+               "entropy argument must be finite, got {}", x)
+    checks.add(x < 1.0 - _G_CLAMP, DomainError, "entropy g(x) requires x >= 1, got {}", x)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
     # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x
     return _where(x <= 1.0, 0.0, _log2(xp) + xm * _log1p(1.0 / xm) / _LN2)
 
-
-@np.errstate(all="ignore")
-def g_function(x: float) -> float:
-    """Von Neumann entropy (bits) of a thermal mode with symplectic eigenvalue x."""
-    checks = Checks()
-    value = _entropy(checks, np.float64(x))
-    checks.raise_first()
-    return float(value)

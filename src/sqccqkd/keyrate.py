@@ -22,6 +22,7 @@ import numpy as np
 from .channel import (
     ChannelParams,
     ProtocolParams,
+    _check_channel,
     _check_protocol,
     _covariance,
     _shared_state,
@@ -45,7 +46,7 @@ from .postprocess import (
     _rescale,
     _snr,
 )
-from .special import _exp, _log2, _square, _where
+from .special import _exp, _log2, _where
 
 __all__ = [
     "Optimum",
@@ -103,12 +104,8 @@ class _FiniteTerms:
                 margins, error = sec._estimator_margins, None
             except SqccError as exc:
                 margins, error = (math.nan, math.nan), exc
-            d = sec._delta_terms
-            n = sec.block_size
-            p_f = sec.frame_success
-            rows.append((*margins, p_f, math.sqrt(p_f / n) * d.aep,
-                         math.sqrt(p_f * math.log2(p_f * n) / n) * d.ent,
-                         d.s / n, d.h / n, n, error))
+            rows.append((*margins, sec.frame_success, *sec._penalties, sec.block_size,
+                         error))
         *columns, errors = zip(*rows)
         return cls(*(np.array(col, dtype=float) for col in columns),
                    errors=np.array(errors, dtype=object))
@@ -128,7 +125,7 @@ def _mutual_information(checks: Checks, a, b, c, double: bool):
 
     ``double`` (dual-quadrature accounting) is off in all shipped figures.
     """
-    denom = a + 1.0 - _square(c) / (b + 1.0)
+    denom = a + 1.0 - c * c / (b + 1.0)
     checks.add(denom <= 0.0, NumericError, "mutual information denominator {:.3e} <= 0",
                denom)
     value = _log2((a + 1.0) / denom)
@@ -208,6 +205,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     else:
         v, d, t, eps, sigma = np.broadcast_arrays(*inputs)
     _check_protocol(checks, v, d, beta)
+    _check_channel(checks, t, eps, sigma)
     eps_tot, b, c = _shared_state(checks, v, d, t, eps, sigma)
     td2, snr = _snr(t, d, b)
     if model == "sqcc":

@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import ChannelParams, ProtocolParams, _shared_state, qpsk_symbol
 from .errors import Checks, DomainError, NumericError
-from .postprocess import variance_shift_factor
-from .special import beta_quantile, erfc_inv
+from .postprocess import _displacement_factor, _moments
+from .special import beta_quantile
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -237,9 +237,10 @@ def _snr_from_error_rate(e_c: float) -> float:
         return math.inf
     if e_c >= 0.5:
         return 0.0
-    return (2.0 * erfc_inv(2.0 * e_c)) ** 2
+    return _displacement_factor(e_c) ** 2
 
 
+@np.errstate(all="ignore")
 def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | None = None
              ) -> tuple[EmpiricalMoments, EstimationResult | None]:
     """Empirical moments, and with a disclosed fraction the estimation chain, in one pass.
@@ -319,7 +320,9 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
         e_c_bound = beta_quantile(1.0 - _EPS_PE, disclosed_errors + 1,
                                   comparisons - disclosed_errors)
     snr_point = _snr_from_error_rate(e_c_point)
-    shift = variance_shift_factor(snr_point)
+    # the shift g of b_d + 1 = (b + 1)(1 + g) is the b_d of a vacuum receiver (b = 0)
+    shift = (0.0 if math.isinf(snr_point)
+             else float(_moments(Checks(), snr_point, snr_point, 0.0, 0.0)[2]))
     # pooled per-quadrature variance within decided-symbol classes: removes
     # the class-mean spread that a global variance would pick up
     pooled = (sum(float(np.trace(c.m2)) for c in classes if c.n >= 2)

@@ -19,13 +19,10 @@ import numpy as np
 from .channel import ChannelParams
 from .errors import Checks, DomainError, NumericError
 from .gaussian import _check_finite, _check_overflow, _physicality
-from .special import _erfc, _exp, _isinf, _square, _where, erfc_inv
+from .special import _erfc, _exp, _isinf, _where, erfc_inv
 
 __all__ = [
     "RenormStrategy",
-    "error_rate_from_snr",
-    "shrinkage_from_snr",
-    "variance_shift_factor",
     "required_displacement",
 ]
 
@@ -44,46 +41,13 @@ def _check_snr(checks: Checks, snr) -> None:
 
 
 def _error_rate(snr):
-    """``error_rate_from_snr`` over arrays of valid SNR."""
+    """Per-axis classical bit-error rate e_c at a quasi-SNR, over valid SNR arrays."""
     return _where(_isinf(snr), 0.0, 0.5 * _erfc(np.sqrt(snr) / 2.0))
 
 
 def _shrinkage(snr):
-    """``shrinkage_from_snr`` over arrays of valid SNR."""
+    """Correlation shrinkage delta of erroneous re-displacement, over valid SNR arrays."""
     return _where(_isinf(snr), 0.0, np.sqrt(snr / math.pi) * _exp(-snr / 4.0))
-
-
-@np.errstate(all="ignore")
-def error_rate_from_snr(snr: float) -> float:
-    """Per-axis classical bit-error rate at a given quasi-SNR."""
-    checks = Checks()
-    _check_snr(checks, snr)
-    checks.add(np.isnan(snr), DomainError, "x must be finite, got nan")  # erfc's check
-    checks.raise_first()
-    return float(_error_rate(np.float64(snr)))
-
-
-@np.errstate(all="ignore")
-def shrinkage_from_snr(snr: float) -> float:
-    """Correlation-shrinkage factor from erroneous re-displacement."""
-    checks = Checks()
-    _check_snr(checks, snr)
-    checks.raise_first()
-    return float(_shrinkage(np.float64(snr)))
-
-
-def variance_shift_factor(snr: float) -> float:
-    """Relative shift g of the receiver outcome variance: b_d + 1 = (b + 1)(1 + g).
-
-    g = 2*snr*e_c - 2*delta - 2*snr*e_c^2; this is also Delta_V - 1 for the
-    variance-preserving rescaling, which makes it the quantity the receiver
-    infers from a bit-error-rate estimate alone.
-    """
-    if math.isinf(snr):
-        return 0.0
-    e_c = error_rate_from_snr(snr)
-    delta = shrinkage_from_snr(snr)
-    return 2.0 * snr * e_c - 2.0 * delta - 2.0 * snr * e_c * e_c
 
 
 def _snr(t, d, b):
@@ -113,7 +77,7 @@ def _rescale(checks: Checks, strategy: RenormStrategy, a, b, c, b_d, c_d, delta)
     if strategy is RenormStrategy.B_PRESERVING:
         delta_v = (b_d + 1.0) / (b + 1.0)
     elif strategy is RenormStrategy.C_PRESERVING:
-        delta_v = _square(1.0 - delta)
+        delta_v = np.square(1.0 - delta)
     else:
         checks.add(True, DomainError, "unknown renormalisation strategy {!r}", strategy)
         delta_v = np.full(np.shape(b), math.nan)

@@ -1,11 +1,12 @@
 """Self-contained special-function kernel.
 
-The complementary error function and its inverse, the regularized
-incomplete beta function and its symmetric-parameter inverse CDF, and
-the standard normal quantile.  Everything downstream (bit-error rates,
-confidence bounds, worst-case covariance estimators) is built on these
-scalars.  The array kernels call libm elementwise through the helpers at
-the end, so an array result equals the scalar one bit for bit.
+The inverse complementary error function, the regularized incomplete
+beta function and its symmetric-parameter inverse CDF, and the standard
+normal quantile.  Everything downstream (bit-error rates, confidence
+bounds, worst-case covariance estimators) is built on these scalars.
+The array kernels call libm (erfc, exp, log2, log1p) elementwise through
+the helpers at the end, so an array result equals the scalar one bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "erfc",
     "erfc_inv",
     "normal_quantile",
     "beta_reg",
@@ -39,11 +39,6 @@ def _require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, exact reflection erfc(x) + erfc(-x) = 2."""
-    return math.erfc(_require_finite("x", x))
 
 
 # Rational initial estimate for the normal quantile (Acklam's coefficients),
@@ -272,9 +267,8 @@ def _elementwise(fn, outside: float):
     """``fn`` applied to each element of an array, or to a scalar, as float64.
 
     numpy's own exp/log family has SIMD versions that differ from libm in
-    the last bit on some CPUs, and numpy squares ``x ** 2`` where Python
-    calls libm ``pow``; calling the Python function on each element keeps
-    array results equal to scalar ones on every machine.  An element
+    the last bit on some CPUs; calling the Python function on each element
+    keeps array results equal to scalar ones on every machine.  An element
     outside ``fn``'s domain, or whose result overflows, gives ``outside``.
     A scalar gives a numpy scalar, which later arithmetic handles faster
     than a 0-d array.
@@ -325,4 +319,3 @@ _erfc = _elementwise(math.erfc, math.nan)
 _exp = _elementwise(math.exp, math.inf)
 _log2 = _elementwise(math.log2, math.nan)
 _log1p = _elementwise(math.log1p, math.nan)
-_square = _elementwise(lambda x: x ** 2, math.inf)

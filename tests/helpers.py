@@ -1,9 +1,10 @@
 """Test paths into the kernel: state-level quantities and the V search's objective.
 
 The package evaluates its formulas at operating points (``keyrate.rate_at``)
-and over arrays (``keyrate.rate_cells``).  ``on_triple`` runs one of the
-private array functions on any (a, b, c), physical or not, and raises the
-first error it records, as the kernel reports it.  ``shared`` and
+and over arrays (``keyrate.rate_cells``).  ``on_point`` runs one of the
+private array stages on scalar arguments, and ``on_triple`` on any
+(a, b, c), physical or not; each raises the first error the stage records,
+as the kernel reports it.  ``shared`` and
 ``renormalised`` run the kernel's stages at one operating point and return
 what its cells leave out: the shared state, the rescaled state, the
 residual mean and the effective channel.
@@ -18,7 +19,25 @@ from sqccqkd.channel import _shared_state
 from sqccqkd.errors import Checks
 from sqccqkd.gaussian import _check_overflow, _physicality
 from sqccqkd.keyrate import rate_cells, rate_rows
-from sqccqkd.postprocess import RenormStrategy, _rescale
+from sqccqkd.postprocess import RenormStrategy, _moments, _rescale
+
+
+@np.errstate(all="ignore")
+def on_point(fn, *args):
+    """``fn(checks, *args)`` with each argument a float64; raises its first error."""
+    checks = Checks()
+    value = fn(checks, *(np.float64(x) for x in args))
+    checks.raise_first()
+    return value
+
+
+def vacuum_moments(snr):
+    """``_moments`` of a vacuum receiver (b = c = 0) at ``snr``: (e_c, delta, g, 0).
+
+    Its b_d is the relative shift g of the receiver variance,
+    b_d + 1 = (b + 1)(1 + g), which ``montecarlo.estimate`` infers from.
+    """
+    return on_point(_moments, snr, snr, 0.0, 0.0)
 
 
 @np.errstate(all="ignore")

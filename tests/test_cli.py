@@ -1,12 +1,14 @@
 """Command-line artifacts: schemas, determinism, config precedence, exit codes."""
 
 import csv
+import functools
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,21 +173,37 @@ class TestSimulateCommand:
                                 "true_symbol", "decided_symbol"}
 
     @pytest.mark.parametrize("argv, b_d, error", [
-        (["--V", "1", "--eps", "1e100", "--d", "0"], "1.0000000000000001e+99", ""),
-        (["--V", "1.001", "--sigma", "1", "--d", "1e10"], "9.573611027154671e+17", ""),
-        (["--V", "1e20", "--d", "12"], "",
+        (["--T", "0.1", "--V", "1", "--eps", "1e100", "--d", "0"],
+         "1.0000000000000001e+99", ""),
+        (["--T", "0.1", "--V", "1.001", "--sigma", "1", "--d", "1e10"],
+         "9.573611027154671e+17", ""),
+        (["--T", "0.1", "--V", "1e20", "--d", "12"], "",
          "outcome covariance must be positive-definite"),
-    ], ids=["huge-noise-row", "receiver-noise-far-above-a", "indefinite-outcome-covariance"])
+        (["--T", "0.999", "--V", "1", "--d", "1e154", "--eps", "0"], "",
+         "b must be finite"),
+    ], ids=["huge-noise-row", "receiver-noise-far-above-a", "indefinite-outcome-covariance",
+            "non-finite-analytic-moments"])
     def test_edge_rows(self, tmp_path, argv, b_d, error):
         """The analytic moments come from the shared-state stage, not from the rate's
         renormalisation checks: a huge-noise batch is a row, a receiver variance
         far above the sender's is one too, and an outcome covariance that is not
-        positive-definite in double precision flags the row."""
+        positive-definite in double precision flags the row, as do analytic
+        moments that overflow (2 T d^2 e_c is inf times 0 at d = 1e154)."""
         out = tmp_path / "edge.csv"
-        assert cli.main(["simulate", "--T", "0.1", *argv, "--n", "300",
-                         "--output", str(out)]) == 0
+        assert cli.main(["simulate", *argv, "--n", "300", "--output", str(out)]) == 0
         row = read_csv(out)[0]
         assert (row["b_d"], row["error"]) == (b_d, error)
+
+    def test_no_numpy_warning(self, tmp_path):
+        """A sub-batch spread that overflows is an inf standard error, not a warning."""
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--T", "0.1", "--V", "1", "--eps", "1e160",
+                             "--d", "0", "--n", "300", "--output", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert (row["b_d"], row["b_hat"], row["b_se"], row["error"]) == (
+            "1.0000000000000001e+159", "1.02449430371852e+159", "inf", "")
 
     def test_pipeline_columns_with_disclosure(self, tmp_path):
         out = tmp_path / "sim2.csv"
@@ -534,13 +552,15 @@ class TestPipelineEvaluations:
     def test_one_delta_terms_per_finite_row(self, tmp_path, monkeypatch):
         """The finite-size penalties are computed once per row, not per evaluation."""
         calls = []
-        original = finitekey.delta_terms
+        original = finitekey.SecurityParams._penalties.func
 
         def counted(sec):
             calls.append(sec.block_size)
             return original(sec)
 
-        monkeypatch.setattr(finitekey, "delta_terms", counted)
+        penalties = functools.cached_property(counted)
+        penalties.__set_name__(finitekey.SecurityParams, "_penalties")
+        monkeypatch.setattr(finitekey.SecurityParams, "_penalties", penalties)
         argv = ["optimize", "--T", "0.6", "--W", "1e-3", "--N", "1e6",
                 "--output", str(tmp_path / "o.csv")]
         assert cli.main(argv) == 0

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
-from sqccqkd.finitekey import SecurityParams, delta_terms, worst_case_estimators
+from sqccqkd.finitekey import SecurityParams, worst_case_estimators
 from sqccqkd.keyrate import _holevo, optimise_v, rate_at
 from sqccqkd.postprocess import required_displacement
 
@@ -18,17 +19,26 @@ def sec_at(n: float, **kwargs) -> SecurityParams:
     return SecurityParams(block_size=n, **kwargs)
 
 
+def unscaled(sec: SecurityParams) -> SimpleNamespace:
+    """The four penalties of ``sec._penalties`` before their N and p_f scaling."""
+    n, p_f = sec.block_size, sec.frame_success
+    aep, ent, s, h = sec._penalties
+    return SimpleNamespace(aep=aep / math.sqrt(p_f / n),
+                           ent=ent / math.sqrt(p_f * math.log2(p_f * n) / n),
+                           s=s * n, h=h * n)
+
+
 class TestDeltaTerms:
     def test_table_defaults_frozen(self):
         """Direct arithmetic on the four penalty formulas at the table defaults."""
-        d = delta_terms(sec_at(1e8))
+        d = unscaled(sec_at(1e8))
         assert d.aep == pytest.approx(327.80031219592576, rel=1e-12)
         assert d.ent == pytest.approx(8.272760234513463, rel=1e-12)
         assert d.s == pytest.approx(-0.005203073308612840, rel=1e-10)
         assert d.h == pytest.approx(-65.43856189774725, rel=1e-12)
 
     def test_hash_penalty_vanishes_at_special_eps(self):
-        d = delta_terms(sec_at(1e8, eps_h=1.0 / math.sqrt(2.0)))
+        d = unscaled(sec_at(1e8, eps_h=1.0 / math.sqrt(2.0)))
         assert d.h == pytest.approx(0.0, abs=1e-12)
 
     def test_epsilon_bounds_enforced(self):

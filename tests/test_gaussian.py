@@ -8,10 +8,10 @@ import pytest
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError, PhysicalityError
-from sqccqkd.gaussian import _REASONS, _conditional, g_function
+from sqccqkd.gaussian import _REASONS, _conditional, _entropy
 from sqccqkd.montecarlo import _centroids, _outcome_covariance
 
-from helpers import on_triple, renormalised, shared, verdict
+from helpers import on_point, on_triple, renormalised, shared, verdict
 
 
 def tmsvs(v: float) -> tuple:
@@ -114,22 +114,27 @@ class TestConditionalEigenvalue:
             lambda3(state)
 
 
+def entropy(x: float) -> float:
+    """The entropy stage g(x) at one x; raises its first error."""
+    return on_point(_entropy, x)
+
+
 class TestGFunction:
     def test_vacuum_limit(self):
-        assert g_function(1.0) == 0.0
+        assert entropy(1.0) == 0.0
 
     def test_exact_value_at_three(self):
-        assert g_function(3.0) == pytest.approx(2.0, abs=1e-15)
+        assert entropy(3.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_near_one_series_bound(self):
         # frozen from the series expansion of the entropy near the vacuum
-        value = g_function(1.0001)
+        value = entropy(1.0001)
         assert value == pytest.approx(7.865221743606664e-4, rel=1e-10)
         assert 0.0 < value < 0.002
 
     def test_monotone_increasing(self):
         xs = np.linspace(1.0, 100.0, 500)
-        vals = [g_function(float(x)) for x in xs]
+        vals = [entropy(float(x)) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(v >= 0.0 for v in vals)
 
@@ -139,12 +144,12 @@ class TestGFunction:
         xp, xm = (x + 1.0) / 2.0, (x - 1.0) / 2.0
         series = math.log2(xp) + (1.0 - 1.0 / (2.0 * xm) + 1.0 / (3.0 * xm ** 2)
                                   - 1.0 / (4.0 * xm ** 3)) / math.log(2.0)
-        assert g_function(x) == pytest.approx(series, rel=1e-13)
+        assert entropy(x) == pytest.approx(series, rel=1e-13)
 
     def test_clamp_window(self):
-        assert g_function(1.0 - 5e-13) == 0.0
+        assert entropy(1.0 - 5e-13) == 0.0
         with pytest.raises(DomainError):
-            g_function(0.999)
+            entropy(0.999)
 
 
 class TestMeasurementDistribution:

@@ -9,6 +9,7 @@ gives each row the optimum of its own search.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
-from sqccqkd.errors import SqccError
+from sqccqkd.errors import DomainError, SqccError
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import _FiniteTerms, optimise_rows, optimise_v, rate_cells, rate_rows
 from sqccqkd.postprocess import RenormStrategy, required_displacement
@@ -153,6 +154,31 @@ def test_large_displacement_error_is_per_element():
     assert [str(checks.error(i)) if checks.error(i) else "" for i in range(3)] == [
         "", "displacement 1e+160 is too large", ""]
     assert math.isfinite(cells["K"][0]) and math.isfinite(cells["K"][2])
+
+
+def test_channel_error_is_per_element():
+    """Each element's channel fails as ``ChannelParams`` fails on it, after its protocol.
+
+    T = 0 once gave K = 0 on a feasible row, and T = 1.5 with negative noise
+    reported a negative SNR.
+    """
+    v = [5.0] * 7 + [0.5]
+    t = [0.6, 0.0, 1.5, 0.6, 0.6, 0.6, math.nan, 0.0]
+    eps = [0.05, 0.05, -0.2, -0.2, math.inf, 0.05, 0.05, 0.05]
+    sigma = [0.0, 0.0, -1.0, -1.0, 0.0, -1.0, 0.0, 0.0]
+    _, checks = rate_cells(v, 3.0, t, eps, sigma)
+    errors = [checks.error(i) for i in range(len(v))]
+    assert [str(e) if e else "" for e in errors] == [
+        "", "transmissivity must be in (0, 1], got 0.0",
+        "transmissivity must be in (0, 1], got 1.5", "excess_noise must be >= 0, got -0.2",
+        "excess_noise must be >= 0, got inf", "phase_noise_factor must be >= 0, got -1.0",
+        "transmissivity must be in (0, 1], got nan", "modulation_variance must be >= 1, got 0.5"]
+    for (v_i, *channel), error in list(zip(zip(v, t, eps, sigma), errors))[1:]:
+        with pytest.raises(DomainError, match=re.escape(str(error))):
+            ProtocolParams(v_i, 3.0)
+            ChannelParams(*channel)
+    _, checks = rate_cells(5.0, 3.0, 0.0, 0.05, 0.0)  # one element computes on scalars
+    assert str(checks.error()) == "transmissivity must be in (0, 1], got 0.0"
 
 
 def test_margin_error_meets_the_chain_at_the_estimators():

@@ -8,7 +8,6 @@ import pytest
 from sqccqkd import gaussian
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import PhysicalityError
-from sqccqkd.gaussian import g_function
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
     _FiniteTerms,
@@ -22,7 +21,7 @@ from sqccqkd.keyrate import (
 )
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
-from helpers import on_triple, qos_objective, shared
+from helpers import on_point, on_triple, qos_objective, shared
 from oracles import brute_force_optimum, rate_from_triple
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -69,7 +68,7 @@ class TestHolevoBound:
 
     def test_product_state_gives_receiver_entropy(self):
         assert chi_of(triple(5.0, 3.0, 0.0)) == pytest.approx(
-            g_function(3.0), abs=1e-12)
+            on_point(gaussian._entropy, 3.0), abs=1e-12)
 
     def test_dual_path_recomputation(self):
         """Match an independent spreadsheet-style evaluation at 1e-10."""

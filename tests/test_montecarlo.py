@@ -16,7 +16,7 @@ from sqccqkd.errors import DomainError
 from sqccqkd.montecarlo import estimate, shot_chunks
 from sqccqkd.postprocess import RenormStrategy
 
-from helpers import renormalised, shared
+from helpers import renormalised, shared, vacuum_moments
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
 REF_CHAN = ChannelParams(0.1, 0.05)
@@ -313,7 +313,7 @@ class TestStreamedPass:
             assert est.delta_v_hat == pytest.approx(
                 (b_d_hat + 1.0) / (est.b_hat + 1.0), rel=1e-12)
             assert est.b_hat + 1.0 == pytest.approx(
-                ref["pooled"] / (1.0 + montecarlo.variance_shift_factor(est.snr_point)),
+                ref["pooled"] / (1.0 + vacuum_moments(est.snr_point)[2]),
                 rel=1e-12)
 
     def test_bit_error_counts_match_the_two_dimensional_sum(self, monkeypatch):

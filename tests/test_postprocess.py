@@ -17,13 +17,10 @@ from sqccqkd.postprocess import (
     RenormStrategy,
     _judge,
     _margin,
-    error_rate_from_snr,
     required_displacement,
-    shrinkage_from_snr,
-    variance_shift_factor,
 )
 
-from helpers import on_triple, renormalised, shared, verdict
+from helpers import on_triple, renormalised, shared, vacuum_moments, verdict
 from oracles import postprocessed_axis_moments
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
@@ -106,23 +103,23 @@ class TestPostprocessStats:
 
 class TestScalarHelpers:
     def test_error_rate_limits(self):
-        assert error_rate_from_snr(0.0) == 0.5
-        assert error_rate_from_snr(math.inf) == 0.0
+        assert vacuum_moments(0.0)[0] == 0.5
+        assert vacuum_moments(math.inf)[0] == 0.0
 
     def test_shrinkage_limits(self):
-        assert shrinkage_from_snr(0.0) == 0.0
-        assert shrinkage_from_snr(math.inf) == 0.0
-        assert shrinkage_from_snr(1e9) == 0.0  # exponent underflow
+        assert vacuum_moments(0.0)[1] == 0.0
+        assert vacuum_moments(math.inf)[1] == 0.0
+        assert vacuum_moments(1e9)[1] == 0.0  # exponent underflow
 
     def test_shift_consistency(self):
         stats = renormalised(REF_PROTO, REF_CHAN)
-        g = variance_shift_factor(stats.snr)
+        g = vacuum_moments(stats.snr)[2]
         assert stats.b_d + 1.0 == pytest.approx((stats.b + 1.0) * (1.0 + g),
                                                 rel=1e-12)
 
     def test_negative_snr_rejected(self):
         with pytest.raises(DomainError):
-            error_rate_from_snr(-1.0)
+            vacuum_moments(-1.0)
 
 
 class TestRenormalise:
