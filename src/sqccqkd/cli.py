@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -169,16 +168,11 @@ def _write_rows(rows: list[dict], columns: list[str], config: dict) -> str:
 
 
 def _grid(config: dict, **extra) -> Iterator[dict]:
-    """The T x W points of a rate command."""
-    for t in config["T"]:
-        for w in config["W"]:
-            yield {"T": t, "W": w, **extra}
-
-
-def _blocks(config: dict, **extra) -> Iterator[dict]:
-    """The N x T x W points of a command that takes --N; N is blank if none is given."""
+    """The N x T x W points of a rate command; N is blank if none is given."""
     for n in config["N"] or [""]:
-        yield from _grid(config, N=n, **extra)
+        for t in config["T"]:
+            for w in config["W"]:
+                yield {"T": t, "W": w, "N": n, **extra}
 
 
 def _batches(config: dict, d_default: list[float]) -> Iterator[dict]:
@@ -189,11 +183,11 @@ def _batches(config: dict, d_default: list[float]) -> Iterator[dict]:
 
 
 def _rate_inputs(config: dict, points: list[dict]):
-    """Each point's channel, threshold and, where it has an N, SecurityParams,
-    and the settings that the points' kernel calls share."""
+    """Each point's channel, threshold and, where it has an N, the run's
+    SecurityParams at that N, and the settings that the points' kernel calls share."""
     chans = [ChannelParams(p["T"], p["eps"], p["sigma"]) for p in points]
-    secs = [dataclasses.replace(config["security"], block_size=p["N"]) for p in points
-            if p.get("N")]  # every point of a command has an N, or none has
+    # every point of a command has an N, or none has
+    secs = [config["security"][p["N"]] for p in points if p["N"]]
     shared = {"strategy": config["strategy"], "beta": points[0]["beta"],  # one per run
               "mi_double": config["mi_double"]}
     return chans, [p["W"] for p in points], secs or None, shared
@@ -289,7 +283,7 @@ def _sampled(config: dict, p: dict) -> dict:
         _, b, c = _shared_state(checks, p["V"], p["d"], p["T"], p["eps"], p["sigma"])
         td2, snr = _snr(p["T"], p["d"], b)
         e_c, _, b_d, c_d = _moments(checks, td2, snr, b, c)
-        _check_finite(checks, p["V"], b_d, c_d)
+        _check_finite(checks, b_d, c_d, names=("b_d", "c_d"))
     checks.raise_first()
     chunks = shot_chunks(proto, chan, config["symbol"], p["n"], p["seed"])
     if config["shots_output"]:
@@ -345,12 +339,12 @@ _COMMANDS = {
         "finite-block rates over a grid",
         (_INPUT_COLUMNS + "N v_star k_star" + _DIAG_COLUMNS
          + " K_PE K_F ell epsilon_total").split(),
-        _blocks, _sweep_rows),
+        _grid, _sweep_rows),
     "optimize": _Command(
         "maximise the rate over V at each point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
          " bracket_low bracket_high error").split(),
-        lambda c: _blocks(c, model="sqcc"), _optimize_rows),
+        lambda c: _grid(c, model="sqcc"), _optimize_rows),
     "simulate": _Command(
         "Monte Carlo moments at given displacement(s)",
         (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"
@@ -463,7 +457,8 @@ def _merge(args: argparse.Namespace) -> dict:
     read is checked here, so bad input exits as a usage error before any row runs;
     the message of a file value's error names its key.
     Returns the option values keyed by dest, plus ``command`` and
-    ``security``, with ``strategy`` as a RenormStrategy.
+    ``security`` (the SecurityParams of each N), with ``strategy`` as a
+    RenormStrategy.
     """
     flags = {k: v for k, v in vars(args).items() if v is not None}
     file_values = {}
@@ -507,14 +502,14 @@ def _merge(args: argparse.Namespace) -> dict:
         if dest in given:
             with named(dest):
                 SecurityParams(math.inf, **{name: given[dest]})
-    security = SecurityParams(math.inf, **{  # a template: each N replaces its block size
-        name: given[dest] for dest, name in _SECURITY.items() if dest in given})
+    fields = {name: given[dest] for dest, name in _SECURITY.items() if dest in given}
+    security = {}  # N -> the SecurityParams that every row at that N shares
     for n in values["N"]:
         with named("N"):
             if not 2 <= n < math.inf:
                 raise DomainError(f"N must be >= 2 and finite, got {n}")
         with named("N", "p_f"):
-            dataclasses.replace(security, block_size=n)  # checks p_f N >= 1 at this N
+            security[n] = SecurityParams(n, **fields)  # checks p_f N >= 1 at this N
     with named(t_key):
         for t in values["T"]:
             ChannelParams(t)

@@ -9,6 +9,7 @@ with probability at most the summed epsilon budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,8 +77,8 @@ class SecurityParams:
 
         They depend on (N, eps_pe) alone, so the two Beta quantile
         bisections run once per instance rather than once per rate
-        evaluation.  The cache lives in the instance ``__dict__``:
-        ``dataclasses.replace`` builds a fresh instance without it.
+        evaluation.  The cache lives in the instance ``__dict__``, so the
+        CLI builds one instance per block size and shares it across rows.
         """
         n = self.block_size
         shrink_var = _confidence_shrink(self.eps_pe / 12.0, n)
@@ -96,17 +97,21 @@ class SecurityParams:
         """
         n = self.block_size
         p_f = self.frame_success
-        inner = 2.0 / (p_f * self.eps_s ** 2 / 3.0) ** 2
-        if inner <= 1.0:
-            raise DomainError("smoothing penalty logarithm out of range")
-        aep = 4.0 * (self.discretization_bits + 1) * math.sqrt(math.log2(inner))
+        square = (p_f * self.eps_s ** 2 / 3.0) ** 2
+        if square <= 2.0 / sys.float_info.max:  # 2 / square = inf: eps_s below ~1e-77
+            raise DomainError(f"smoothing penalty out of range: (p_f eps_s^2 / 3)^2 "
+                              f"underflows at p_f = {p_f}, eps_s = {self.eps_s}")
+        aep = 4.0 * (self.discretization_bits + 1) * math.sqrt(math.log2(2.0 / square))
         ent = math.sqrt(2.0 * math.log2(2.0 / self.eps_ent))
-        s_arg = p_f - p_f * self.eps_s ** 2 / 3.0
-        if s_arg <= 0.0:
-            raise DomainError("frame-error penalty logarithm out of range")
         h = 2.0 * math.log2(math.sqrt(2.0) * self.eps_h)
         return (math.sqrt(p_f / n) * aep, math.sqrt(p_f * math.log2(p_f * n) / n) * ent,
-                math.log2(s_arg) / n, h / n)
+                math.log2(p_f - p_f * self.eps_s ** 2 / 3.0) / n, h / n)
+
+    def _rate_terms(self) -> tuple[float, ...]:
+        """The eight constants of the finite-block rate: the two estimator margins,
+        p_f, the four penalties and N."""
+        return (*self._estimator_margins, self.frame_success, *self._penalties,
+                self.block_size)
 
 
 def _confidence_shrink(z: float, n: float) -> float:

@@ -41,9 +41,9 @@ class SymplecticSpectrum:
     d2: float
 
 
-def _check_finite(checks: Checks, a, b, c) -> None:
-    """The covariance entries of a state must be finite."""
-    for name, value in (("a", a), ("b", b), ("c", c)):
+def _check_finite(checks: Checks, *entries, names=("a", "b", "c")) -> None:
+    """The covariance entries of a state, named ``names``, must be finite."""
+    for name, value in zip(names, entries):
         checks.add(np.logical_not(_isfinite(value)), DomainError,
                    f"{name} must be finite")
 

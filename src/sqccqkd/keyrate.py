@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,44 +76,17 @@ class Optimum:
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class _FiniteTerms:
-    """Per-element finite-size constants of the rate, from SecurityParams.
-
-    The estimator margins and the penalties are those of the finite-block
-    rate with ``sec``; ``errors`` holds, per element, the error computing
-    the margins raised (None where they exist), which the chain meets at
-    the worst-case estimators.
-    """
-
-    delta_var: np.ndarray
-    delta_cov: np.ndarray
-    frame_success: np.ndarray
-    aep: np.ndarray  # sqrt(p_f / N) * Delta_AEP
-    ent: np.ndarray  # sqrt(p_f log2(p_f N) / N) * Delta_ent
-    s: np.ndarray  # Delta_S / N
-    h: np.ndarray  # Delta_H / N
-    block_size: np.ndarray
-    errors: np.ndarray
-
-    @classmethod
-    def of(cls, secs: list[SecurityParams]) -> _FiniteTerms:
-        """One element per SecurityParams, from its cached margins and penalties."""
-        rows = []
-        for sec in secs:
-            try:
-                margins, error = sec._estimator_margins, None
-            except SqccError as exc:
-                margins, error = (math.nan, math.nan), exc
-            rows.append((*margins, sec.frame_success, *sec._penalties, sec.block_size,
-                         error))
-        *columns, errors = zip(*rows)
-        return cls(*(np.array(col, dtype=float) for col in columns),
-                   errors=np.array(errors, dtype=object))
-
-    def take(self, index) -> _FiniteTerms:
-        """The elements at ``index`` (an integer array, or one position)."""
-        return _FiniteTerms(*(getattr(self, f)[index] for f in self.__dataclass_fields__))
+def _table(constants: Callable, items: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` floats ``constants(item)`` gives, one column per item, and the
+    SqccError it raises per item (None where it returns; the column is NaN)."""
+    table = np.full((width, len(items)), math.nan)
+    errors = np.full(len(items), None, dtype=object)
+    for i, item in enumerate(items):
+        try:
+            table[:, i] = constants(item)
+        except SqccError as exc:
+            errors[i] = exc
+    return table, errors
 
 
 def _check_model(model: str) -> None:
@@ -149,17 +123,19 @@ def _holevo(checks: Checks, a, b, c, verdict=None):
 
 
 def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
-          finite: _FiniteTerms | None = None, verdict=None):
+          finite=None, verdict=None):
     """(I_AB, chi_EB, K = beta I_AB - chi_EB) over arrays, and with ``finite`` (K^F, l).
 
     ``verdict`` is the state's physicality verdict, if already taken; with
-    ``finite`` chi_EB is taken at the worst-case estimates instead.
+    ``finite`` (the ``_table`` of ``SecurityParams._rate_terms``) chi_EB is
+    taken at the worst-case estimates instead, where its errors meet the chain.
     """
     eve = (a, b, c)
     if finite is not None:
+        (delta_var, delta_cov, p_f, aep, ent, s, h, n), errors = finite
         _check_correlation(checks, c)
-        checks.add(np.not_equal(finite.errors, None), finite.errors)
-        eve = _worst_case(a, b, c, finite.delta_var, finite.delta_cov)
+        checks.add(np.not_equal(errors, None), errors)
+        eve = _worst_case(a, b, c, delta_var, delta_cov)
         _check_finite(checks, *eve)
         verdict = None
     mi = _mutual_information(checks, a, b, c, mi_double)
@@ -167,15 +143,15 @@ def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
     k = reconciliation_efficiency * mi - chi
     if finite is None:
         return mi, chi, k
-    rate = finite.frame_success * k - finite.aep - finite.ent + finite.s + finite.h
-    return mi, chi, k, rate, rate * finite.block_size
+    rate = p_f * k - aep - ent + s + h
+    return mi, chi, k, rate, rate * n
 
 
 @np.errstate(all="ignore")
 def rate_cells(v, d, t, eps, sigma, beta=0.95,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                model: str = "sqcc", mi_double: bool = False,
-               finite: _FiniteTerms | None = None, asymptotic: bool = True,
+               finite=None, asymptotic: bool = True,
                checks: Checks | None = None) -> tuple[dict, Checks]:
     """The closed-form chain at broadcast arrays of (V, d, T, eps, sigma).
 
@@ -185,8 +161,9 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     e_c straight from the shared state's SNR, and does not renormalise.
     Returns the cells named as the CSV columns (``V``, ``d``, ``snr``,
     ``e_C``, the moments and ``delta_v`` for "sqcc", ``feasible``; with
-    ``asymptotic`` also ``I_AB``, ``chi_EB`` and ``K``; with ``finite``
-    also ``K_PE``, ``K_F`` and ``ell``) and the checks, whose
+    ``asymptotic`` also ``I_AB``, ``chi_EB`` and ``K``; with ``finite`` (see
+    ``_rate``, broadcasting per element) also ``K_PE``, ``K_F`` and
+    ``ell``) and the checks, whose
     ``error(index)`` is the exception the chain raises first on that
     element alone.  ``checks`` may carry errors found before the chain.
     Cells of a failed element are meaningless; at the broadcast shape ()
@@ -201,7 +178,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         # one element computes on numpy scalars, several times faster than arrays
         v, d, t, eps, sigma = (x.ravel()[0] for x in inputs)
         if finite is not None:
-            finite = _FiniteTerms(*(np.ravel(x)[0] for x in vars(finite).values()))
+            finite = [np.ravel(x)[0] for x in finite[0]], np.ravel(finite[1])[0]
     else:
         v, d, t, eps, sigma = np.broadcast_arrays(*inputs)
     _check_protocol(checks, v, d, beta)
@@ -248,7 +225,7 @@ def rate_at(proto: ProtocolParams, chan: ChannelParams,
     is flagged in ``feasible``, not raised, so parameter sweeps can record
     the region instead of aborting.  ``model`` "baseline" ignores ``strategy``.
     """
-    finite = None if sec is None else _FiniteTerms.of([sec]).take(0)
+    finite = None if sec is None else _table(SecurityParams._rate_terms, [sec], 8)
     cells, checks = rate_cells(proto.modulation_variance, proto.displacement,
                                chan.transmissivity, chan.excess_noise,
                                chan.phase_noise_factor, proto.reconciliation_efficiency,
@@ -271,15 +248,10 @@ class _Rows:
         self.t = np.array([chan.transmissivity for chan in chans])
         self.eps = np.array([chan.excess_noise for chan in chans])
         self.sigma = np.array([chan.phase_noise_factor for chan in chans])
-        self.factor = np.full(len(chans), math.nan)
-        self.errors = np.full(len(chans), None, dtype=object)
-        for i, w in enumerate(thresholds):
-            try:
-                self.factor[i] = _displacement_factor(w)
-            except SqccError as exc:
-                self.errors[i] = exc
+        (self.factor,), self.errors = _table(_displacement_factor, thresholds, 1)
         self.invalid = np.not_equal(self.errors, None)
-        self.finite = None if secs is None else _FiniteTerms.of(secs)
+        self.finite = (None if secs is None else
+                       _table(SecurityParams._rate_terms, secs, 8))
         self.options = (beta, strategy, model, mi_double)
 
     def cells(self, rows: np.ndarray, v: np.ndarray,
@@ -291,7 +263,8 @@ class _Rows:
         checks.add(self.invalid[rows], self.errors[rows])
         t, eps = self.t[rows], self.eps[rows]
         d = _displacement(v, t, eps, self.factor[rows])
-        finite = None if self.finite is None else self.finite.take(rows)
+        finite = None if self.finite is None else (self.finite[0][:, rows],
+                                                    self.finite[1][rows])
         beta, strategy, model, mi_double = self.options
         return rate_cells(v, d, t, eps, self.sigma[rows], beta, strategy, model,
                           mi_double, finite, asymptotic, checks)

@@ -180,7 +180,7 @@ class TestSimulateCommand:
         (["--T", "0.1", "--V", "1e20", "--d", "12"], "",
          "outcome covariance must be positive-definite"),
         (["--T", "0.999", "--V", "1", "--d", "1e154", "--eps", "0"], "",
-         "b must be finite"),
+         "b_d must be finite"),
     ], ids=["huge-noise-row", "receiver-noise-far-above-a", "indefinite-outcome-covariance",
             "non-finite-analytic-moments"])
     def test_edge_rows(self, tmp_path, argv, b_d, error):
@@ -467,8 +467,12 @@ class TestEveryCommandFlags:
         (["sweep-asymptotic", "--T", "0.1", "--eps", "1e300"],
          {"eps": "1e+300", "feasible": "false", "error": "covariance a=5.000e+00, "
           "b=1.000e+299, c=1.549e+00 overflows its symplectic invariants"}),
+        # (p_f eps_s^2 / 3)^2 underflows to 0: once a ZeroDivisionError traceback
+        (["optimize", "--T", "0.5", "--W", "1e-3", "--N", "1e6", "--eps-s", "1e-200"],
+         {"N": "1000000.0", "v_star": "", "error": "smoothing penalty out of range: "
+          "(p_f eps_s^2 / 3)^2 underflows at p_f = 0.9964, eps_s = 1e-200"}),
     ], ids=["optimize", "compare-baseline", "simulate", "validate-fig2",
-            "sweep-asymptotic-overflow"])
+            "sweep-asymptotic-overflow", "optimize-eps-s-underflow"])
     def test_failing_point_is_flagged_row(self, tmp_path, capsys, argv, echoed):
         out = tmp_path / "o.csv"
         assert cli.main([*argv, "--output", str(out)]) == 0
@@ -532,22 +536,23 @@ class TestPipelineEvaluations:
         monkeypatch.setattr(finitekey, "beta_inv_cdf_symmetric", counted)
         return calls
 
-    @pytest.mark.parametrize("argv, rows", [
+    @pytest.mark.parametrize("argv, blocks", [
         (["optimize", "--T", "0.6", "--N", "1e6"], 1),
         (["optimize", "--T", "0.6"], 0),
-        (["sweep-finite", "--optimize-v", "--T", "0.3", "0.6", "--N", "1e8", "1e4"], 4),
+        (["sweep-finite", "--optimize-v", "--T", "0.3", "0.6", "--N", "1e8", "1e4"], 2),
         (["optimize", "--T", "0.6", "--N", "1e6", "1e4"], 2),
     ], ids=["optimize-N", "optimize-asymptotic", "sweep-finite-optimize-v",
             "optimize-two-N"])
     def test_two_beta_quantiles_per_finite_row(self, tmp_path, quantile_calls,
-                                               argv, rows):
-        """The optimiser and the row's K^F share one pair of quantiles per block size."""
+                                               argv, blocks):
+        """Every row at a block size, its search and its K^F share one pair of
+        quantiles: a run makes two per block size, however many rows it has."""
         out = tmp_path / "o.csv"
         assert cli.main([*argv, "--W", "1e-3", "--output", str(out)]) == 0
-        assert len(quantile_calls) == 2 * rows
+        assert len(quantile_calls) == 2 * blocks
         # a second run in the same process pays for its own quantiles
         assert cli.main([*argv, "--W", "1e-3", "--output", str(out)]) == 0
-        assert len(quantile_calls) == 4 * rows
+        assert len(quantile_calls) == 4 * blocks
 
     def test_one_delta_terms_per_finite_row(self, tmp_path, monkeypatch):
         """The finite-size penalties are computed once per row, not per evaluation."""

@@ -47,6 +47,16 @@ class TestDeltaTerms:
         with pytest.raises(DomainError):
             sec_at(1e8, eps_s=0.0)
 
+    @pytest.mark.parametrize("eps_s", [1e-78, 1e-200])
+    def test_smoothing_penalty_underflow_is_domain_error(self, eps_s):
+        """(p_f eps_s^2 / 3)^2 underflows below eps_s of about 1e-77: at 1e-78 the
+        penalty was inf, at 1e-200 a ZeroDivisionError.  The margins do not need eps_s."""
+        sec = sec_at(1e6, eps_s=eps_s)
+        with pytest.raises(DomainError, match="smoothing penalty out of range"):
+            sec._penalties
+        assert all(map(math.isfinite, sec._estimator_margins))
+        assert math.isfinite(unscaled(sec_at(1e6, eps_s=1e-76)).aep)
+
     def test_block_size_floor(self):
         with pytest.raises(DomainError):
             sec_at(1.0)

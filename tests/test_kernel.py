@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError, SqccError
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _FiniteTerms, optimise_rows, optimise_v, rate_cells, rate_rows
+from sqccqkd.keyrate import _table, optimise_rows, optimise_v, rate_cells, rate_rows
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
 from helpers import renormalised
@@ -49,7 +49,7 @@ def _inputs(points):
         if d is None:
             d = required_displacement(v, ChannelParams(t, eps), w)
         rows.append((v, d, t, eps, sigma))
-    finite = _FiniteTerms.of([SECS[p[-1]] for p in points])
+    finite = _table(SecurityParams._rate_terms, [SECS[p[-1]] for p in points], 8)
     return [np.array(col) for col in zip(*rows)], finite
 
 
@@ -73,7 +73,7 @@ def test_array_equals_each_element(points, strategy, model, finite):
               "finite": terms if finite else None}
     cells, checks = rate_cells(v, d, t, eps, sigma, **kwargs)
     for i in range(len(points)):
-        one = {**kwargs, "finite": terms.take(i) if finite else None}
+        one = {**kwargs, "finite": (terms[0][:, i], terms[1][i]) if finite else None}
         cells_i, checks_i = rate_cells(v[i], d[i], t[i], eps[i], sigma[i], **one)
         assert cells.keys() == cells_i.keys()
         for name in cells:
@@ -182,14 +182,19 @@ def test_channel_error_is_per_element():
 
 
 def test_margin_error_meets_the_chain_at_the_estimators():
-    """A block whose margins cannot be computed fails where the chain needs them.
+    """A block whose margins or penalties cannot be computed fails where the chain
+    needs them.
 
     eps_pe = 1e-200 makes eps_pe^2 / 1296 underflow to 0, which the Beta
-    quantile rejects; points that fail earlier keep their own error.
+    quantile rejects, and eps_s = 1e-200 makes (p_f eps_s^2 / 3)^2 underflow
+    to 0 in the smoothing penalty; points that fail earlier keep their own error.
     """
-    sec = SecurityParams(block_size=1e6, eps_pe=1e-200)
-    _, checks = rate_cells([5.0, 1e300, 5.0], [3.0, 3.0, 1e160], 0.3, 0.05, 0.0,
-                           finite=_FiniteTerms.of([sec] * 3))
-    assert [str(checks.error(i)) for i in range(3)] == [
-        "beta_inv_cdf_symmetric requires 0 < z < 1, got 0.0", "c must be finite",
-        "displacement 1e+160 is too large"]
+    for field, error in (
+            ("eps_pe", "beta_inv_cdf_symmetric requires 0 < z < 1, got 0.0"),
+            ("eps_s", "smoothing penalty out of range: (p_f eps_s^2 / 3)^2 underflows "
+                      "at p_f = 0.9964, eps_s = 1e-200")):
+        sec = SecurityParams(block_size=1e6, **{field: 1e-200})
+        _, checks = rate_cells([5.0, 1e300, 5.0], [3.0, 3.0, 1e160], 0.3, 0.05, 0.0,
+                               finite=_table(SecurityParams._rate_terms, [sec] * 3, 8))
+        assert [str(checks.error(i)) for i in range(3)] == [
+            error, "c must be finite", "displacement 1e+160 is too large"]

@@ -10,11 +10,11 @@ from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import PhysicalityError
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
-    _FiniteTerms,
     _holevo,
     _lockstep,
     _mutual_information,
     _Rows,
+    _table,
     optimise_v,
     rate_at,
     rate_cells,
@@ -99,8 +99,9 @@ class TestHolevoBound:
         # spectrum; the finite-block rate adds the worst-case state
         v = np.geomspace(1.5, 50.0, 7)
         sec = SecurityParams(block_size=1e8)
+        finite = _table(SecurityParams._rate_terms, [sec], 8)
         for kwargs, spectra in (({}, 1), ({"model": "baseline"}, 1),
-                                ({"finite": _FiniteTerms.of([sec]).take(0)}, 2)):
+                                ({"finite": finite}, 2)):
             calls.clear()
             _, checks = rate_cells(v, 3.0, 0.3, 0.05, 0.0, **kwargs)
             assert not checks.code.any()
