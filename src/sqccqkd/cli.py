@@ -151,9 +151,13 @@ def _json_cell(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _write_rows(rows: list[dict], columns: list[str], config: dict) -> str:
-    path = config["output"] or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
+def _artifact_path(config: dict) -> str:
+    return config["output"] or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."),
                                             f"{config['command']}.{config['fmt']}")
+
+
+def _write_rows(rows: list[dict], columns: list[str], config: dict) -> str:
+    path = _artifact_path(config)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         if config["fmt"] == "json":
@@ -261,16 +265,17 @@ def _each(row: Callable[[dict, dict], dict]):
 
 def _dumped(chunks: Iterator[ShotChunk], path: str) -> Iterator[ShotChunk]:
     """The chunks, each written to the shots CSV at ``path`` (opened on the first
-    one) as it passes; the csv module writes a float as its ``repr``."""
+    one) as it passes; a float is written as its ``repr``, as the csv module does."""
+    line = "%d,%r,%r,%r,%r,%r,%r,%d,%d\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
-                         "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
+        fh.write("shot,alice_x,alice_y,bob_raw_x,bob_raw_y,"
+                 "bob_post_x,bob_post_y,true_symbol,decided_symbol\r\n")
         for chunk in chunks:
             columns = (*chunk.joint[:, :2].T, *chunk.bob_raw.T, *chunk.joint[:, 2:].T,
                        chunk.true_symbols, chunk.decided_symbols)
-            writer.writerows(zip(range(chunk.start, chunk.start + len(chunk.joint)),
-                                 *(column.tolist() for column in columns)))
+            fh.writelines(map(line.__mod__, zip(
+                range(chunk.start, chunk.start + len(chunk.joint)),
+                *(column.tolist() for column in columns))))
             yield chunk
 
 
@@ -540,6 +545,13 @@ def _merge(args: argparse.Namespace) -> dict:
         with named("d", "shots_output"):
             raise DomainError(f"--shots-output holds the shots of one displacement, "
                               f"got {len(values['d'])} displacements")
+    shots = values["shots_output"]  # given to simulate only
+    if shots:
+        artifact = _artifact_path({**values, "command": flags["command"]})
+        if os.path.realpath(shots) == os.path.realpath(artifact):
+            with named("shots_output"):
+                raise DomainError(f"shots_output {shots!r} names the artifact's file "
+                                  f"{artifact!r}; the artifact would overwrite the shots")
     if flags["command"] == "validate-fig2":
         values.update(_FIG2)
     return {**values, "command": flags["command"], "security": security,

@@ -201,7 +201,7 @@ class _Moments:
         k = len(rows)
         if k:
             mean = np.ones(k) @ rows / k  # numpy's column sums of narrow rows are slow
-            centred = rows - mean
+            centred = np.asfortranarray(rows) - mean  # so is their subtraction: by columns
             self.merge(k, mean, centred.T @ centred)
 
     def merge(self, k: int, mean: np.ndarray, m2: np.ndarray) -> None:

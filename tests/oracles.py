@@ -3,11 +3,13 @@
 Nothing here may import from the code paths under test beyond plain data:
 the error-function oracle is a Maclaurin series / Laplace continued
 fraction, the moment oracles integrate truncated-Gaussian densities with
-adaptive quadrature, and the beta oracle integrates the density directly.
+adaptive quadrature, the beta oracle integrates the density directly, and
+the shots-file oracle writes its rows with the csv module.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 
@@ -153,3 +155,16 @@ def brute_force_optimum(objective, n_points: int = 10_000,
         values = np.array([objective(v) for v in grid])
     best = max(values.tolist())
     return max(best, 0.0)
+
+
+def write_shots_csv(chunks, path) -> None:
+    """The per-shot scatter file of shot chunks, as the csv module writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["shot", "alice_x", "alice_y", "bob_raw_x", "bob_raw_y",
+                         "bob_post_x", "bob_post_y", "true_symbol", "decided_symbol"])
+        for chunk in chunks:
+            columns = (*chunk.joint[:, :2].T, *chunk.bob_raw.T, *chunk.joint[:, 2:].T,
+                       chunk.true_symbols, chunk.decided_symbols)
+            writer.writerows(zip(range(chunk.start, chunk.start + len(chunk.joint)),
+                                 *(column.tolist() for column in columns)))

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,8 @@ from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
 from sqccqkd.keyrate import optimise_v, rate_at
 from sqccqkd.channel import ProtocolParams
+
+from oracles import write_shots_csv
 
 
 def read_csv(path):
@@ -594,6 +597,59 @@ class TestPipelineEvaluations:
         assert calls == [700, 700, 600] * 2
 
 
+class TestShotsFile:
+    # every cell of a shots file that repr and the csv module could render apart
+    EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1e-4,
+             1e16, 1.7976931348623157e308]
+
+    def test_dump_writes_the_bytes_of_the_csv_module(self, tmp_path):
+        """Two hand-built chunks, after a non-zero start, holding every edge value
+        in every float column and its negation in the next chunk."""
+        edges = np.array(self.EDGES)
+        cells = np.stack([np.roll(edges, j) for j in range(6)], axis=1)
+        symbols = np.arange(len(edges), dtype=np.int64)
+        chunks = [montecarlo.ShotChunk(3, cells[:, :4], cells[:, 4:],
+                                       symbols % 4 + 1, (symbols + 1) % 4 + 1),
+                  montecarlo.ShotChunk(3 + len(edges), -cells[:5, :4], -cells[:5, 4:],
+                                       symbols[:5] % 2 + 3, symbols[:5] % 3 + 1)]
+        passed = list(cli._dumped(iter(chunks), str(tmp_path / "dump.csv")))
+        assert all(a is b for a, b in zip(passed, chunks)) and len(passed) == 2
+        write_shots_csv(chunks, tmp_path / "oracle.csv")
+        dump = (tmp_path / "dump.csv").read_bytes()
+        assert dump == (tmp_path / "oracle.csv").read_bytes()
+        assert dump.count(b"\r\n") == 1 + len(edges) + 5
+
+    @pytest.mark.parametrize("shots, output, config", [
+        ("same.csv", "same.csv", None),
+        ("sub/../same.csv", "{dir}/same.csv", None),
+        ("simulate.csv", None, None),  # the default artifact path
+        ("./simulate.json", None, {"fmt": "json"}),
+        (None, "same.csv", {"shots_output": "same.csv"}),
+    ], ids=["flags", "aliased", "default", "default-json", "config"])
+    def test_shots_file_that_is_the_artifact_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, shots, output, config):
+        """The artifact, written last, would overwrite the shots it names."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        (tmp_path / "sub").mkdir()
+        argv = ["simulate", "--T", "0.1", "--d", "12", "--n", "300"]
+        if shots is not None:
+            argv += ["--shots-output", shots]
+        if output is not None:
+            argv += ["--output", output.format(dir=tmp_path)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", "cfg.json"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "names the artifact's file" in err
+        assert ("config key 'shots_output'" in err) == (shots is None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["sub"] + ["cfg.json"] * (config is not None))
+
+
 class TestStreamedMonteCarlo:
     """The Monte Carlo streams in chunks: outputs do not depend on their size,
     and memory does not grow with the number of shots."""
@@ -639,6 +695,14 @@ class TestStreamedMonteCarlo:
         for name in ("two", "three"):
             assert all(got[name][se] == "nan" for se in (
                 "a_se", "b_se", "c_se", "e_C_se", "mean_bx_se", "mean_by_se"))
+
+    def test_dump_writes_the_bytes_of_the_csv_module(self, tmp_path):
+        dump = self.outputs(tmp_path / "cli")["dump"]
+        chunks = montecarlo.shot_chunks(ProtocolParams(5.0, 12.0, 0.95),
+                                        ChannelParams(0.1, 0.05, 0.0), 2, 10_007, 6)
+        write_shots_csv(chunks, tmp_path / "oracle.csv")
+        assert dump == (tmp_path / "oracle.csv").read_bytes()
+        assert dump.count(b"\r\n") == 10_008
 
     def test_memory_does_not_grow_with_shots(self, tmp_path):
         def simulate(n):

@@ -175,6 +175,28 @@ class TestEmpiricalMoments:
         with pytest.raises(DomainError):
             estimate(shot_chunks(REF_PROTO, REF_CHAN, 1, 1, 20), 1)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 4_099, 16_384])
+    def test_add_keeps_the_bits_of_centring_by_rows(self, k, dim):
+        """``_Moments.add`` centres a column-major copy of its rows; the BLAS
+        product of it sums as the row-major ``rows - mean`` did, bit for bit."""
+        rng = np.random.default_rng(1000 * k + dim)
+        scale = np.array([1.0, 3.0, 1e-3, 7.0])[:dim]
+        wide = rng.standard_normal((k + 3, dim))
+        cases = [rng.standard_normal((k, dim)),
+                 40.0 + scale * rng.standard_normal((k, dim)),  # offset, scaled columns
+                 -1e6 + 1e-4 * rng.standard_normal((k, dim)),
+                 wide[2:k + 2]]  # a row slice, as estimate passes its sub-batches
+        got, ref = montecarlo._Moments(dim), montecarlo._Moments(dim)
+        for rows in cases:
+            got.add(rows)
+            mean = np.ones(k) @ rows / k
+            centred = rows - mean
+            ref.merge(k, mean, centred.T @ centred)
+            assert got.n == ref.n
+            assert np.array_equal(got.mean.view(np.int64), ref.mean.view(np.int64))
+            assert np.array_equal(got.m2.view(np.int64), ref.m2.view(np.int64))
+
 
 class TestSubShotNoiseHazard:
     def test_dip_and_rescue(self):
