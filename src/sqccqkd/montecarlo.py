@@ -200,8 +200,11 @@ class _Moments:
     def add(self, rows: np.ndarray) -> None:
         k = len(rows)
         if k:
-            mean = np.ones(k) @ rows / k  # numpy's column sums of narrow rows are slow
-            centred = np.asfortranarray(rows) - mean  # so is their subtraction: by columns
+            # numpy's column sums of narrow rows are slow, and so is subtracting
+            # the mean from each row: subtract it in place from a column-major copy
+            mean = np.ones(k) @ rows / k
+            centred = np.array(rows, order="F")
+            centred -= mean
             self.merge(k, mean, centred.T @ centred)
 
     def merge(self, k: int, mean: np.ndarray, m2: np.ndarray) -> None:

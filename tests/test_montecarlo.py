@@ -189,7 +189,9 @@ class TestEmpiricalMoments:
                  wide[2:k + 2]]  # a row slice, as estimate passes its sub-batches
         got, ref = montecarlo._Moments(dim), montecarlo._Moments(dim)
         for rows in cases:
+            before = rows.copy()
             got.add(rows)
+            assert np.array_equal(rows, before)  # centred in a copy, even at k = 1
             mean = np.ones(k) @ rows / k
             centred = rows - mean
             ref.merge(k, mean, centred.T @ centred)
