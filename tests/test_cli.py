@@ -406,6 +406,55 @@ class TestHardenedInputs:
         assert [row["error"] for row in read_csv(out)] == [""]
 
 
+# one bad value per checked option, in the order in which values are checked
+BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,
+       **{key: -1 for key in ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng", "eps_ir",
+                              "eps_cal")},
+       "N": 1, "T": 2, "eps": -1, "sigma": -1, "V": 0.5, "beta": 1.5, "W": 0.7,
+       "seed": -1, "disclose": 1.5}
+
+
+class TestFirstErrorOrder:
+    """With two bad values, the usage error is the one the earlier value alone
+    gives, whether each value comes from a flag or from the config file."""
+
+    OPTIONS = {opt.dest: opt for opt in cli._OPTIONS}
+
+    def usage_error(self, tmp_path, capsys, command, values, in_file):
+        """The stderr of a run given ``values``, each by the config file if its key
+        is in ``in_file``, else by its flag, in the order of ``values``."""
+        argv = [command, "--output", str(tmp_path / "o.csv")]
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+                 if key not in in_file]
+        if in_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: [value] if self.OPTIONS[key].many else value
+                                       for key, value in values.items() if key in in_file}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [name for name in cli._COMMANDS if sum(
+        name in opt.commands for opt in cli._OPTIONS if opt.dest in BAD) > 1])
+    def test_pairs_report_the_earlier_option(self, tmp_path, capsys, command):
+        keys = [key for key in BAD if command in self.OPTIONS[key].commands]
+        alone = {(key, bool(in_file)): self.usage_error(
+                     tmp_path, capsys, command, {key: BAD[key]}, in_file)
+                 for key in keys for in_file in ((), (key,))}
+        assert len(set(alone.values())) == len(alone)  # each names its option apart
+        for i, first in enumerate(keys):
+            for second in keys[i + 1:]:
+                if {first, second} <= set(cli._T_ALTERNATIVES):
+                    continue  # mutually exclusive
+                for in_file in ((), (first,), (second,), (first, second)):
+                    for pair in ((first, second), (second, first)):  # both orders given
+                        err = self.usage_error(tmp_path, capsys, command,
+                                               {key: BAD[key] for key in pair}, in_file)
+                        assert err == alone[first, first in in_file], (pair, in_file)
+
+
 class TestReusedParser:
     def test_each_run_writes_what_a_fresh_process_writes(self, tmp_path, capsys):
         """One parser serves every ``main`` call; no run leaves state for the next."""
