@@ -19,10 +19,7 @@ from .errors import (
     PhysicalityError,
     SqccError,
 )
-from .finitekey import (
-    SecurityParams,
-    worst_case_estimators,
-)
+from .finitekey import SecurityParams
 from .gaussian import SymplecticSpectrum
 from .keyrate import Optimum, optimise_v, rate_at
 from .montecarlo import (

@@ -37,7 +37,7 @@ from .channel import (
 from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
 from .gaussian import _check_finite
-from .keyrate import optimise_rows, rate_rows
+from .keyrate import _Rows, optimise_rows
 from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, _moments, _snr
 
@@ -86,24 +86,60 @@ class _Option:
     flag: str = ""  # if not --dest
     choices: tuple[str, ...] | None = None
     help: str | None = None
+    check: Callable | None = None  # raises DomainError on a set value or a list's item
 
 
+def _require(ok: Callable[[float], bool], message: str) -> Callable[[float], None]:
+    """The check that raises ``message``, formatted with the value, where ``ok`` fails."""
+    def check(value):
+        if not ok(value):
+            raise DomainError(message.format(value))
+
+    return check
+
+
+def _security(field: str) -> Callable[[float], None]:
+    """The check of one SecurityParams field, set alone."""
+    return lambda value: SecurityParams(math.inf, **{field: value})
+
+
+_EPS = ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng", "eps_ir", "eps_cal")
 # security option -> the SecurityParams field it sets; unset ones keep its default
-_SECURITY = {"p_f": "frame_success", "d_rx": "discretization_bits",
-             **{key: key for key in ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng",
-                                     "eps_ir", "eps_cal")}}
+_SECURITY = {"p_f": "frame_success", "d_rx": "discretization_bits", **{k: k for k in _EPS}}
 
+# checked in this order: of two bad values, the earlier option's is reported
 _OPTIONS = (
-    _Option("T", many=True, default=(0.1,),
-            help="transmissivity value(s)"),
-    _Option("db", many=True, default=(),
+    _Option("db", many=True, default=(), check=attenuation_db_to_transmissivity,
             help="attenuation value(s) in dB (converted to T)"),
     _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
+    _Option("p_f", commands=_FINITE, check=_security("frame_success"),
+            help="frame success probability"),
+    _Option("d_rx", int, commands=_FINITE, check=_security("discretization_bits"),
+            help="discretization bits"),
+    *(_Option(key, commands=_FINITE, check=_security(key)) for key in _EPS),
+    _Option("N", many=True, default=(), commands=_FINITE,
+            check=_require(lambda n: 2 <= n < math.inf,
+                           "N must be >= 2 and finite, got {}"),
+            help="block size(s)"),
+    _Option("T", many=True, default=(0.1,), check=ChannelParams,
+            help="transmissivity value(s)"),
+    _Option("eps", default=0.05, check=lambda x: ChannelParams(1.0, x),
+            help="channel excess noise"),
+    _Option("sigma", default=0.0, check=lambda x: ChannelParams(1.0, 0.0, x),
+            help="phase-noise factor (0 disables)"),
+    _Option("V", default=5.0, commands=_SWEEPS + _SIM, check=ProtocolParams,
+            help="fixed modulation variance"),
+    _Option("beta", default=0.95, check=lambda x: ProtocolParams(1.0, 0.0, x),
+            help="reconciliation efficiency"),
     _Option("W", many=True, default=(0.5,), commands=_RATE,
+            check=_require(lambda w: 0.0 < w <= 0.5, "W must be in (0, 0.5], got {}"),
             help="classical QoS bit-error threshold(s)"),
-    _Option("eps", default=0.05, help="channel excess noise"),
-    _Option("beta", default=0.95, help="reconciliation efficiency"),
-    _Option("sigma", default=0.0, help="phase-noise factor (0 disables)"),
+    _Option("seed", int, default=42, commands=_SHOTS,
+            check=_require(lambda seed: seed >= 0, "seed must be >= 0, got {}")),
+    _Option("disclose", commands=_SIM,
+            check=_require(lambda f: 0.0 < f < 1.0,
+                           "disclose fraction must be in (0, 1), got {}"),
+            help="run the estimation pipeline with this disclosed fraction"),
     _Option("strategy", str, default="b-preserving",
             choices=tuple(s.value for s in RenormStrategy)),
     _Option("mi_double", bool, default=False, commands=_RATE,
@@ -113,25 +149,15 @@ _OPTIONS = (
             help="artifact file path"),
     _Option("fmt", str, default="csv", commands=_ALL, flag="--format",
             choices=("csv", "json")),
-    _Option("V", default=5.0, commands=_SWEEPS + _SIM,
-            help="fixed modulation variance"),
     _Option("optimize_v", bool, default=False, commands=_SWEEPS,
             help="maximise the rate over V at each point"),
-    _Option("N", many=True, default=(), commands=_FINITE,
-            help="block size(s)"),
-    _Option("p_f", commands=_FINITE, help="frame success probability"),
-    _Option("d_rx", int, commands=_FINITE, help="discretization bits"),
-    *(_Option(key, commands=_FINITE) for key in _SECURITY if key.startswith("eps_")),
     _Option("d", many=True, default=(), commands=_SHOTS,
             help="displacement(s)"),
     _Option("n", int, default=100_000, commands=_SHOTS,
             help="shots per point"),
-    _Option("seed", int, default=42, commands=_SHOTS),
     _Option("symbol", str, default="uniform-random", commands=_SIM,
             choices=("uniform-random", "1", "2", "3", "4"),
             help="'uniform-random' or a fixed index"),
-    _Option("disclose", commands=_SIM,
-            help="run the estimation pipeline with this disclosed fraction"),
     _Option("shots_output", str, default="", commands=_SIM,
             help="also dump per-shot scatter data to this CSV"),
 )
@@ -211,14 +237,11 @@ def _sweep_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
             out[i] = {"v_star": opt.v_star, "k_star": opt.k_star}
             if math.isfinite(opt.v_star):
                 v[i] = opt.v_star
-    live = [i for i, row in enumerate(out) if isinstance(row, dict)]
-    if not live:
-        return out
-    cells, checks = rate_rows([chans[i] for i in live], [thresholds[i] for i in live],
-                              [v[i] for i in live], secs=secs and [secs[i] for i in live],
-                              **shared)
-    cells = {name: values.tolist() for name, values in cells.items()}
-    for j, i in enumerate(live):
+    live = np.flatnonzero([isinstance(row, dict) for row in out])
+    cells, checks = _Rows(chans, thresholds, model="sqcc", secs=secs, **shared).cells(
+        live, np.array(v)[live])
+    cells = {name: np.atleast_1d(values).tolist() for name, values in cells.items()}
+    for j, i in enumerate(live.tolist()):
         error = checks.error(j)
         if error is not None:
             out[i] = error
@@ -458,12 +481,11 @@ def _merge(args: argparse.Namespace) -> dict:
     """CLI flags override config-file values, which override the table's defaults.
 
     A null value or an empty list counts as not given, and a file value of
-    another command's option is type-checked, then ignored.  Every value
-    read is checked here, so bad input exits as a usage error before any row runs;
-    the message of a file value's error names its key.
-    Returns the option values keyed by dest, plus ``command`` and
-    ``security`` (the SecurityParams of each N), with ``strategy`` as a
-    RenormStrategy.
+    another command's option is type-checked, then ignored.  Each option's
+    check, then each rule across options, runs here, so bad input exits as a
+    usage error before any row runs; a file value's error names its key.
+    Returns the option values keyed by dest, plus ``command`` and ``security``
+    (the SecurityParams of each N), with ``strategy`` as a RenormStrategy.
     """
     flags = {k: v for k, v in vars(args).items() if v is not None}
     file_values = {}
@@ -490,53 +512,29 @@ def _merge(args: argparse.Namespace) -> dict:
     if sum(k in given for k in _T_ALTERNATIVES) > 1:
         raise DomainError("T, db and T-grid are mutually exclusive")
     t_key = next((k for k in _T_ALTERNATIVES if k in given), "T")
-    if "db" in given:
-        with named("db"):
-            given["T"] = [attenuation_db_to_transmissivity(v) for v in given["db"]]
-    elif "t_grid" in given:
+    if "t_grid" in given:
         given["T"] = given["t_grid"]
     values = {opt.dest: given.get(opt.dest, opt.default) for opt in _OPTIONS}
     values.update({opt.dest: [float(v) for v in values[opt.dest]]
                    for opt in _OPTIONS if opt.many})
     if values["symbol"] != "uniform-random":
         values["symbol"] = int(values["symbol"])
-
     if flags["command"] == "sweep-finite" and not values["N"]:
         values["N"] = [_DEFAULT_BLOCK]
-    for dest, name in _SECURITY.items():  # each alone, in the order SecurityParams checks
-        if dest in given:
-            with named(dest):
-                SecurityParams(math.inf, **{name: given[dest]})
-    fields = {name: given[dest] for dest, name in _SECURITY.items() if dest in given}
-    security = {}  # N -> the SecurityParams that every row at that N shares
-    for n in values["N"]:
-        with named("N"):
-            if not 2 <= n < math.inf:
-                raise DomainError(f"N must be >= 2 and finite, got {n}")
-        with named("N", "p_f"):
-            security[n] = SecurityParams(n, **fields)  # checks p_f N >= 1 at this N
-    with named(t_key):
-        for t in values["T"]:
-            ChannelParams(t)
-    with named("eps"):
-        ChannelParams(1.0, values["eps"])
-    with named("sigma"):
-        ChannelParams(1.0, 0.0, values["sigma"])
-    with named("V"):
-        ProtocolParams(values["V"])
-    with named("beta"):
-        ProtocolParams(1.0, 0.0, values["beta"])
-    with named("W"):
-        for w in values["W"]:
-            if not 0.0 < w <= 0.5:
-                raise DomainError(f"W must be in (0, 0.5], got {w}")
-    with named("seed"):
-        if values["seed"] < 0:
-            raise DomainError(f"seed must be >= 0, got {values['seed']}")
-    disclose = values["disclose"]
-    with named("disclose"):
-        if disclose is not None and not 0.0 < disclose < 1.0:
-            raise DomainError(f"disclose fraction must be in (0, 1), got {disclose}")
+
+    for opt in _OPTIONS:
+        value = values[opt.dest]
+        if opt.check is not None and value is not None:
+            with named(t_key if opt.dest == "T" else opt.dest):
+                for item in value if opt.many else [value]:
+                    opt.check(item)
+        if opt.dest == "db" and value:  # the T it gives is checked at T's turn
+            values["T"] = [attenuation_db_to_transmissivity(db) for db in value]
+    fields = {_SECURITY[k]: values[k] for k in _SECURITY if values[k] is not None}
+    with named(*_EPS):  # the seven epsilons, each in range, sum below 1
+        SecurityParams(math.inf, **fields)
+    with named("N", "p_f"):  # p_f N >= 1 at each N
+        security = {n: SecurityParams(n, **fields) for n in values["N"]}
     if flags["command"] in _SIM and len(values["T"]) > 1:
         with named(t_key):
             raise DomainError(

@@ -16,13 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Checks, DomainError
-from .gaussian import _check_finite
 from .special import beta_inv_cdf_symmetric
 
-__all__ = [
-    "SecurityParams",
-    "worst_case_estimators",
-]
+__all__ = ["SecurityParams"]
+
+_MAX_BITS = 64  # the largest discretization_bits
 
 
 @dataclass(frozen=True)
@@ -31,6 +29,8 @@ class SecurityParams:
 
     ``eps_qrng``, ``eps_ir`` and ``eps_cal`` enter only the summed budget,
     not the rate formula; they are carried implicitly by the other terms.
+    ``discretization_bits`` is at most 64: a finer ADC is not physical, and
+    the smoothing penalty grows with it.
     """
 
     block_size: float
@@ -54,17 +54,19 @@ class SecurityParams:
         if not (self.frame_success * self.block_size >= 1.0):
             raise DomainError("frame_success * block_size must be >= 1, got "
                               f"{self.frame_success} * {self.block_size}")
-        if self.discretization_bits < 1:
-            raise DomainError(
-                f"discretization_bits must be >= 1, got {self.discretization_bits}"
-            )
+        if not 1 <= self.discretization_bits <= _MAX_BITS:
+            raise DomainError(f"discretization_bits must be in 1..{_MAX_BITS}, "
+                              f"got {self.discretization_bits}")
         for name in ("eps_pe", "eps_s", "eps_h", "eps_ent"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise DomainError(f"{name} must be in (0, 1), got {value}")
         for name in ("eps_qrng", "eps_ir", "eps_cal"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (0.0 <= value < 1.0):  # nan fails too
+                raise DomainError(f"{name} must be in [0, 1), got {value}")
+        if not self.epsilon_total() < 1.0:
+            raise DomainError(f"epsilon_total must be < 1, got {self.epsilon_total()}")
 
     def epsilon_total(self) -> float:
         """Seven-term composable failure budget."""
@@ -73,7 +75,7 @@ class SecurityParams:
 
     @cached_property
     def _estimator_margins(self) -> tuple[float, float]:
-        """(delta_var, delta_cov) of ``worst_case_estimators``.
+        """(delta_var, delta_cov) of ``_worst_case``.
 
         They depend on (N, eps_pe) alone, so the two Beta quantile
         bisections run once per instance rather than once per rate
@@ -81,8 +83,12 @@ class SecurityParams:
         CLI builds one instance per block size and shares it across rows.
         """
         n = self.block_size
+        z_cov = self.eps_pe ** 2 / 1296.0
+        if z_cov == 0.0:  # eps_pe below about 1e-160; eps_pe / 12 underflows later
+            raise DomainError(f"estimator confidence out of range: eps_pe^2 / 1296 "
+                              f"underflows at eps_pe = {self.eps_pe}")
         shrink_var = _confidence_shrink(self.eps_pe / 12.0, n)
-        shrink_cov = _confidence_shrink(self.eps_pe ** 2 / 1296.0, n)
+        shrink_cov = _confidence_shrink(z_cov, n)
         delta_var = ((1.0 + shrink_var)
                      * (1.0 + 240.0 / self.eps_pe * math.exp(-n / 32.0)) - 1.0)
         return delta_var, 0.5 * shrink_var + shrink_cov
@@ -104,8 +110,14 @@ class SecurityParams:
         aep = 4.0 * (self.discretization_bits + 1) * math.sqrt(math.log2(2.0 / square))
         ent = math.sqrt(2.0 * math.log2(2.0 / self.eps_ent))
         h = 2.0 * math.log2(math.sqrt(2.0) * self.eps_h)
-        return (math.sqrt(p_f / n) * aep, math.sqrt(p_f * math.log2(p_f * n) / n) * ent,
-                math.log2(p_f - p_f * self.eps_s ** 2 / 3.0) / n, h / n)
+        penalties = (math.sqrt(p_f / n) * aep,
+                     math.sqrt(p_f * math.log2(p_f * n) / n) * ent,
+                     math.log2(p_f - p_f * self.eps_s ** 2 / 3.0) / n, h / n)
+        if not all(map(math.isfinite, penalties)):  # 2 / eps_ent overflows below ~1e-308
+            raise DomainError(f"finite-size penalties out of range: {penalties} at "
+                              f"eps_s = {self.eps_s}, eps_ent = {self.eps_ent}, "
+                              f"eps_h = {self.eps_h}")
+        return penalties
 
     def _rate_terms(self) -> tuple[float, ...]:
         """The eight constants of the finite-block rate: the two estimator margins,
@@ -125,27 +137,14 @@ def _check_correlation(checks: Checks, c_hat) -> None:
 
 
 def _worst_case(a_hat, b_hat, c_hat, delta_var, delta_cov):
-    """``worst_case_estimators`` over arrays, from the margins of each element."""
+    """Confidence-interval extremes of the covariance triple over arrays, from the
+    margins of each element.
+
+    Variances are inflated and the correlation deflated, which is the
+    direction that enlarges the eavesdropper bound.  The true values lie
+    outside these extremes with probability at most eps_pe.
+    """
     sigma_a = (1.0 + delta_var) * a_hat
     sigma_b = (1.0 + delta_var) * b_hat
     sigma_c = (1.0 - 2.0 * np.sqrt(a_hat * b_hat / (c_hat * c_hat)) * delta_cov) * c_hat
     return sigma_a, sigma_b, sigma_c
-
-
-@np.errstate(all="ignore")
-def worst_case_estimators(a_hat: float, b_hat: float, c_hat: float,
-                          sec: SecurityParams) -> tuple[float, float, float]:
-    """Confidence-interval extremes of the covariance triple.
-
-    Variances are inflated and the correlation deflated, which is the
-    direction that enlarges the eavesdropper bound.  The true values lie
-    outside these extremes with probability at most eps_pe.  A non-finite
-    extreme raises ``DomainError``, as it does in the rate.
-    """
-    checks = Checks()
-    _check_correlation(checks, c_hat)
-    checks.raise_first()
-    sigmas = _worst_case(np.float64(a_hat), b_hat, c_hat, *sec._estimator_margins)
-    _check_finite(checks, *sigmas)
-    checks.raise_first()
-    return tuple(float(x) for x in sigmas)

@@ -47,7 +47,7 @@ from .postprocess import (
     _rescale,
     _snr,
 )
-from .special import _exp, _log2, _where
+from .special import _exp, _isfinite, _log2, _where
 
 __all__ = [
     "Optimum",
@@ -55,7 +55,6 @@ __all__ = [
     "rate_at",
     "optimise_v",
     "optimise_rows",
-    "rate_rows",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -254,6 +253,7 @@ class _Rows:
                        _table(SecurityParams._rate_terms, secs, 8))
         self.options = (beta, strategy, model, mi_double)
 
+    @np.errstate(all="ignore")
     def cells(self, rows: np.ndarray, v: np.ndarray,
               asymptotic: bool = True) -> tuple[dict, Checks]:
         """Kernel cells at ``v`` of ``rows`` (broadcasting), scalars at one element."""
@@ -263,6 +263,9 @@ class _Rows:
         checks.add(self.invalid[rows], self.errors[rows])
         t, eps = self.t[rows], self.eps[rows]
         d = _displacement(v, t, eps, self.factor[rows])
+        checks.add(np.logical_not(_isfinite(d)), DomainError, "required displacement "
+                   "overflows: V + eps - 1 + 2 / T is not finite at V = {}, eps = {}, "
+                   "T = {}", v, eps, t)
         finite = None if self.finite is None else (self.finite[0][:, rows],
                                                     self.finite[1][rows])
         beta, strategy, model, mi_double = self.options
@@ -414,16 +417,3 @@ def optimise_v(chan: ChannelParams, qos_threshold: float,
     if isinstance(result, SqccError):
         raise result
     return result
-
-
-def rate_rows(chans: list[ChannelParams], thresholds: list[float], v,
-              strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-              beta: float = 0.95, mi_double: bool = False,
-              secs: list[SecurityParams] | None = None) -> tuple[dict, Checks]:
-    """``rate_cells`` at one V per row, with d from the row's QoS threshold.
-
-    Returns the asymptotic cells, and with ``secs`` the finite-block ones.
-    """
-    rows = _Rows(chans, thresholds, strategy, beta, "sqcc", mi_double, secs)
-    cells, checks = rows.cells(np.arange(len(chans)), np.asarray(v, dtype=float))
-    return {name: np.reshape(x, checks.shape) for name, x in cells.items()}, checks

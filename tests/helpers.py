@@ -1,7 +1,10 @@
 """Test paths into the kernel: state-level quantities and the V search's objective.
 
 The package evaluates its formulas at operating points (``keyrate.rate_at``)
-and over arrays (``keyrate.rate_cells``).  ``on_point`` runs one of the
+and over arrays (``keyrate.rate_cells``).  ``rate_rows`` evaluates rows of
+(channel, QoS threshold) at one V each, as the CLI's fixed-V sweeps do, and
+``worst_case_estimators`` gives the worst-case extremes of one covariance
+triple.  ``on_point`` runs one of the
 private array stages on scalar arguments, and ``on_triple`` on any
 (a, b, c), physical or not; each raises the first error the stage records,
 as the kernel reports it.  ``shared`` and
@@ -17,8 +20,9 @@ import numpy as np
 
 from sqccqkd.channel import _shared_state
 from sqccqkd.errors import Checks
-from sqccqkd.gaussian import _check_overflow, _physicality
-from sqccqkd.keyrate import rate_cells, rate_rows
+from sqccqkd.finitekey import _check_correlation, _worst_case
+from sqccqkd.gaussian import _check_finite, _check_overflow, _physicality
+from sqccqkd.keyrate import _Rows, rate_cells
 from sqccqkd.postprocess import RenormStrategy, _moments, _rescale
 
 
@@ -47,6 +51,26 @@ def on_triple(fn, a, b, c, *args):
     value = fn(checks, *(np.float64(x) for x in (a, b, c)), *args)
     checks.raise_first()
     return value
+
+
+def worst_case_estimators(a_hat, b_hat, c_hat, sec):
+    """Confidence-interval extremes of one covariance triple at ``sec``'s margins,
+    as the finite-block rate takes them; raises the first error it records there."""
+    def extremes(checks, a, b, c):
+        _check_correlation(checks, c)
+        sigmas = _worst_case(a, b, c, *sec._estimator_margins)
+        _check_finite(checks, *sigmas)
+        return tuple(float(x) for x in sigmas)
+
+    return on_triple(extremes, a_hat, b_hat, c_hat)
+
+
+def rate_rows(chans, thresholds, v):
+    """The asymptotic cells of the rows (channel, QoS threshold) at one V per row (or
+    one V for all), with d from the row's threshold, and their checks."""
+    rows = _Rows(chans, thresholds, RenormStrategy.B_PRESERVING, 0.95, "sqcc", False, None)
+    cells, checks = rows.cells(np.arange(len(chans)), np.asarray(v, dtype=float))
+    return {name: np.reshape(x, checks.shape) for name, x in cells.items()}, checks
 
 
 def verdict(checks, a, b, c):

@@ -139,7 +139,7 @@ class TestSweepCommands:
         def boom(*args, **kwargs):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli, "rate_rows", boom)
+        monkeypatch.setattr(keyrate._Rows, "cells", boom)
         out = tmp_path / "warn.csv"
         code = cli.main(["sweep-asymptotic", "--T", "0.5", "--W", "0.5",
                          "--V", "5", "--output", str(out)])
@@ -396,6 +396,66 @@ class TestHardenedInputs:
         assert f"frame_success * block_size must be >= 1, got {values}" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("config, message", [
+        ({"eps_qrng": math.nan}, "eps_qrng must be in [0, 1), got nan"),
+        ({"eps_cal": math.inf}, "eps_cal must be in [0, 1), got inf"),
+        ({"eps_ir": 1.0}, "eps_ir must be in [0, 1), got 1.0"),
+        ({"eps_ir": 0.7, "eps_cal": 0.7}, "epsilon_total must be < 1, got 1.4000000005"),
+        ({"d_rx": 10**400}, f"discretization_bits must be in 1..64, got {10**400}"),
+        ({"d_rx": 99999999999999999999},
+         "discretization_bits must be in 1..64, got 99999999999999999999"),
+    ], ids=["eps_qrng-nan", "eps_cal-inf", "eps_ir-1", "eps-sum", "d_rx-huge", "d_rx-20"])
+    @pytest.mark.parametrize("command", ["sweep-finite", "optimize"])
+    def test_security_value_out_of_range_is_usage_error(self, tmp_path, capsys, command,
+                                                        config, message):
+        """Such values once gave a row with a nan, infinite or vacuous epsilon_total,
+        a K_F of -4.7e18, or an OverflowError traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+        for argv in (["--config", str(cfg)], flags):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--T", "0.5", "--W", "1e-3", "--N", "1e6", *argv,
+                          "--output", str(tmp_path / "o.csv")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            named = f"config key {next(iter(config))!r}: {message}\n" in err
+            assert err.endswith(f"{message}\n") and named == (argv != flags)
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag, error", [
+        ("--eps-ent=5e-324", "finite-size penalties out of range: ("),
+        ("--eps-pe=5e-324", "estimator confidence out of range: eps_pe^2 / 1296 "
+                            "underflows at eps_pe = 5e-324"),
+    ], ids=["eps_ent", "eps_pe"])
+    def test_penalty_out_of_range_flags_its_row(self, tmp_path, capsys, flag, error):
+        """2 / eps_ent overflows: the row was once feasible with K_F = -inf.  eps_pe^2
+        / 1296 underflows: the flag once named only the Beta quantile's z = 0."""
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep-finite", "--T", "0.5", "--W", "1e-3", "--N", "1e6", flag,
+                         "--output", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert (row["feasible"], row["K_F"], row["epsilon_total"]) == ("false", "", "")
+        assert row["error"].startswith(error)
+        assert ("inf" in row["error"]) == (flag == "--eps-ent=5e-324")
+        assert "1 row(s) failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-asymptotic", "sweep-finite", "optimize"])
+    def test_displacement_overflow_flags_its_row_without_warnings(self, tmp_path, capsys,
+                                                                  command):
+        """2 / T overflows: numpy warned on stderr, and the flag read
+        "displacement must be >= 0, got nan"."""
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--T", "5e-324", "--W", "0.5",
+                             "--output", str(out)]) == 0
+        error = read_csv(out)[0]["error"]
+        assert error.startswith("required displacement overflows: V + eps - 1 + 2 / T is "
+                                "not finite at V = ")
+        assert error.endswith(", eps = 0.05, T = 5e-324")
+        assert "Warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["sweep-finite", "--N", "1e10", "--p-f", "1e-9"],
         ["optimize", "--p-f", "1e-9"],  # asymptotic: p_f is not used
@@ -453,6 +513,15 @@ class TestFirstErrorOrder:
                         err = self.usage_error(tmp_path, capsys, command,
                                                {key: BAD[key] for key in pair}, in_file)
                         assert err == alone[first, first in in_file], (pair, in_file)
+
+    def test_transmissivity_from_db_is_checked_at_its_turn(self, tmp_path, capsys):
+        """4,000 dB is a valid attenuation whose T underflows to 0: the T it gives
+        is reported after the security options and before eps, named by db."""
+        t_error = "config key 'db': transmissivity must be in (0, 1], got 0.0\n"
+        for other, first in (("eps_pe", False), ("eps", True)):
+            err = self.usage_error(tmp_path, capsys, "sweep-finite",
+                                   {"db": 4000, other: BAD[other]}, ("db",))
+            assert err.endswith(t_error) == first, other
 
 
 class TestReusedParser:

@@ -44,8 +44,8 @@ SIZES = st.fixed_dictionaries(
 # one value in four is any value
 CHOSEN = {key: st.one_of(value, value, value, VALUES) for key, value in {
     "p_f": drawn([1e-4, 0.1, 0.5, 1.0], [0.0, 1.5, float("inf"), "x"]),
-    "d_rx": drawn([1, 6], [-1, 0, 2.5, True]),
-    **{key: drawn([1e-10, 0.5], [0.0, 1.0, -1.0, float("nan"), 1e-200])
+    "d_rx": drawn([1, 6], [-1, 0, 2.5, True, 10**400]),
+    **{key: drawn([1e-10, 0.5], [0.0, 1.0, -1.0, float("nan"), 1e-200, 5e-324])
        for key in cli._SECURITY if key.startswith("eps_")},
     "shots_output": drawn(["shots.csv"], ["", 5]),
 }.items()}

@@ -2,17 +2,18 @@
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
-from sqccqkd.finitekey import SecurityParams, worst_case_estimators
+from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import _holevo, optimise_v, rate_at
 from sqccqkd.postprocess import required_displacement
 
-from helpers import on_triple
+from helpers import on_triple, worst_case_estimators
 
 
 def sec_at(n: float, **kwargs) -> SecurityParams:
@@ -56,6 +57,51 @@ class TestDeltaTerms:
             sec._penalties
         assert all(map(math.isfinite, sec._estimator_margins))
         assert math.isfinite(unscaled(sec_at(1e6, eps_s=1e-76)).aep)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.0, -1e-300])
+    @pytest.mark.parametrize("field", ["eps_qrng", "eps_ir", "eps_cal"])
+    def test_budget_only_epsilons_in_range(self, field, value):
+        """These enter only epsilon_total, which nan, inf or 1 once made nan,
+        infinite or vacuous; 0 is allowed."""
+        message = re.escape(f"{field} must be in [0, 1), got ")
+        with pytest.raises(DomainError, match=message):
+            sec_at(1e8, **{field: value})
+        assert sec_at(1e8, **{field: 0.0}).epsilon_total() == pytest.approx(6e-10)
+
+    def test_epsilon_total_below_one(self):
+        """Terms each below 1 may still sum to a budget that secures nothing."""
+        with pytest.raises(DomainError,
+                           match="^epsilon_total must be < 1, got 1.4000000005$"):
+            sec_at(1e8, eps_ir=0.7, eps_cal=0.7)
+        assert sec_at(1e8, eps_ir=0.5, eps_cal=0.4).epsilon_total() < 1.0
+
+    @pytest.mark.parametrize("bits", [0, 65, 99999999999999999999, 10**400],
+                             ids=["0", "65", "1e20-1", "10**400"])
+    def test_discretization_bits_bounded(self, bits):
+        """4 (d + 1) in the smoothing penalty once overflowed at d = 10**400 and gave
+        K_F = -4.7e18 at d = 1e20 - 1."""
+        with pytest.raises(DomainError, match=f"^discretization_bits must be in 1..64, "
+                                              f"got {bits}$"):
+            sec_at(1e8, discretization_bits=bits)
+        assert all(map(math.isfinite, sec_at(1e8, discretization_bits=64)._penalties))
+
+    def test_entropy_penalty_overflow_is_domain_error(self):
+        """2 / eps_ent overflows below eps_ent of about 1e-308: the penalty was inf."""
+        sec = sec_at(1e6, eps_ent=5e-324)
+        with pytest.raises(DomainError, match=r"^finite-size penalties out of range: "
+                                              r"\(.*, inf, .*\) at eps_s = 1e-10, "
+                                              r"eps_ent = 5e-324, eps_h = 1e-10$"):
+            sec._penalties
+        assert math.isfinite(unscaled(sec_at(1e6, eps_ent=1e-300)).ent)
+
+    @pytest.mark.parametrize("eps_pe", [5e-324, 1e-200])
+    def test_estimator_confidence_underflow_names_eps_pe(self, eps_pe):
+        """eps_pe^2 / 1296 underflows to 0 below eps_pe of about 1e-160; the Beta
+        quantile's own error named only its z."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"eps_pe^2 / 1296 underflows at eps_pe = {eps_pe}")):
+            sec_at(1e6, eps_pe=eps_pe)._estimator_margins
+        assert all(map(math.isfinite, sec_at(1e6, eps_pe=1e-150)._estimator_margins))
 
     def test_block_size_floor(self):
         with pytest.raises(DomainError):

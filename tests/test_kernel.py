@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError, SqccError
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _table, optimise_rows, optimise_v, rate_cells, rate_rows
+from sqccqkd.keyrate import _table, optimise_rows, optimise_v, rate_cells
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
-from helpers import renormalised
+from helpers import rate_rows, renormalised
 from oracles import rate_from_triple
 
 # a few block sizes, so the Beta-quantile margins are computed once per module
@@ -185,12 +185,13 @@ def test_margin_error_meets_the_chain_at_the_estimators():
     """A block whose margins or penalties cannot be computed fails where the chain
     needs them.
 
-    eps_pe = 1e-200 makes eps_pe^2 / 1296 underflow to 0, which the Beta
-    quantile rejects, and eps_s = 1e-200 makes (p_f eps_s^2 / 3)^2 underflow
+    eps_pe = 1e-200 makes eps_pe^2 / 1296 underflow to 0, which the margins
+    name before the Beta quantile sees it, and eps_s = 1e-200 makes (p_f eps_s^2 / 3)^2 underflow
     to 0 in the smoothing penalty; points that fail earlier keep their own error.
     """
     for field, error in (
-            ("eps_pe", "beta_inv_cdf_symmetric requires 0 < z < 1, got 0.0"),
+            ("eps_pe", "estimator confidence out of range: eps_pe^2 / 1296 underflows "
+                       "at eps_pe = 1e-200"),
             ("eps_s", "smoothing penalty out of range: (p_f eps_s^2 / 3)^2 underflows "
                       "at p_f = 0.9964, eps_s = 1e-200")):
         sec = SecurityParams(block_size=1e6, **{field: 1e-200})
