@@ -20,7 +20,6 @@ from .errors import (
     SqccError,
 )
 from .finitekey import SecurityParams
-from .gaussian import SymplecticSpectrum
 from .keyrate import Optimum, optimise_v, rate_at
 from .montecarlo import (
     EmpiricalMoments,

@@ -142,8 +142,6 @@ _OPTIONS = (
             help="run the estimation pipeline with this disclosed fraction"),
     _Option("strategy", str, default="b-preserving",
             choices=tuple(s.value for s in RenormStrategy)),
-    _Option("mi_double", bool, default=False, commands=_RATE,
-            help="double the mutual information (dual-quadrature count)"),
     _Option("config", str, commands=_ALL, help="JSON file with flat key/value defaults"),
     _Option("output", str, default="", commands=_ALL,
             help="artifact file path"),
@@ -218,8 +216,7 @@ def _rate_inputs(config: dict, points: list[dict]):
     chans = [ChannelParams(p["T"], p["eps"], p["sigma"]) for p in points]
     # every point of a command has an N, or none has
     secs = [config["security"][p["N"]] for p in points if p["N"]]
-    shared = {"strategy": config["strategy"], "beta": points[0]["beta"],  # one per run
-              "mi_double": config["mi_double"]}
+    shared = {"strategy": config["strategy"], "beta": points[0]["beta"]}  # one per run
     return chans, [p["W"] for p in points], secs or None, shared
 
 

@@ -11,7 +11,6 @@ verdict (``_physicality``), not a construction constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,26 +18,12 @@ import numpy as np
 from .errors import Checks, DomainError, PhysicalityError
 from .special import _isfinite, _log1p, _log2, _where
 
-__all__ = [
-    "SymplecticSpectrum",
-]
-
 # clamping windows for floating-point noise at physical boundaries
 _DISCRIMINANT_CLAMP = 1e-12
 _G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
 _LN2 = math.log(2.0)
 _REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # what a verdict fails on
-
-
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues and the two invariants they derive from."""
-
-    lambda1: float
-    lambda2: float
-    d1: float
-    d2: float
 
 
 def _check_finite(checks: Checks, *entries, names=("a", "b", "c")) -> None:
@@ -54,12 +39,13 @@ class _Verdict(NamedTuple):
     physical: np.ndarray
     worst: np.ndarray
     reason: np.ndarray  # index into _REASONS
-    spectrum: SymplecticSpectrum
+    lambda1: np.ndarray  # the symplectic eigenvalues, lambda1 >= lambda2
+    lambda2: np.ndarray
     overflow: np.ndarray
 
 
 def _spectrum(a, b, c):
-    """Symplectic spectrum over arrays and its discriminant, before clamping.
+    """Symplectic eigenvalues over arrays and their discriminant, before clamping.
 
     The eigenvalues mean nothing where the discriminant is not finite (the
     invariants overflow) or is negative beyond the clamp.
@@ -71,7 +57,7 @@ def _spectrum(a, b, c):
     lam1 = np.sqrt(_where(0.0 > half, 0.0, half))
     # lambda1 * lambda2 = |d2|; (d1 - root) / 2 would cancel at large noise
     lam2 = _where(lam1 > 0.0, abs(d2) / lam1, 0.0)
-    return SymplecticSpectrum(lambda1=lam1, lambda2=lam2, d1=d1, d2=d2), disc
+    return lam1, lam2, disc
 
 
 def _check_overflow(checks: Checks, overflow, a, b, c) -> None:
@@ -81,16 +67,16 @@ def _check_overflow(checks: Checks, overflow, a, b, c) -> None:
 
 def _physicality(a, b, c) -> _Verdict:
     """Uncertainty-principle test over arrays: both symplectic eigenvalues >= vacuum."""
-    spectrum, disc = _spectrum(a, b, c)
+    lam1, lam2, disc = _spectrum(a, b, c)
     # the first largest violation names the verdict, as max() over (a, b, symplectic)
     worst = 1.0 - a
     reason = 0
-    symplectic = _where(disc < -_DISCRIMINANT_CLAMP, math.inf, 1.0 - spectrum.lambda2)
+    symplectic = _where(disc < -_DISCRIMINANT_CLAMP, math.inf, 1.0 - lam2)
     for index, violation in ((1, 1.0 - b), (2, symplectic)):
         larger = violation > worst
         worst = _where(larger, violation, worst)
         reason = _where(larger, index, reason)
-    return _Verdict(worst <= _PHYSICALITY_SLACK, worst, reason, spectrum,
+    return _Verdict(worst <= _PHYSICALITY_SLACK, worst, reason, lam1, lam2,
                     np.logical_not(_isfinite(disc)))
 
 

@@ -93,16 +93,16 @@ def _check_model(model: str) -> None:
         raise DomainError(f"unknown rate model {model!r}")
 
 
-def _mutual_information(checks: Checks, a, b, c, double: bool):
+def _mutual_information(checks: Checks, a, b, c):
     """Reverse-reconciliation mutual information (bits) over arrays.
 
-    ``double`` (dual-quadrature accounting) is off in all shipped figures.
+    Heterodyne on both quadratures: log2((a+1)(b+1) / ((a+1)(b+1) - c^2)),
+    the conditional of the Holevo bound being heterodyne too.
     """
     denom = a + 1.0 - c * c / (b + 1.0)
     checks.add(denom <= 0.0, NumericError, "mutual information denominator {:.3e} <= 0",
                denom)
-    value = _log2((a + 1.0) / denom)
-    return 2.0 * value if double else value
+    return _log2((a + 1.0) / denom)
 
 
 def _holevo(checks: Checks, a, b, c, verdict=None):
@@ -114,15 +114,13 @@ def _holevo(checks: Checks, a, b, c, verdict=None):
                "holevo bound needs a physical state; {} violates the vacuum limit by "
                "{:.3e}", _REASONS[verdict.reason], verdict.worst)
     lam3 = _conditional(checks, a, b, c)
-    spectrum = verdict.spectrum
-    chi = (_entropy(checks, spectrum.lambda1) + _entropy(checks, spectrum.lambda2)
+    chi = (_entropy(checks, verdict.lambda1) + _entropy(checks, verdict.lambda2)
            - _entropy(checks, lam3))
     checks.add(chi < -1e-12, NumericError, "negative holevo bound {:.3e}", chi)
     return _where(chi < 0.0, 0.0, chi)
 
 
-def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
-          finite=None, verdict=None):
+def _rate(checks: Checks, a, b, c, reconciliation_efficiency, finite=None, verdict=None):
     """(I_AB, chi_EB, K = beta I_AB - chi_EB) over arrays, and with ``finite`` (K^F, l).
 
     ``verdict`` is the state's physicality verdict, if already taken; with
@@ -137,7 +135,7 @@ def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
         eve = _worst_case(a, b, c, delta_var, delta_cov)
         _check_finite(checks, *eve)
         verdict = None
-    mi = _mutual_information(checks, a, b, c, mi_double)
+    mi = _mutual_information(checks, a, b, c)
     chi = _holevo(checks, *eve, verdict)
     k = reconciliation_efficiency * mi - chi
     if finite is None:
@@ -149,8 +147,7 @@ def _rate(checks: Checks, a, b, c, reconciliation_efficiency, mi_double: bool,
 @np.errstate(all="ignore")
 def rate_cells(v, d, t, eps, sigma, beta=0.95,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-               model: str = "sqcc", mi_double: bool = False,
-               finite=None, asymptotic: bool = True,
+               model: str = "sqcc", finite=None, asymptotic: bool = True,
                checks: Checks | None = None) -> tuple[dict, Checks]:
     """The closed-form chain at broadcast arrays of (V, d, T, eps, sigma).
 
@@ -203,10 +200,10 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     cells.update(V=v, d=d, feasible=feasible)
     if asymptotic:
         cells["I_AB"], cells["chi_EB"], cells["K"] = _rate(checks, v, b, c, beta,
-                                                           mi_double, verdict=verdict)
+                                                           verdict=verdict)
     if finite is not None:
         mi, _, cells["K_PE"], cells["K_F"], cells["ell"] = _rate(
-            checks, v, b, c, beta, mi_double, finite)
+            checks, v, b, c, beta, finite)
         cells["I_AB"] = mi
     if shape:  # at shape () the cells stay numpy scalars
         cells = {name: np.asarray(x).reshape(shape) for name, x in cells.items()}
@@ -215,7 +212,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
 
 def rate_at(proto: ProtocolParams, chan: ChannelParams,
             strategy: RenormStrategy = RenormStrategy.B_PRESERVING, model: str = "sqcc",
-            mi_double: bool = False, sec: SecurityParams | None = None) -> dict:
+            sec: SecurityParams | None = None) -> dict:
     """``rate_cells`` at one operating point; raises the error the chain meets first.
 
     The cells are named as the CSV columns: ``I_AB``, ``chi_EB``, ``K`` and
@@ -228,7 +225,7 @@ def rate_at(proto: ProtocolParams, chan: ChannelParams,
     cells, checks = rate_cells(proto.modulation_variance, proto.displacement,
                                chan.transmissivity, chan.excess_noise,
                                chan.phase_noise_factor, proto.reconciliation_efficiency,
-                               strategy, model, mi_double, finite, sec is None)
+                               strategy, model, finite, sec is None)
     checks.raise_first()
     return cells
 
@@ -241,7 +238,7 @@ class _Rows:
     """
 
     def __init__(self, chans: list[ChannelParams], thresholds: list[float],
-                 strategy: RenormStrategy, beta: float, model: str, mi_double: bool,
+                 strategy: RenormStrategy, beta: float, model: str,
                  secs: list[SecurityParams] | None):
         _check_model(model)
         self.t = np.array([chan.transmissivity for chan in chans])
@@ -251,7 +248,7 @@ class _Rows:
         self.invalid = np.not_equal(self.errors, None)
         self.finite = (None if secs is None else
                        _table(SecurityParams._rate_terms, secs, 8))
-        self.options = (beta, strategy, model, mi_double)
+        self.options = (beta, strategy, model)
 
     @np.errstate(all="ignore")
     def cells(self, rows: np.ndarray, v: np.ndarray,
@@ -268,9 +265,8 @@ class _Rows:
                    "T = {}", v, eps, t)
         finite = None if self.finite is None else (self.finite[0][:, rows],
                                                     self.finite[1][rows])
-        beta, strategy, model, mi_double = self.options
-        return rate_cells(v, d, t, eps, self.sigma[rows], beta, strategy, model,
-                          mi_double, finite, asymptotic, checks)
+        return rate_cells(v, d, t, eps, self.sigma[rows], *self.options, finite,
+                          asymptotic, checks)
 
     def scores(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, dict]:
         """The rate (finite-block with SecurityParams) where feasible, else -inf.
@@ -392,27 +388,27 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
 
 def optimise_rows(chans: list[ChannelParams], thresholds: list[float],
                   strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-                  beta: float = 0.95, model: str = "sqcc", mi_double: bool = False,
+                  beta: float = 0.95, model: str = "sqcc",
                   secs: list[SecurityParams] | None = None) -> list[Optimum | SqccError]:
     """``optimise_v`` for each (channel, threshold[, SecurityParams]) row, in lockstep.
 
     Each row gets the Optimum its own search returns, or the error it
     raises.
     """
-    rows = _Rows(chans, thresholds, strategy, beta, model, mi_double, secs)
+    rows = _Rows(chans, thresholds, strategy, beta, model, secs)
     return _lockstep(rows.scores, len(chans))
 
 
 def optimise_v(chan: ChannelParams, qos_threshold: float,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
                beta: float = 0.95, model: str = "sqcc",
-               mi_double: bool = False, sec: SecurityParams | None = None) -> Optimum:
+               sec: SecurityParams | None = None) -> Optimum:
     """Maximise the asymptotic rate, or with ``sec`` the finite-block rate, over V.
 
     The displacement is re-derived from the QoS threshold at every trial
     V, so the classical bit-error rate stays pinned across the search.
     """
-    result = optimise_rows([chan], [qos_threshold], strategy, beta, model, mi_double,
+    result = optimise_rows([chan], [qos_threshold], strategy, beta, model,
                            None if sec is None else [sec])[0]
     if isinstance(result, SqccError):
         raise result

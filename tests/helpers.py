@@ -68,7 +68,7 @@ def worst_case_estimators(a_hat, b_hat, c_hat, sec):
 def rate_rows(chans, thresholds, v):
     """The asymptotic cells of the rows (channel, QoS threshold) at one V per row (or
     one V for all), with d from the row's threshold, and their checks."""
-    rows = _Rows(chans, thresholds, RenormStrategy.B_PRESERVING, 0.95, "sqcc", False, None)
+    rows = _Rows(chans, thresholds, RenormStrategy.B_PRESERVING, 0.95, "sqcc", None)
     cells, checks = rows.cells(np.arange(len(chans)), np.asarray(v, dtype=float))
     return {name: np.reshape(x, checks.shape) for name, x in cells.items()}, checks
 

@@ -303,7 +303,8 @@ class TestUsageErrors:
                      ["optimize", "--T", "0.5", "--W", "0.7"],
                      ["optimize", "--T", "0.5", "--beta", "1.5"],
                      ["sweep-asymptotic", "--T", "0.5", "--V", "0.5"],
-                     ["simulate", "--T", "0.1", "--mi-double"]):
+                     ["optimize", "--T", "0.5", "--mi-double"],  # no such switch
+                     ["simulate", "--T", "0.1", "--optimize-v"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
@@ -313,6 +314,7 @@ class TestHardenedInputs:
     @pytest.mark.parametrize("config", [
         {"T": 0.3}, {"N": 1e6}, {"W": "abc"}, {"n": "abc"}, {"strategy": "x"},
         {"output": 5}, {"format": "json", "T-grid": "log:0.1:0.9:3"},
+        {"mi_double": True},
     ], ids=lambda c: json.dumps(c))
     def test_bad_config_value_is_usage_error_naming_key(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"

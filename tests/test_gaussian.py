@@ -22,8 +22,9 @@ def physicality(state):
     return on_triple(verdict, *state)
 
 
-def spectrum_of(state):
-    return physicality(state).spectrum
+def invariants(a, b, c):
+    """The symplectic invariants (D1, D2) of a triple."""
+    return a * a + b * b - 2.0 * c * c, a * b - c * c
 
 
 def lambda3(state):
@@ -51,39 +52,39 @@ def random_channel_states(n: int, seed: int):
 class TestSymplecticSpectrum:
     def test_pure_tmsvs_is_vacuum_spectrum(self):
         for v in (1.0, 2.7, 5.0, 40.0):
-            spec = spectrum_of(tmsvs(v))
+            spec = physicality(tmsvs(v))
             assert spec.lambda1 == pytest.approx(1.0, abs=1e-9)
             assert spec.lambda2 == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
         state = (5.0, 3.0, 0.0)
-        spec = spectrum_of(state)
+        spec = physicality(state)
         assert spec.lambda1 == pytest.approx(5.0, abs=1e-12)
         assert spec.lambda2 == pytest.approx(3.0, abs=1e-12)
 
     def test_invariant_identities(self):
         """lambda1*lambda2 = D2 and lambda1^2 + lambda2^2 = D1 on channel states."""
         for a, b, c in random_channel_states(200, seed=42):
-            spec = spectrum_of((a, b, c))
-            d1 = a ** 2 + b ** 2 - 2 * c ** 2
-            d2 = a * b - c ** 2
+            spec = physicality((a, b, c))
+            d1, d2 = invariants(a, b, c)
             assert spec.lambda1 * spec.lambda2 == pytest.approx(d2, rel=1e-10)
             assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(d1, rel=1e-10)
             assert spec.lambda1 >= spec.lambda2
-            assert spec.d1 ** 2 >= 4 * spec.d2 ** 2 - 1e-9
+            assert d1 ** 2 >= 4 * d2 ** 2 - 1e-9
 
     def test_specific_point(self):
         state = (5.0, 1.405, math.sqrt(2.4))
-        spec = spectrum_of(state)
-        assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-10)
-        assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(spec.d1,
-                                                                      rel=1e-10)
+        spec = physicality(state)
+        d1, d2 = invariants(*state)
+        assert spec.lambda1 * spec.lambda2 == pytest.approx(d2, rel=1e-10)
+        assert spec.lambda1 ** 2 + spec.lambda2 ** 2 == pytest.approx(d1, rel=1e-10)
 
     def test_large_noise_keeps_second_eigenvalue(self):
         """At eps = 1e40 lambda2 survives: (d1 - root) / 2 would cancel it to 0."""
         state = shared(ProtocolParams(5.0, 0.0), ChannelParams(0.1, 1e40))
-        spec = spectrum_of(state)
-        assert spec.lambda1 * spec.lambda2 == pytest.approx(spec.d2, rel=1e-12)
+        spec = physicality(state)
+        assert spec.lambda1 * spec.lambda2 == pytest.approx(invariants(*state)[1],
+                                                            rel=1e-12)
         assert spec.lambda2 == pytest.approx(5.0, rel=1e-12)
         assert physicality(state).physical
 

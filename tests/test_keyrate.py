@@ -32,8 +32,8 @@ def triple(a, b, c):
     return a, b, c
 
 
-def mi_of(state, double=False):
-    return on_triple(_mutual_information, *state, double)
+def mi_of(state):
+    return on_triple(_mutual_information, *state)
 
 
 def chi_of(state):
@@ -53,11 +53,6 @@ class TestMutualInformation:
         values = [mi_of(triple(5.0, 1.405, c))
                   for c in np.linspace(0.0, 1.5, 15)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_double_flag(self):
-        state = triple(5.0, 1.405, math.sqrt(2.4))
-        assert mi_of(state, double=True) == pytest.approx(
-            2.0 * mi_of(state), rel=1e-15)
 
 
 class TestHolevoBound:
@@ -210,7 +205,7 @@ class TestOptimiseV:
 
     def test_grid_density_invariance(self):
         rows = _Rows([ChannelParams(0.7, 0.05)], [1e-3], RenormStrategy.B_PRESERVING,
-                     0.95, "sqcc", False, None)
+                     0.95, "sqcc", None)
         k60 = _lockstep(rows.scores, 1, 60)[0].k_star
         k240 = _lockstep(rows.scores, 1, 240)[0].k_star
         assert k240 == pytest.approx(k60, rel=1e-5)
