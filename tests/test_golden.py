@@ -56,7 +56,7 @@ CASES = {
 }
 
 CONFIG = {"T": [0.4], "W": [0.5, 1e-3], "V": 2.0, "eps": 0.02, "sigma": 1e-4,
-          "mi_double": True}
+          "optimize_v": False}
 
 
 def run_case(name: str, workdir: pathlib.Path) -> dict[str, bytes]:
