@@ -152,6 +152,7 @@ _OPTIONS = (
     _Option("d", many=True, default=(), commands=_SHOTS,
             help="displacement(s)"),
     _Option("n", int, default=100_000, commands=_SHOTS,
+            check=_require(lambda n: n >= 2, "n must be >= 2, got {}"),
             help="shots per point"),
     _Option("symbol", str, default="uniform-random", commands=_SIM,
             choices=("uniform-random", "1", "2", "3", "4"),
@@ -536,6 +537,11 @@ def _merge(args: argparse.Namespace) -> dict:
         with named(t_key):
             raise DomainError(
                 f"simulate runs at one T, got {len(values['T'])} transmissivities")
+    if values["disclose"] is not None:  # as estimate checks it
+        m = int(values["disclose"] * values["n"])
+        if m < 100:
+            with named("disclose", "n"):
+                raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
     if flags["command"] in _SIM and values["shots_output"] and len(values["d"]) > 1:
         with named("d", "shots_output"):
             raise DomainError(f"--shots-output holds the shots of one displacement, "

@@ -349,12 +349,24 @@ class TestHardenedInputs:
         (["simulate", "--seed", "-1", "--n", "200"], "seed"),
         (["sweep-finite", "--N", "1"], "N"),
         (["optimize", "--T", "0.6", "--W", "1e-3", "--N", "inf"], "N"),
+        (["simulate", "--T", "0.1", "--d", "12", "--n", "0"], "n"),
+        (["validate-fig2", "--n", "1"], "n"),
     ])
     def test_bad_flag_is_usage_error_naming_key(self, tmp_path, capsys, argv, key):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert f"{key} must be >= " in capsys.readouterr().err
+
+    def test_small_disclosed_sample_is_usage_error(self, tmp_path, capsys):
+        """int(0.1 * 500) = 50 disclosed shots: the run once wrote a flagged row."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--T", "0.1", "--d", "12", "--n", "500",
+                      "--disclose", "0.1", "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "disclosed sample too small: 50 shots (need >= 100)\n")
+        assert not any(tmp_path.iterdir())
 
     def test_shots_output_takes_one_displacement(self, tmp_path, capsys):
         """One shots file cannot hold the shots of two batches."""
@@ -473,7 +485,7 @@ BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,
        **{key: -1 for key in ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng", "eps_ir",
                               "eps_cal")},
        "N": 1, "T": 2, "eps": -1, "sigma": -1, "V": 0.5, "beta": 1.5, "W": 0.7,
-       "seed": -1, "disclose": 1.5}
+       "seed": -1, "disclose": 1.5, "n": 1}
 
 
 class TestFirstErrorOrder:
