@@ -129,8 +129,8 @@ _OPTIONS = (
             help="phase-noise factor (0 disables)"),
     _Option("V", default=5.0, commands=_SWEEPS + _SIM, check=ProtocolParams,
             help="fixed modulation variance"),
-    _Option("beta", default=0.95, check=lambda x: ProtocolParams(1.0, 0.0, x),
-            help="reconciliation efficiency"),
+    _Option("beta", default=0.95, commands=_RATE,
+            check=lambda x: ProtocolParams(1.0, 0.0, x), help="reconciliation efficiency"),
     _Option("W", many=True, default=(0.5,), commands=_RATE,
             check=_require(lambda w: 0.0 < w <= 0.5, "W must be in (0, 0.5], got {}"),
             help="classical QoS bit-error threshold(s)"),
@@ -140,7 +140,7 @@ _OPTIONS = (
             check=_require(lambda f: 0.0 < f < 1.0,
                            "disclose fraction must be in (0, 1), got {}"),
             help="run the estimation pipeline with this disclosed fraction"),
-    _Option("strategy", str, default="b-preserving",
+    _Option("strategy", str, default="b-preserving", commands=_RATE,
             choices=tuple(s.value for s in RenormStrategy)),
     _Option("config", str, commands=_ALL, help="JSON file with flat key/value defaults"),
     _Option("output", str, default="", commands=_ALL,
@@ -302,7 +302,7 @@ def _dumped(chunks: Iterator[ShotChunk], path: str) -> Iterator[ShotChunk]:
 
 def _sampled(config: dict, p: dict) -> dict:
     """Analytic and empirical moment cells of one seeded batch, streamed in one pass."""
-    proto = ProtocolParams(p["V"], p["d"], p["beta"])
+    proto = ProtocolParams(p["V"], p["d"])
     chan = ChannelParams(p["T"], p["eps"], p["sigma"])
     checks = Checks()
     with np.errstate(all="ignore"):

@@ -88,9 +88,11 @@ def _table(constants: Callable, items: list, width: int) -> tuple[np.ndarray, np
     return table, errors
 
 
-def _check_model(model: str) -> None:
+def _check_options(strategy: RenormStrategy, model: str) -> None:
     if model not in ("sqcc", "baseline"):
         raise DomainError(f"unknown rate model {model!r}")
+    if not isinstance(strategy, RenormStrategy):
+        raise DomainError(f"unknown renormalisation strategy {strategy!r}")
 
 
 def _mutual_information(checks: Checks, a, b, c):
@@ -165,7 +167,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     Cells of a failed element are meaningless; at the broadcast shape ()
     the cells are numpy scalars.
     """
-    _check_model(model)
+    _check_options(strategy, model)
     inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
     shape = np.broadcast(*inputs).shape
     if checks is None:
@@ -240,7 +242,7 @@ class _Rows:
     def __init__(self, chans: list[ChannelParams], thresholds: list[float],
                  strategy: RenormStrategy, beta: float, model: str,
                  secs: list[SecurityParams] | None):
-        _check_model(model)
+        _check_options(strategy, model)
         self.t = np.array([chan.transmissivity for chan in chans])
         self.eps = np.array([chan.excess_noise for chan in chans])
         self.sigma = np.array([chan.phase_noise_factor for chan in chans])

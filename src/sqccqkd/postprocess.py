@@ -69,50 +69,28 @@ def _rescale(checks: Checks, strategy: RenormStrategy, a, b, c, b_d, c_d, delta)
     """The moments rescaled by 1/sqrt(Delta_V), over arrays.
 
     Returns (delta_v, b', c', margin, passed, verdict).  B_PRESERVING
-    restores the receiver variance (Delta_V = (b_d+1)/(b+1)), C_PRESERVING
-    the cross correlation (Delta_V = (1-delta)^2).  ``verdict`` is the
-    physicality verdict of the rescaled state, taken for every element; its
-    overflow is recorded only where the margin holds.
+    restores the receiver variance (Delta_V = (b_d+1)/(b+1)) and must not
+    grow the correlation (margin = c - c'); C_PRESERVING restores the cross
+    correlation (Delta_V = (1-delta)^2) and must not shrink the receiver
+    variance (margin = b' - b).  ``verdict`` is the physicality verdict of
+    the rescaled state, taken for every element; its overflow is recorded
+    only where the margin holds.
     """
     if strategy is RenormStrategy.B_PRESERVING:
         delta_v = (b_d + 1.0) / (b + 1.0)
-    elif strategy is RenormStrategy.C_PRESERVING:
-        delta_v = np.square(1.0 - delta)
+        b_prime, c_prime = b, c_d / np.sqrt(delta_v)
+        margin = c - c_prime
     else:
-        checks.add(True, DomainError, "unknown renormalisation strategy {!r}", strategy)
-        delta_v = np.full(np.shape(b), math.nan)
+        delta_v = np.square(1.0 - delta)
+        b_prime, c_prime = (b_d + 1.0) / delta_v - 1.0, c
+        margin = b_prime - b
     checks.add(delta_v <= 0.0, NumericError, "non-positive rescaling factor {:.3e}",
                delta_v)
-    if strategy is RenormStrategy.C_PRESERVING:
-        b_prime = (b_d + 1.0) / delta_v - 1.0
-        c_prime = c
-    else:
-        b_prime = b
-        c_prime = c_d / np.sqrt(delta_v)
     _check_finite(checks, a, b_prime, c_prime)
-    margin = _margin(strategy, b, c, b_prime, c_prime)
-    passed, verdict = _judge(checks, margin, a, b_prime, c_prime)
-    return delta_v, b_prime, c_prime, margin, passed, verdict
-
-
-def _margin(strategy: RenormStrategy, b, c, b_prime, c_prime):
-    """B_PRESERVING must not grow the correlation (margin = c - c'),
-    C_PRESERVING must not shrink the receiver variance (margin = b' - b)."""
-    if strategy is RenormStrategy.B_PRESERVING:
-        return c - c_prime
-    return b_prime - b
-
-
-def _judge(checks: Checks, margin, a, b_prime, c_prime):
-    """(passed, verdict) of the rescaled state over arrays.
-
-    The uncertainty-principle test is only taken where the margin holds,
-    so only there can its overflow raise.
-    """
     margin_ok = margin >= -_MARGIN_TOL
     verdict = _physicality(a, b_prime, c_prime)
     _check_overflow(checks, verdict.overflow & margin_ok, a, b_prime, c_prime)
-    return margin_ok & verdict.physical, verdict
+    return delta_v, b_prime, c_prime, margin, margin_ok & verdict.physical, verdict
 
 
 def _displacement_factor(qos_threshold: float) -> float:

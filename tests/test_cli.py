@@ -304,7 +304,12 @@ class TestUsageErrors:
                      ["optimize", "--T", "0.5", "--beta", "1.5"],
                      ["sweep-asymptotic", "--T", "0.5", "--V", "0.5"],
                      ["optimize", "--T", "0.5", "--mi-double"],  # no such switch
-                     ["simulate", "--T", "0.1", "--optimize-v"]):
+                     ["simulate", "--T", "0.1", "--optimize-v"],
+                     # rate options: simulate's strategy and beta cells echo the defaults
+                     ["simulate", "--T", "0.1", "--d", "12", "--n", "300",
+                      "--strategy", "c-preserving"],
+                     ["simulate", "--T", "0.1", "--d", "12", "--n", "300",
+                      "--beta", "0.9"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2

@@ -148,6 +148,18 @@ def _raise_or(result):
     return result
 
 
+@pytest.mark.parametrize("model", ["sqcc", "baseline"])
+def test_unknown_strategy_raises_at_entry(model):
+    """A strategy that is not a RenormStrategy, its value string included, raises
+    before any element is evaluated, for either model, as an unknown model does."""
+    with pytest.raises(DomainError, match="unknown renormalisation strategy 'b-preserving'"):
+        rate_cells(5, 1, 0.5, 0.05, 0, strategy="b-preserving", model=model)
+    with pytest.raises(DomainError, match="unknown renormalisation strategy 'x'"):
+        optimise_rows([ChannelParams(0.5, 0.05)], [1e-3], strategy="x", model=model)
+    with pytest.raises(DomainError, match="unknown rate model 'x'"):
+        rate_cells(5, 1, 0.5, 0.05, 0, strategy="x", model="x")
+
+
 def test_large_displacement_error_is_per_element():
     """An overflowing element flags only itself, with the scalar chain's message."""
     cells, checks = rate_cells([5.0, 5.0, 5.0], [3.0, 1e160, 4.0], 0.3, 0.05, 0.0)

@@ -15,8 +15,7 @@ from sqccqkd.errors import Checks, DomainError
 from sqccqkd.montecarlo import _centroids
 from sqccqkd.postprocess import (
     RenormStrategy,
-    _judge,
-    _margin,
+    _rescale,
     required_displacement,
 )
 
@@ -227,11 +226,12 @@ class TestPhysicalityCheck:
         assert res.margin == pytest.approx(c - res.c_prime, abs=1e-15)
 
     def test_constructed_violation(self):
+        """b_d = b, c_d = 1.05 c and no shrinkage give Delta_V = 1 and c' = 1.05 c,
+        a correlation grown past the state's."""
         a, b, c = shared(REF_PROTO, REF_CHAN)
-        res = renormalised(REF_PROTO, REF_CHAN, RenormStrategy.B_PRESERVING)
-        inflated = (a, b, c * 1.05)
-        margin = _margin(res.strategy, b, c, inflated[1], inflated[2])
-        passed, _ = _judge(Checks(), margin, *inflated)
+        delta_v, _, c_prime, margin, passed, _ = _rescale(
+            Checks(), RenormStrategy.B_PRESERVING, a, b, c, b, 1.05 * c, 0.0)
+        assert delta_v == 1.0 and c_prime == 1.05 * c
         assert not passed
         assert margin == pytest.approx(-0.05 * c, rel=1e-12)
 
