@@ -38,7 +38,7 @@ from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
 from .gaussian import _check_finite
 from .keyrate import _Rows, optimise_rows
-from .montecarlo import RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
+from .montecarlo import _MAX_SHOTS, RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, _moments, _snr
 
 __all__ = ["main"]
@@ -150,9 +150,10 @@ _OPTIONS = (
     _Option("optimize_v", bool, default=False, commands=_SWEEPS,
             help="maximise the rate over V at each point"),
     _Option("d", many=True, default=(), commands=_SHOTS,
-            help="displacement(s)"),
+            check=lambda x: ProtocolParams(1.0, x), help="displacement(s)"),
     _Option("n", int, default=100_000, commands=_SHOTS,
-            check=_require(lambda n: n >= 2, "n must be >= 2, got {}"),
+            check=_require(lambda n: 2 <= n <= _MAX_SHOTS,
+                           f"n must be >= 2 and <= {_MAX_SHOTS}, got {{}}"),
             help="shots per point"),
     _Option("symbol", str, default="uniform-random", commands=_SIM,
             choices=("uniform-random", "1", "2", "3", "4"),

@@ -34,6 +34,8 @@ RNG_ALGORITHM = "numpy-philox4x64-v1"
 
 _CHUNK = 16_384  # shots drawn, classified and accumulated at a time
 
+_MAX_SHOTS = 2 ** 53  # the largest batch; every count up to it is exact as a float
+
 _N_CHUNKS = 16  # sub-batches of the standard errors
 
 _EPS_PE = 1e-10  # failure probability of the disclosed-bit error-rate bound
@@ -146,8 +148,8 @@ def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
     generator drawing all n symbols and then an (n, 4) normal array.
     Arguments are checked here, before the first chunk is drawn.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise DomainError(f"n must be >= 1 and <= {_MAX_SHOTS}, got {n}")
     v = proto.modulation_variance
     checks = Checks()
     _, b, c = _shared_state(checks, v, proto.displacement, chan.transmissivity,
@@ -259,6 +261,8 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
     """
     if n < 2:
         raise DomainError("empirical moments need at least 2 shots")
+    if n > _MAX_SHOTS:
+        raise DomainError(f"n must be <= {_MAX_SHOTS}, got {n}")
     m = 0
     if disclose_fraction is not None:
         if not 0.0 < disclose_fraction < 1.0:

@@ -356,6 +356,9 @@ class TestHardenedInputs:
         (["optimize", "--T", "0.6", "--W", "1e-3", "--N", "inf"], "N"),
         (["simulate", "--T", "0.1", "--d", "12", "--n", "0"], "n"),
         (["validate-fig2", "--n", "1"], "n"),
+        (["simulate", "--T", "0.1", "--d", "-1", "--n", "300"], "displacement"),
+        (["simulate", "--T", "0.1", "--d", "nan", "--n", "300"], "displacement"),
+        (["validate-fig2", "--d", "-2"], "displacement"),
     ])
     def test_bad_flag_is_usage_error_naming_key(self, tmp_path, capsys, argv, key):
         with pytest.raises(SystemExit) as exc:
@@ -372,6 +375,21 @@ class TestHardenedInputs:
         assert capsys.readouterr().err.endswith(
             "disclosed sample too small: 50 shots (need >= 100)\n")
         assert not any(tmp_path.iterdir())
+
+    def test_shot_count_beyond_floats_is_usage_error(self, tmp_path, capsys):
+        """int(0.1 * 10**400) ended in an OverflowError traceback (exit 1)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10 ** 400}))
+        message = f"n must be >= 2 and <= {2 ** 53}, got {10 ** 400}\n"
+        for argv in (["--n", str(10 ** 400)], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate", "--T", "0.1", "--d", "12", "--disclose", "0.1",
+                          *argv, "--output", str(tmp_path / "o.csv")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(message)
+            assert ("config key 'n'" in err) == (argv[0] == "--config")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_shots_output_takes_one_displacement(self, tmp_path, capsys):
         """One shots file cannot hold the shots of two batches."""
@@ -475,6 +493,29 @@ class TestHardenedInputs:
         assert error.endswith(", eps = 0.05, T = 5e-324")
         assert "Warning" not in capsys.readouterr().err
 
+    def test_displacement_overflow_in_the_v_search_flags_its_row(self, tmp_path, capsys):
+        """The search's own error flags the row, at its first trial V."""
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep-asymptotic", "--T", "5e-324", "--W", "0.5",
+                             "--optimize-v", "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["v_star"], row["feasible"]) == ("", "false")
+        assert row["error"] == ("required displacement overflows: V + eps - 1 + 2 / T is "
+                                "not finite at V = 1.001, eps = 0.05, T = 5e-324")
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{", None], ids=["not-json", "missing"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["optimize", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "cannot read config file: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["sweep-finite", "--N", "1e10", "--p-f", "1e-9"],
         ["optimize", "--p-f", "1e-9"],  # asymptotic: p_f is not used
@@ -490,7 +531,7 @@ BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,
        **{key: -1 for key in ("eps_pe", "eps_s", "eps_h", "eps_ent", "eps_qrng", "eps_ir",
                               "eps_cal")},
        "N": 1, "T": 2, "eps": -1, "sigma": -1, "V": 0.5, "beta": 1.5, "W": 0.7,
-       "seed": -1, "disclose": 1.5, "n": 1}
+       "seed": -1, "disclose": 1.5, "d": -1, "n": 1}
 
 
 class TestFirstErrorOrder:

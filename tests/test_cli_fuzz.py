@@ -37,7 +37,7 @@ def drawn(good, bad, many=False):
 # values: no Monte Carlo batch above 200 shots and no mid-size V search.
 # p_f N falls below 1 at N = 2 with p_f = 0.1, and at N = 1e3 with p_f = 1e-4.
 SIZES = st.fixed_dictionaries(
-    {"n": drawn([2, 50, 200], [-1, 0, 1, 2.5, "abc", None])},
+    {"n": drawn([2, 50, 200], [-1, 0, 1, 2.5, "abc", None, 10**400])},
     optional={"N": drawn([2, 10, 1e3, 1e8], [-5.0, 0.0, 1.5, float("nan"), "x", None],
                          many=True)})
 # the finite-key options, and a shots dump that stays in the run directory;

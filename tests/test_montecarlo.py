@@ -96,6 +96,8 @@ class TestSampler:
             shot_chunks(REF_PROTO, REF_CHAN, 5, 100, 1)
         with pytest.raises(DomainError):
             shot_chunks(REF_PROTO, REF_CHAN, 1, 0, 1)
+        with pytest.raises(DomainError, match=f"n must be >= 1 and <= {2 ** 53}"):
+            shot_chunks(REF_PROTO, REF_CHAN, 1, 2 ** 53 + 1, 1)
 
 
 class TestDiscrimination:
@@ -266,6 +268,22 @@ class TestEstimationPipeline:
     def test_disclosure_floor(self):
         with pytest.raises(DomainError):
             estimation(REF_PROTO, REF_CHAN, "uniform-random", 500, 27)
+
+    def test_shot_count_beyond_floats(self):
+        """int(0.1 * 10**400) raised OverflowError; the count is checked first."""
+        with pytest.raises(DomainError, match=f"n must be <= {2 ** 53}, got {10 ** 400}"):
+            estimate(iter(()), 10 ** 400, 0.1)
+
+    def test_all_disclosed_bits_wrong(self):
+        """Every disclosed bit wrong bounds the error rate by 1 without a Beta
+        quantile, and certifies an SNR floor of 0."""
+        n = 1000
+        rng = np.random.default_rng(28)
+        chunk = montecarlo.ShotChunk(0, rng.normal(size=(n, 4)), rng.normal(size=(n, 2)),
+                                     np.full(n, 1), np.full(n, 3))
+        _, est = estimate(iter([chunk]), n, 0.1)
+        assert (est.e_c_point, est.e_c_bound) == (1.0, 1.0)
+        assert (est.snr_point, est.snr_hat) == (0.0, 0.0)
 
 
 def whole_batch_reference(batch: dict, m: int) -> dict:
