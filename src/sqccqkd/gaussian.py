@@ -20,7 +20,6 @@ from .special import _isfinite, _log1p, _log2, _where
 
 # clamping windows for floating-point noise at physical boundaries
 _DISCRIMINANT_CLAMP = 1e-12
-_G_CLAMP = 1e-12
 _PHYSICALITY_SLACK = 1e-9
 _LN2 = math.log(2.0)
 _REASONS = np.array(["a", "b", "symplectic"], dtype=object)  # what a verdict fails on
@@ -92,7 +91,8 @@ def _entropy(checks: Checks, x):
     """g(x): entropy (bits) of a thermal mode of symplectic eigenvalue x, over arrays."""
     checks.add(np.logical_not(_isfinite(x)), DomainError,
                "entropy argument must be finite, got {}", x)
-    checks.add(x < 1.0 - _G_CLAMP, DomainError, "entropy g(x) requires x >= 1, got {}", x)
+    checks.add(x < 1.0 - _PHYSICALITY_SLACK, DomainError,  # the verdict's slack
+               "entropy g(x) requires x >= 1, got {}", x)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
     # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x

@@ -525,6 +525,19 @@ class TestHardenedInputs:
         assert cli.main([*argv, "--T", "0.5", "--W", "1e-3", "--output", str(out)]) == 0
         assert [row["error"] for row in read_csv(out)] == [""]
 
+    def test_pure_state_is_a_row(self, tmp_path, capsys):
+        """A lossless, noiseless channel keeps the state pure; from V of about 128 its
+        second symplectic eigenvalue rounds below 1 by more than 1e-12, and g(x) flagged
+        the row ("entropy g(x) requires x >= 1, got 0.999999999992724") although the
+        physicality verdict had just accepted that eigenvalue within its 1e-9 slack."""
+        out = tmp_path / "o.csv"
+        assert cli.main(["optimize", "--T", "1", "--eps", "0", "--W", "0.5",
+                         "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["v_star"], row["k_star"], row["error"]) == (
+            "999.9999999999998", "8.518864943775455", "")
+        assert "failed" not in capsys.readouterr().err
+
 
 # one bad value per checked option, in the order in which values are checked
 BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,
