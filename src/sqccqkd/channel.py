@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import _check_finite
-from .special import _isfinite, _isinf
+from .special import _isfinite, _isinf, _sqrt
 
 __all__ = [
     "ChannelParams",
@@ -94,7 +94,7 @@ def _shared_state(checks: Checks, v, d, t, eps, sigma):
 
 def _covariance(v, t, eps_tot):
     """(b, c) of the state through a channel of noise eps_tot over arrays; a = V."""
-    return t * (v + eps_tot - 1.0) + 1.0, np.sqrt(t * (v * v - 1.0))
+    return t * (v + eps_tot - 1.0) + 1.0, _sqrt(t * (v * v - 1.0))
 
 
 def qpsk_symbol(displacement: float, symbol_index: int) -> complex:

@@ -67,7 +67,7 @@ class Checks:
 
     def error(self, index=()) -> SqccError | None:
         """The error of the element at ``index``, or None."""
-        number = int(self.code[index])
+        number = int(self.code[index]) if self._sites else 0
         if number == 0:
             return None
         _, error, message, args = self._sites[number]

@@ -13,10 +13,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import Checks, DomainError
-from .special import beta_inv_cdf_symmetric
+from .special import _div, _sqrt, beta_inv_cdf_symmetric
 
 __all__ = ["SecurityParams"]
 
@@ -146,5 +144,5 @@ def _worst_case(a_hat, b_hat, c_hat, delta_var, delta_cov):
     """
     sigma_a = (1.0 + delta_var) * a_hat
     sigma_b = (1.0 + delta_var) * b_hat
-    sigma_c = (1.0 - 2.0 * np.sqrt(a_hat * b_hat / (c_hat * c_hat)) * delta_cov) * c_hat
+    sigma_c = (1.0 - 2.0 * _sqrt(_div(a_hat * b_hat, c_hat * c_hat)) * delta_cov) * c_hat
     return sigma_a, sigma_b, sigma_c

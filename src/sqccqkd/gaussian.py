@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Checks, DomainError, PhysicalityError
-from .special import _isfinite, _log1p, _log2, _where
+from .special import _div, _isfinite, _log1p, _log2, _sqrt, _where
 
 # clamping windows for floating-point noise at physical boundaries
 _DISCRIMINANT_CLAMP = 1e-12
@@ -52,10 +52,10 @@ def _spectrum(a, b, c):
     d1 = a * a + b * b - 2.0 * c * c
     d2 = a * b - c * c
     disc = d1 * d1 - 4.0 * d2 * d2
-    half = (d1 + np.sqrt(_where(disc < 0.0, 0.0, disc))) / 2.0
-    lam1 = np.sqrt(_where(0.0 > half, 0.0, half))
+    half = (d1 + _sqrt(_where(disc < 0.0, 0.0, disc))) / 2.0
+    lam1 = _sqrt(_where(0.0 > half, 0.0, half))
     # lambda1 * lambda2 = |d2|; (d1 - root) / 2 would cancel at large noise
-    lam2 = _where(lam1 > 0.0, abs(d2) / lam1, 0.0)
+    lam2 = _where(lam1 > 0.0, _div(abs(d2), lam1), 0.0)
     return lam1, lam2, disc
 
 
@@ -81,7 +81,7 @@ def _physicality(a, b, c) -> _Verdict:
 
 def _conditional(checks: Checks, a, b, c):
     """Eigenvalue of mode A conditioned on heterodyne of mode B, over arrays."""
-    lam3 = a - c * c / (b + 1.0)
+    lam3 = a - _div(c * c, b + 1.0)
     checks.add(lam3 < 1.0 - _PHYSICALITY_SLACK, PhysicalityError,
                "conditional eigenvalue {:.12g} below the vacuum limit", lam3)
     return _where(lam3 < 1.0, 1.0, lam3)
@@ -96,5 +96,5 @@ def _entropy(checks: Checks, x):
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
     # xp log2 xp - xm log2 xm, rearranged so it does not cancel at large x
-    return _where(x <= 1.0, 0.0, _log2(xp) + xm * _log1p(1.0 / xm) / _LN2)
+    return _where(x <= 1.0, 0.0, _log2(xp) + xm * _log1p(_div(1.0, xm)) / _LN2)
 

@@ -47,7 +47,7 @@ from .postprocess import (
     _rescale,
     _snr,
 )
-from .special import _exp, _isfinite, _log2, _where
+from .special import _div, _exp, _isfinite, _log2, _where
 
 __all__ = [
     "Optimum",
@@ -101,10 +101,10 @@ def _mutual_information(checks: Checks, a, b, c):
     Heterodyne on both quadratures: log2((a+1)(b+1) / ((a+1)(b+1) - c^2)),
     the conditional of the Holevo bound being heterodyne too.
     """
-    denom = a + 1.0 - c * c / (b + 1.0)
+    denom = a + 1.0 - _div(c * c, b + 1.0)
     checks.add(denom <= 0.0, NumericError, "mutual information denominator {:.3e} <= 0",
                denom)
-    return _log2((a + 1.0) / denom)
+    return _log2(_div(a + 1.0, denom))
 
 
 def _holevo(checks: Checks, a, b, c, verdict=None):
@@ -165,20 +165,19 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     ``error(index)`` is the exception the chain raises first on that
     element alone.  ``checks`` may carry errors found before the chain.
     Cells of a failed element are meaningless; at the broadcast shape ()
-    the cells are numpy scalars.
+    the cells are Python floats and bools.
     """
     _check_options(strategy, model)
-    inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
-    shape = np.broadcast(*inputs).shape
+    shape = ()  # one element computes on floats, several times faster than on arrays
+    if not all(type(x) is float for x in (v, d, t, eps, sigma)):
+        inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
+        shape = np.broadcast(*inputs).shape
+        v, d, t, eps, sigma = ((x.item() for x in inputs) if math.prod(shape) == 1
+                               else np.broadcast_arrays(*inputs))
+    if finite is not None and math.prod(shape) == 1 and type(finite[0]) is not list:
+        finite = np.ravel(finite[0]).tolist(), np.ravel(finite[1])[0]
     if checks is None:
         checks = Checks(shape)
-    if math.prod(shape) == 1:
-        # one element computes on numpy scalars, several times faster than arrays
-        v, d, t, eps, sigma = (x.ravel()[0] for x in inputs)
-        if finite is not None:
-            finite = [np.ravel(x)[0] for x in finite[0]], np.ravel(finite[1])[0]
-    else:
-        v, d, t, eps, sigma = np.broadcast_arrays(*inputs)
     _check_protocol(checks, v, d, beta)
     _check_channel(checks, t, eps, sigma)
     eps_tot, b, c = _shared_state(checks, v, d, t, eps, sigma)
@@ -207,7 +206,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         mi, _, cells["K_PE"], cells["K_F"], cells["ell"] = _rate(
             checks, v, b, c, beta, finite)
         cells["I_AB"] = mi
-    if shape:  # at shape () the cells stay numpy scalars
+    if shape:  # at shape () the cells stay Python scalars
         cells = {name: np.asarray(x).reshape(shape) for name, x in cells.items()}
     return cells, checks
 
@@ -243,54 +242,63 @@ class _Rows:
                  strategy: RenormStrategy, beta: float, model: str,
                  secs: list[SecurityParams] | None):
         _check_options(strategy, model)
-        self.t = np.array([chan.transmissivity for chan in chans])
-        self.eps = np.array([chan.excess_noise for chan in chans])
-        self.sigma = np.array([chan.phase_noise_factor for chan in chans])
-        (self.factor,), self.errors = _table(_displacement_factor, thresholds, 1)
-        self.invalid = np.not_equal(self.errors, None)
-        self.finite = (None if secs is None else
-                       _table(SecurityParams._rate_terms, secs, 8))
+        (factor,), errors = _table(_displacement_factor, thresholds, 1)
+        self.finite = None if secs is None else _table(SecurityParams._rate_terms, secs, 8)
+        # T, eps, sigma, the displacement factor and the error of each row, if any
+        self.columns = (np.array([chan.transmissivity for chan in chans]),
+                        np.array([chan.excess_noise for chan in chans]),
+                        np.array([chan.phase_noise_factor for chan in chans]),
+                        factor, np.not_equal(errors, None), errors)
+        terms = ([None] * len(chans) if secs is None else
+                 zip(self.finite[0].T.tolist(), self.finite[1]))
+        self.lone = list(zip(*(x.tolist() for x in self.columns), terms))  # as floats
         self.options = (beta, strategy, model)
 
-    @np.errstate(all="ignore")
-    def cells(self, rows: np.ndarray, v: np.ndarray,
-              asymptotic: bool = True) -> tuple[dict, Checks]:
-        """Kernel cells at ``v`` of ``rows`` (broadcasting), scalars at one element."""
-        checks = Checks(np.broadcast(rows, v).shape)
-        if math.prod(checks.shape) == 1:  # one element computes on numpy scalars, faster
-            rows, v = rows.ravel()[0], v.ravel()[0]
-        checks.add(self.invalid[rows], self.errors[rows])
-        t, eps = self.t[rows], self.eps[rows]
-        d = _displacement(v, t, eps, self.factor[rows])
+    def cells(self, rows, v, asymptotic: bool = True) -> tuple[dict, Checks]:
+        """Kernel cells at ``v`` of ``rows`` (broadcasting), or of one row (an int)
+        at one V on floats, which warn of nothing."""
+        if isinstance(rows, np.ndarray):
+            checks = Checks(np.broadcast(rows, v).shape)
+            t, eps, sigma, factor, invalid, errors = (x[rows] for x in self.columns)
+            finite = None if self.finite is None else (self.finite[0][:, rows],
+                                                        self.finite[1][rows])
+            with np.errstate(all="ignore"):
+                d = _displacement(v, t, eps, factor)
+        else:
+            t, eps, sigma, factor, invalid, errors, finite = self.lone[rows]
+            checks, d = Checks(), _displacement(v, t, eps, factor)
+        checks.add(invalid, errors)
         checks.add(np.logical_not(_isfinite(d)), DomainError, "required displacement "
                    "overflows: V + eps - 1 + 2 / T is not finite at V = {}, eps = {}, "
                    "T = {}", v, eps, t)
-        finite = None if self.finite is None else (self.finite[0][:, rows],
-                                                    self.finite[1][rows])
-        return rate_cells(v, d, t, eps, self.sigma[rows], *self.options, finite,
+        return rate_cells(v, d, t, eps, sigma, *self.options, finite,
                           asymptotic, checks)
 
-    def scores(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, dict]:
+    def scores(self, rows, v) -> tuple[np.ndarray, dict]:
         """The rate (finite-block with SecurityParams) where feasible, else -inf.
 
         Returns the scores, shaped as ``v`` (one row per entry of ``rows``),
-        and the error of each failed row at its first failed element.  The
-        rows go to the kernel in blocks of at most ``_BLOCK`` elements.
+        and the error of each failed row at its first failed element; one row
+        (an int) at one V gives a float.  The rows go to the kernel in blocks
+        of at most ``_BLOCK`` elements.
         """
         finite = self.finite is not None
+        key = "K_F" if finite else "K"
+        if not isinstance(rows, np.ndarray):
+            cells, checks = self.cells(rows, v, asymptotic=not finite)
+            error = checks.error()
+            return (_where(cells["feasible"], cells[key], -math.inf),
+                    {} if error is None else {rows: error})
         score = np.empty(v.shape)
         errors = {}
         step = max(1, _BLOCK // max(v.shape[1], 1))
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
             cells, checks = self.cells(rows[part, None], v[part], asymptotic=not finite)
-            score[part] = _where(cells["feasible"], cells["K_F" if finite else "K"],
-                                 -math.inf)
-            if np.count_nonzero(checks.code):
-                failed = checks.code != 0
-                for i in np.flatnonzero(failed.any(axis=1)):
-                    errors[int(rows[start + i])] = checks.error(
-                        (i, int(np.argmax(failed[i]))))
+            score[part] = _where(cells["feasible"], cells[key], -math.inf)
+            failed = checks.code != 0
+            for i in np.flatnonzero(failed.any(axis=1)):
+                errors[int(rows[start + i])] = checks.error((i, int(np.argmax(failed[i]))))
             del cells, checks  # before the next block's arrays exist
         return score, errors
 
@@ -308,11 +316,12 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
     """Coarse log grid over V in [1.001, 1e3] plus golden-section refinement, per row.
 
     ``scores(rows, v)`` evaluates the rows listed in ``rows`` at the V
-    values of each, one row of ``v`` each, returning the scores and the
-    errors of failed rows.  Every row gets exactly the points, evaluation
-    count and bracket of a search of its own; a row stops at its first
-    error, as that search would.  If no evaluated point yields a positive
-    value the optimum is reported as no-key: k_star = 0 with v_star = nan.
+    values of each, one row of ``v`` each (a lone row: an int, at a float),
+    returning the scores and the errors of failed rows.  Every row gets
+    exactly the points, evaluation count and bracket of a search of its
+    own; a row stops at its first error, as that search would.  If no
+    evaluated point yields a positive value the optimum is reported as
+    no-key: k_star = 0 with v_star = nan.
     """
     log_low, log_high = (math.log(v) for v in _V_BRACKET)
     logs = [log_low + i * (log_high - log_low) / (coarse_points - 1)
@@ -324,9 +333,16 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
 
     def evaluate(rows, v):
         values, new_errors = scores(rows, v)
-        errors.update(new_errors)
-        failed[list(new_errors)] = True
+        if new_errors:
+            errors.update(new_errors)
+            failed[list(new_errors)] = True
         return values
+
+    def inner(rows, x):
+        """The scores of ``rows`` at log V ``x``, one each; a lone row's on floats."""
+        if rows.size == 1:
+            return evaluate(rows.item(), _exp(x if type(x) is float else x.item()))
+        return evaluate(rows, _exp(x)[:, None])[:, 0]
 
     values = evaluate(all_rows, np.tile(grid, (n_rows, 1)))
     i_best = _first_max(values)
@@ -335,11 +351,10 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
     hi = logs[np.minimum(i_best + 1, coarse_points - 1)]
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = np.full(n_rows, math.nan)
-    f2 = np.full(n_rows, math.nan)
-    for point, value in ((x1, f1), (x2, f2)):  # a lone row's calls are then scalar
+    f1, f2 = np.full((2, n_rows), math.nan)
+    for point, value in ((x1, f1), (x2, f2)):
         rows = all_rows[~failed]
-        value[rows] = evaluate(rows, _exp(point[rows])[:, None])[:, 0]
+        value[rows] = inner(rows, point[rows])
     rows = all_rows[~failed]
     evaluations = np.full(n_rows, coarse_points + 2)
     # the refining rows' brackets, points and values, compacted as rows finish
@@ -356,15 +371,14 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
             rows = rows[going]
             state = [np.reshape(x, -1)[going] for x in state]
             continue
-        if rows.size == 1 and np.ndim(a):  # a lone row steps on numpy scalars, faster
-            a, b, p1, p2, g1, g2 = (x[0] for x in state)
+        if rows.size == 1 and type(a) is not float:  # a lone row steps on floats, faster
+            a, b, p1, p2, g1, g2 = (x.item() for x in state)
         up = g1 < g2
         a = _where(up, p1, a)
         b = _where(up, b, p2)
         span = _GOLDEN * (b - a)
         x = _where(up, a + span, b - span)  # the new inner point
-        g = evaluate(rows, _exp(x).reshape(-1, 1))
-        g = g[:, 0] if np.ndim(x) else g[0, 0]
+        g = inner(rows, x)
         state = [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
                  _where(up, g, g1)]
         steps += 1

@@ -14,12 +14,10 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
 from .channel import ChannelParams
 from .errors import Checks, DomainError, NumericError
 from .gaussian import _check_finite, _check_overflow, _physicality
-from .special import _erfc, _exp, _isinf, _where, erfc_inv
+from .special import _div, _erfc, _exp, _isinf, _sqrt, _where, erfc_inv
 
 __all__ = [
     "RenormStrategy",
@@ -42,18 +40,18 @@ def _check_snr(checks: Checks, snr) -> None:
 
 def _error_rate(snr):
     """Per-axis classical bit-error rate e_c at a quasi-SNR, over valid SNR arrays."""
-    return _where(_isinf(snr), 0.0, 0.5 * _erfc(np.sqrt(snr) / 2.0))
+    return _where(_isinf(snr), 0.0, 0.5 * _erfc(_sqrt(snr) / 2.0))
 
 
 def _shrinkage(snr):
     """Correlation shrinkage delta of erroneous re-displacement, over valid SNR arrays."""
-    return _where(_isinf(snr), 0.0, np.sqrt(snr / math.pi) * _exp(-snr / 4.0))
+    return _where(_isinf(snr), 0.0, _sqrt(snr / math.pi) * _exp(-snr / 4.0))
 
 
 def _snr(t, d, b):
     """T d^2 and the quasi-SNR T d^2 / (b + 1) over arrays."""
     td2 = t * d * d
-    return td2, td2 / (b + 1.0)
+    return td2, _div(td2, b + 1.0)
 
 
 def _moments(checks: Checks, td2, snr, b, c):
@@ -77,12 +75,12 @@ def _rescale(checks: Checks, strategy: RenormStrategy, a, b, c, b_d, c_d, delta)
     only where the margin holds.
     """
     if strategy is RenormStrategy.B_PRESERVING:
-        delta_v = (b_d + 1.0) / (b + 1.0)
-        b_prime, c_prime = b, c_d / np.sqrt(delta_v)
+        delta_v = _div(b_d + 1.0, b + 1.0)
+        b_prime, c_prime = b, _div(c_d, _sqrt(delta_v))
         margin = c - c_prime
     else:
-        delta_v = np.square(1.0 - delta)
-        b_prime, c_prime = (b_d + 1.0) / delta_v - 1.0, c
+        delta_v = (1.0 - delta) * (1.0 - delta)
+        b_prime, c_prime = _div(b_d + 1.0, delta_v) - 1.0, c
         margin = b_prime - b
     checks.add(delta_v <= 0.0, NumericError, "non-positive rescaling factor {:.3e}",
                delta_v)
@@ -102,7 +100,7 @@ def _displacement_factor(qos_threshold: float) -> float:
 
 def _displacement(v, t, eps, factor):
     """``required_displacement`` over arrays, from ``_displacement_factor``."""
-    return factor * np.sqrt(v + eps - 1.0 + 2.0 / t)
+    return factor * _sqrt(v + eps - 1.0 + _div(2.0, t))
 
 
 def required_displacement(modulation_variance: float, chan: ChannelParams,

@@ -6,7 +6,7 @@ normal quantile.  Everything downstream (bit-error rates, confidence
 bounds, worst-case covariance estimators) is built on these scalars.
 The array kernels call libm (erfc, exp, log2, log1p) elementwise through
 the helpers at the end, so an array result equals the scalar one bit for
-bit.
+bit; given a scalar they give a Python float or bool, the fastest to chain.
 """
 
 from __future__ import annotations
@@ -263,15 +263,14 @@ def beta_inv_cdf_symmetric(z: float, half_n: float) -> float:
     return _invert_beta(z, half_n, half_n, 0.0, 0.5)
 
 
-def _elementwise(fn, outside: float):
+def _elementwise(fn, outside: float, ufunc=None):
     """``fn`` applied to each element of an array, or to a scalar, as float64.
 
     numpy's own exp/log family has SIMD versions that differ from libm in
     the last bit on some CPUs; calling the Python function on each element
     keeps array results equal to scalar ones on every machine.  An element
     outside ``fn``'s domain, or whose result overflows, gives ``outside``.
-    A scalar gives a numpy scalar, which later arithmetic handles faster
-    than a 0-d array.
+    A scalar gives a Python float; an array goes to ``ufunc``, if correctly rounded.
     """
     def guarded(x):
         try:
@@ -281,7 +280,9 @@ def _elementwise(fn, outside: float):
 
     def apply(x):
         if not isinstance(x, np.ndarray):
-            return np.float64(guarded(float(x)))
+            return guarded(x)
+        if ufunc is not None:
+            return ufunc(x)
         items = x.ravel().tolist()
         try:
             values = np.fromiter(map(fn, items), float, len(items))
@@ -296,13 +297,20 @@ def _where(condition, x, y):
     """``np.where`` that keeps a scalar condition's result a scalar.
 
     ``x`` and ``y`` are no larger than ``condition``, as when they are the
-    operands the condition was computed from.  A Python float result
-    becomes a numpy float, which divides by zero without raising.
+    operands the condition was computed from.  A scalar condition picks
+    its operand as it is: a Python float stays a float.
     """
     if isinstance(condition, np.ndarray):
         return np.where(condition, x, y)
-    result = x if condition else y
-    return np.float64(result) if type(result) is float else result
+    return x if condition else y
+
+
+def _div(x, y):
+    """``x / y``, where a scalar zero ``y`` gives numpy's inf or nan, not an error."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        return float(np.float64(x) / y)
 
 
 def _isfinite(x):
@@ -319,3 +327,4 @@ _erfc = _elementwise(math.erfc, math.nan)
 _exp = _elementwise(math.exp, math.inf)
 _log2 = _elementwise(math.log2, math.nan)
 _log1p = _elementwise(math.log1p, math.nan)
+_sqrt = _elementwise(math.sqrt, math.nan, np.sqrt)
