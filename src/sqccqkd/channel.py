@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import _check_finite
-from .special import _isfinite, _isinf, _sqrt
+from .special import _isfinite, _sqrt
 
 __all__ = [
     "ChannelParams",
@@ -84,7 +84,7 @@ def _shared_state(checks: Checks, v, d, t, eps, sigma):
     sqrt(T) times its alphabet point, which only the Monte Carlo draws.
     """
     power = d * d
-    checks.add(_isinf(power) & _isfinite(d), DomainError,
+    checks.add((abs(power) == math.inf) & _isfinite(d), DomainError,
                "displacement {} is too large", d)
     eps_tot = eps + sigma * t * power
     b, c = _covariance(v, t, eps_tot)

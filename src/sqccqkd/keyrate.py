@@ -361,8 +361,7 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
     state = [x[rows] for x in (lo, hi, x1, x2, f1, f2)]
     steps = 0
     while rows.size:
-        a, b, p1, p2, g1, g2 = state
-        going = ~failed[rows] & ((b - a) > _LOG_V_TOL)
+        going = ~failed[rows] & ((state[1] - state[0]) > _LOG_V_TOL)
         if not going.all():
             done = rows[~going]
             for full, part in zip((lo, hi, x1, x2, f1, f2), state):
@@ -371,17 +370,21 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
             rows = rows[going]
             state = [np.reshape(x, -1)[going] for x in state]
             continue
-        if rows.size == 1 and type(a) is not float:  # a lone row steps on floats, faster
-            a, b, p1, p2, g1, g2 = (x.item() for x in state)
-        up = g1 < g2
-        a = _where(up, p1, a)
-        b = _where(up, b, p2)
-        span = _GOLDEN * (b - a)
-        x = _where(up, a + span, b - span)  # the new inner point
-        g = inner(rows, x)
-        state = [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
-                 _where(up, g, g1)]
-        steps += 1
+        if rows.size == 1:  # a lone row steps on floats, faster, until it stops
+            state = [x.item() for x in state]
+        while True:  # a step of every row, or each step of a lone row
+            a, b, p1, p2, g1, g2 = state
+            up = g1 < g2
+            a = _where(up, p1, a)
+            b = _where(up, b, p2)
+            span = _GOLDEN * (b - a)
+            x = _where(up, a + span, b - span)  # the new inner point
+            g = inner(rows, x)
+            state = [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
+                     _where(up, g, g1)]
+            steps += 1
+            if rows.size > 1 or failed[rows[0]] or not b - a > _LOG_V_TOL:
+                break
 
     results = []
     for i in all_rows.tolist():

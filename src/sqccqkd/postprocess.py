@@ -17,7 +17,7 @@ import math
 from .channel import ChannelParams
 from .errors import Checks, DomainError, NumericError
 from .gaussian import _check_finite, _check_overflow, _physicality
-from .special import _div, _erfc, _exp, _isinf, _sqrt, _where, erfc_inv
+from .special import _div, _erfc, _exp, _sqrt, _where, erfc_inv
 
 __all__ = [
     "RenormStrategy",
@@ -40,12 +40,12 @@ def _check_snr(checks: Checks, snr) -> None:
 
 def _error_rate(snr):
     """Per-axis classical bit-error rate e_c at a quasi-SNR, over valid SNR arrays."""
-    return _where(_isinf(snr), 0.0, 0.5 * _erfc(_sqrt(snr) / 2.0))
+    return _where(abs(snr) == math.inf, 0.0, 0.5 * _erfc(_sqrt(snr) / 2.0))
 
 
 def _shrinkage(snr):
     """Correlation shrinkage delta of erroneous re-displacement, over valid SNR arrays."""
-    return _where(_isinf(snr), 0.0, _sqrt(snr / math.pi) * _exp(-snr / 4.0))
+    return _where(abs(snr) == math.inf, 0.0, _sqrt(snr / math.pi) * _exp(-snr / 4.0))
 
 
 def _snr(t, d, b):

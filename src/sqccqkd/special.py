@@ -270,7 +270,8 @@ def _elementwise(fn, outside: float, ufunc=None):
     the last bit on some CPUs; calling the Python function on each element
     keeps array results equal to scalar ones on every machine.  An element
     outside ``fn``'s domain, or whose result overflows, gives ``outside``.
-    A scalar gives a Python float; an array goes to ``ufunc``, if correctly rounded.
+    A scalar gives a Python float.  An array goes to ``ufunc`` if one is given:
+    only a correctly rounded one, as sqrt is, gives ``fn``'s bits on every CPU.
     """
     def guarded(x):
         try:
@@ -316,11 +317,6 @@ def _div(x, y):
 def _isfinite(x):
     """``np.isfinite``; a scalar compares several times faster than the ufunc runs."""
     return np.isfinite(x) if isinstance(x, np.ndarray) else abs(x) < math.inf
-
-
-def _isinf(x):
-    """``np.isinf``, with ``_isfinite``'s shortcut for scalars."""
-    return np.isinf(x) if isinstance(x, np.ndarray) else abs(x) == math.inf
 
 
 _erfc = _elementwise(math.erfc, math.nan)
