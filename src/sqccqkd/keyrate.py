@@ -168,7 +168,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     the cells are Python floats and bools.
     """
     _check_options(strategy, model)
-    shape = ()  # one element computes on floats, several times faster than on arrays
+    shape = ()  # one element computes on floats; a lone row passes them (terms in a list)
     if not all(type(x) is float for x in (v, d, t, eps, sigma)):
         inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
         shape = np.broadcast(*inputs).shape

@@ -31,7 +31,7 @@ SECS = [SecurityParams(block_size=n) for n in (1e4, 1e6, 1e8, 1e10)]
 EDGE_V = st.sampled_from([1.0, 1.0 + 1e-12, 1e154, 1e160, 1e300])
 EDGE_EPS = st.sampled_from([0.0, 1e40, 1e200, 1e300])
 EDGE_D = st.sampled_from([0.0, 1e100, 1e153, 1e160])
-POINT = st.tuples(
+INSIDE = st.tuples(
     st.one_of(st.floats(1.0, 1e3), EDGE_V),  # V
     st.floats(1e-3, 1.0),  # T
     st.floats(1e-9, 0.5),  # W, giving d unless an edge d is drawn
@@ -40,6 +40,18 @@ POINT = st.tuples(
     st.one_of(st.none(), EDGE_D),
     st.integers(0, len(SECS) - 1),  # block size
 )
+# outside the domain an earlier check fails, and the later stages go on computing
+# on what it spoiled: zero divisors, square roots of negatives, NaN and inf
+OUTSIDE = st.tuples(
+    st.one_of(st.floats(1.0, 1e3), st.sampled_from([1.0 - 1e-12, 0.5, 0.0, -1.0])),  # V
+    st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.0, 1.5, math.nan])),  # T
+    st.none(),  # no W: d is an edge d
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1e-300, -0.2, -1.0, -1e300])),  # eps
+    st.one_of(st.just(0.0), st.sampled_from([-1e-300, -1.0])),  # sigma
+    EDGE_D,
+    st.integers(0, len(SECS) - 1),
+)
+POINT = st.one_of(INSIDE, OUTSIDE)
 
 
 def _inputs(points):
@@ -125,21 +137,28 @@ def _outcome(search):
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("model, sec", [("sqcc", None), ("baseline", None),
-                                        ("sqcc", SECS[2])], ids=["sqcc", "baseline",
-                                                                  "sqcc-finite"])
-def test_lockstep_rows_equal_their_own_searches(model, sec):
-    """Rows searched together get the result (or error) of their own search."""
+# the c-preserving cases keep their first ids; "finite" is at N = 1e8 unless named
+@pytest.mark.parametrize("strategy, model, sec", [
+    (strategy, model, sec)
+    for strategy in (RenormStrategy.C_PRESERVING, RenormStrategy.B_PRESERVING)
+    for model, sec in (("sqcc", None), ("baseline", None), ("sqcc", SECS[2]),
+                       ("sqcc", SECS[0]))], ids=[
+    prefix + name for prefix in ("", "b-preserving-")
+    for name in ("sqcc", "baseline", "sqcc-finite", "sqcc-finite-1e4")])
+def test_lockstep_rows_equal_their_own_searches(strategy, model, sec):
+    """Rows searched together get the result (or error) of their own search, whose
+    lone row steps on floats: equal by repr, so to the last bit."""
     chans = [ChannelParams(t, eps) for t in (0.02, 0.3, 0.9) for eps in (0.05, 1e300)]
     thresholds = [1e-3, 0.5, 1e-6, 1e-3, 0.2, 0.7]
-    together = optimise_rows(chans, thresholds, RenormStrategy.C_PRESERVING, model=model,
+    together = optimise_rows(chans, thresholds, strategy, model=model,
                              secs=None if sec is None else [sec] * len(chans))
     for chan, w, result in zip(chans, thresholds, together):
-        alone = _outcome(lambda: optimise_v(chan, w, RenormStrategy.C_PRESERVING,
-                                            model=model, sec=sec))
+        alone = _outcome(lambda: optimise_v(chan, w, strategy, model=model, sec=sec))
         assert _outcome(lambda: _raise_or(result)) == alone
     assert sum(isinstance(r, SqccError) for r in together) >= 3
-    assert any(not isinstance(r, SqccError) and r.k_star > 0 for r in together)
+    # at N = 1e4 the penalties leave no key at any V: the brackets are compared alone
+    assert any(not isinstance(r, SqccError) and r.k_star > 0 for r in together) or (
+        sec is SECS[0])
 
 
 def _raise_or(result):
