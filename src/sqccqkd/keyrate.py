@@ -60,6 +60,7 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _V_BRACKET = (1.001, 1e3)  # the search range of V
 _LOG_V_TOL = 1e-4  # golden-section stop: bracket width in log V
+_COARSE_POINTS = 60  # log-spaced V of the grid that brackets each row's maximum
 # elements per kernel call of a V search: the kernel holds about 40 float64
 # arrays of this length, so a block bounds its working memory near 0.7 MB
 _BLOCK = 2048
@@ -303,31 +304,24 @@ class _Rows:
         return score, errors
 
 
-def _first_max(values: np.ndarray) -> np.ndarray:
-    """Per row, the index ``max(range(n), key=row.__getitem__)`` picks."""
-    best = np.argmax(values, axis=1)
-    for i in np.flatnonzero(np.isnan(values).any(axis=1)):
-        row = values[i].tolist()
-        best[i] = max(range(len(row)), key=row.__getitem__)
-    return best
-
-
-def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | SqccError]:
+def _lockstep(scores, n_rows: int) -> list[Optimum | SqccError]:
     """Coarse log grid over V in [1.001, 1e3] plus golden-section refinement, per row.
 
     ``scores(rows, v)`` evaluates the rows listed in ``rows`` at the V
     values of each, one row of ``v`` each (a lone row: an int, at a float),
-    returning the scores and the errors of failed rows.  Every row gets
-    exactly the points, evaluation count and bracket of a search of its
-    own; a row stops at its first error, as that search would.  If no
-    evaluated point yields a positive value the optimum is reported as
-    no-key: k_star = 0 with v_star = nan.
+    returning the scores and the errors of failed rows.  Each row's bracket,
+    inner points and their scores are a column of one state array.  While
+    several rows refine, they take each golden-section step together; the
+    last row refining steps on Python floats.  Every row gets exactly the
+    points, evaluation count and bracket of a search of its own; a row stops
+    at its first error, as that search would.  If no evaluated point yields
+    a positive value the optimum is reported as no-key: k_star = 0 with
+    v_star = nan.
     """
     log_low, log_high = (math.log(v) for v in _V_BRACKET)
-    logs = [log_low + i * (log_high - log_low) / (coarse_points - 1)
-            for i in range(coarse_points)]
+    logs = [log_low + i * (log_high - log_low) / (_COARSE_POINTS - 1)
+            for i in range(_COARSE_POINTS)]
     grid = [math.exp(u) for u in logs]
-    all_rows = np.arange(n_rows)
     errors = {}  # row -> the error its search stopped at
     failed = np.zeros(n_rows, dtype=bool)
 
@@ -344,64 +338,55 @@ def _lockstep(scores, n_rows: int, coarse_points: int = 60) -> list[Optimum | Sq
             return evaluate(rows.item(), _exp(x if type(x) is float else x.item()))
         return evaluate(rows, _exp(x)[:, None])[:, 0]
 
-    values = evaluate(all_rows, np.tile(grid, (n_rows, 1)))
-    i_best = _first_max(values)
-    logs = np.array(logs)
-    lo = logs[np.maximum(i_best - 1, 0)]
-    hi = logs[np.minimum(i_best + 1, coarse_points - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = np.full((2, n_rows), math.nan)
+    def step(rows, part):
+        """The state ``part`` of ``rows`` after one golden-section step."""
+        a, b, p1, p2, g1, g2 = part
+        up = g1 < g2
+        a = _where(up, p1, a)
+        b = _where(up, b, p2)
+        span = _GOLDEN * (b - a)
+        x = _where(up, a + span, b - span)  # the new inner point
+        g = inner(rows, x)
+        return [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
+                _where(up, g, g1)]
+
+    values = evaluate(np.arange(n_rows), np.tile(grid, (n_rows, 1)))
+    i_best = np.argmax(values, axis=1)  # NaN only on failed rows, reported by error
+    # per row: the bracket in log V, the two inner points and their scores
+    state = np.full((6, n_rows), math.nan)
+    lo, hi, x1, x2, f1, f2 = state  # views: a step of the state updates them
+    lo[:] = np.array(logs)[np.maximum(i_best - 1, 0)]
+    hi[:] = np.array(logs)[np.minimum(i_best + 1, _COARSE_POINTS - 1)]
+    x1[:] = hi - _GOLDEN * (hi - lo)
+    x2[:] = lo + _GOLDEN * (hi - lo)
     for point, value in ((x1, f1), (x2, f2)):
-        rows = all_rows[~failed]
+        rows = np.flatnonzero(~failed)
         value[rows] = inner(rows, point[rows])
-    rows = all_rows[~failed]
-    evaluations = np.full(n_rows, coarse_points + 2)
-    # the refining rows' brackets, points and values, compacted as rows finish
-    state = [x[rows] for x in (lo, hi, x1, x2, f1, f2)]
-    steps = 0
-    while rows.size:
-        going = ~failed[rows] & ((state[1] - state[0]) > _LOG_V_TOL)
-        if not going.all():
-            done = rows[~going]
-            for full, part in zip((lo, hi, x1, x2, f1, f2), state):
-                full[done] = np.reshape(part, -1)[~going]
-            evaluations[done] += steps
-            rows = rows[going]
-            state = [np.reshape(x, -1)[going] for x in state]
-            continue
-        if rows.size == 1:  # a lone row steps on floats, faster, until it stops
-            state = [x.item() for x in state]
-        while True:  # a step of every row, or each step of a lone row
-            a, b, p1, p2, g1, g2 = state
-            up = g1 < g2
-            a = _where(up, p1, a)
-            b = _where(up, b, p2)
-            span = _GOLDEN * (b - a)
-            x = _where(up, a + span, b - span)  # the new inner point
-            g = inner(rows, x)
-            state = [a, b, _where(up, p2, x), _where(up, x, p1), _where(up, g2, g),
-                     _where(up, g, g1)]
-            steps += 1
-            if rows.size > 1 or failed[rows[0]] or not b - a > _LOG_V_TOL:
-                break
+    evaluations = np.full(n_rows, _COARSE_POINTS + 2)
+    while (rows := np.flatnonzero(~failed & (hi - lo > _LOG_V_TOL))).size > 1:
+        state[:, rows] = step(rows, state[:, rows])
+        evaluations[rows] += 1
+    if rows.size:  # the last row refining steps on floats, faster, until it stops
+        i = rows.item()
+        part = state[:, i].tolist()
+        while not failed[i] and part[1] - part[0] > _LOG_V_TOL:
+            part = step(rows, part)
+            evaluations[i] += 1
+        state[:, i] = part
 
     results = []
-    for i in all_rows.tolist():
+    for i, (a, b, p1, p2, g1, g2) in enumerate(state.T.tolist()):
         if i in errors:
             results.append(errors[i])
             continue
-        candidates = [
-            (float(values[i, i_best[i]]), grid[i_best[i]]),
-            (float(f1[i]), math.exp(x1[i])),
-            (float(f2[i]), math.exp(x2[i])),
-        ]
-        k_best, v_best = max(candidates, key=lambda kv: kv[0])
+        best = int(i_best[i])
+        k_best, v_best = max([(values[i, best].item(), grid[best]), (g1, math.exp(p1)),
+                              (g2, math.exp(p2))], key=lambda kv: kv[0])
         if not (k_best > 0.0) or not math.isfinite(k_best):
             k_best, v_best = 0.0, math.nan
         results.append(Optimum(v_star=v_best, k_star=k_best,
                                evaluations=int(evaluations[i]),
-                               bracket=(math.exp(lo[i]), math.exp(hi[i]))))
+                               bracket=(math.exp(a), math.exp(b))))
     return results
 
 

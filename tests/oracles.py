@@ -168,3 +168,41 @@ def write_shots_csv(chunks, path) -> None:
                        chunk.true_symbols, chunk.decided_symbols)
             writer.writerows(zip(range(chunk.start, chunk.start + len(chunk.joint)),
                                  *(column.tolist() for column in columns)))
+
+
+def golden_section_optimum(score, points: int = 60, v_low: float = 1.001,
+                           v_high: float = 1e3, log_tol: float = 1e-4) -> tuple:
+    """One row's V search from its definition: (v_star, k_star, evaluations, bracket).
+
+    ``score(v)`` is the rate at V = v; the search stops at the first error
+    it raises.  The best of ``points`` log-spaced V over [v_low, v_high]
+    (the first, on a tie) is bracketed by its neighbours, and golden
+    sections narrow the bracket to a width of ``log_tol`` in log V.  The
+    optimum is the best of that grid point and the last two inner points,
+    or no key (k_star 0 at v_star nan) where none of them is positive.
+    """
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    log_low, log_high = math.log(v_low), math.log(v_high)
+    logs = [log_low + i * (log_high - log_low) / (points - 1) for i in range(points)]
+    values = [score(math.exp(u)) for u in logs]
+    best = max(range(points), key=values.__getitem__)
+    lo, hi = logs[max(best - 1, 0)], logs[min(best + 1, points - 1)]
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1 = score(math.exp(x1))
+    f2 = score(math.exp(x2))
+    evaluations = points + 2
+    while hi - lo > log_tol:
+        if f1 < f2:  # the maximum lies above x1
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = score(math.exp(x2))
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = score(math.exp(x1))
+        evaluations += 1
+    k, v = max([(values[best], math.exp(logs[best])), (f1, math.exp(x1)),
+                (f2, math.exp(x2))], key=lambda kv: kv[0])
+    if not (k > 0.0 and math.isfinite(k)):
+        k, v = 0.0, math.nan
+    return v, k, evaluations, (math.exp(lo), math.exp(hi))

@@ -8,6 +8,7 @@ spreadsheet oracle on the rescaled state, and that the lockstep search
 gives each row the optimum of its own search.
 """
 
+import itertools
 import math
 import re
 
@@ -17,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
-from sqccqkd.errors import DomainError, SqccError
+from sqccqkd.errors import DomainError, NumericError, SqccError
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _table, optimise_rows, optimise_v, rate_cells
+from sqccqkd.keyrate import _lockstep, _table, optimise_rows, optimise_v, rate_cells
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
 from helpers import rate_rows, renormalised
-from oracles import rate_from_triple
+from oracles import golden_section_optimum, rate_from_triple
 
 # a few block sizes, so the Beta-quantile margins are computed once per module
 SECS = [SecurityParams(block_size=n) for n in (1e4, 1e6, 1e8, 1e10)]
@@ -84,6 +85,10 @@ def test_array_equals_each_element(points, strategy, model, finite):
     kwargs = {"strategy": strategy, "model": model,
               "finite": terms if finite else None}
     cells, checks = rate_cells(v, d, t, eps, sigma, **kwargs)
+    # the V search's score is NaN only where a check failed, so np.argmax over a row's
+    # scores picks the first maximum on every row that reports an optimum
+    score = np.where(cells["feasible"], cells["K_F" if finite else "K"], -math.inf)
+    assert not np.isnan(score[checks.code == 0]).any()
     for i in range(len(points)):
         one = {**kwargs, "finite": (terms[0][:, i], terms[1][i]) if finite else None}
         cells_i, checks_i = rate_cells(v[i], d[i], t[i], eps[i], sigma[i], **one)
@@ -165,6 +170,99 @@ def _raise_or(result):
     if isinstance(result, SqccError):
         raise result
     return result
+
+
+def _peak(centre):
+    return lambda v: 0.3 - (math.log(v) - math.log(centre)) ** 2
+
+
+def _failing(score, fails):
+    """``score``, raising a NumericError at every V where ``fails(v)``."""
+    def failing(v):
+        if fails(v):
+            raise NumericError(f"no score at V = {v!r}")
+        return score(v)
+    return failing
+
+
+def _off_grid(v):
+    """Whether V is none of the 60 log-spaced coarse points over [1.001, 1e3]."""
+    position = (math.log(v) - math.log(1.001)) / (math.log(1e3) - math.log(1.001)) * 59
+    return abs(position - round(position)) > 1e-6
+
+
+# each row's score as a function of V, and the evaluation its own search fails at
+SEARCH_ROWS = {
+    "interior": (_peak(17.0), None),
+    "max-at-low-edge": (lambda v: 1.0 / v, None),
+    "max-at-high-edge": (lambda v: math.log(v) / 10.0 - 0.5, None),
+    "no-key": (lambda v: -math.inf, None),
+    "coarse-error": (_failing(_peak(17.0), lambda v: v > 300.0), 50),
+    "first-inner-error": (_failing(_peak(17.0), _off_grid), 61),
+    # while the other rows refine, and after the edge rows stop (77 evaluations)
+    "mid-error": (_failing(_peak(17.0), lambda v: abs(math.log(v / 17.0)) < 1e-3), 68),
+    "last-step-error": (_failing(_peak(31.0), lambda v: abs(math.log(v / 31.0)) < 1e-5),
+                        79),
+}
+
+
+class _FakeScores:
+    """``_Rows.scores`` over rows given as functions of V; it records where rows fail."""
+
+    def __init__(self, names):
+        self.functions = [SEARCH_ROWS[name][0] for name in names]
+        self.failures = []  # (row, whether the call was on that row alone, at one V)
+
+    def __call__(self, rows, v):
+        if not isinstance(rows, np.ndarray):
+            score, errors = self.score(rows, v)
+        else:
+            score = np.empty(v.shape)
+            errors = {}
+            for i, row in enumerate(rows.tolist()):
+                for j, x in enumerate(v[i].tolist()):
+                    score[i, j], error = self.score(row, x)
+                    errors = {**error, **errors}  # a row's first failed element names it
+        self.failures += [(row, not isinstance(rows, np.ndarray)) for row in errors]
+        return score, errors
+
+    def score(self, row, v):
+        try:
+            return self.functions[row](v), {}
+        except SqccError as exc:
+            return math.nan, {row: exc}
+
+
+def _plain_search(name):
+    calls = []
+    score = SEARCH_ROWS[name][0]
+    try:
+        return repr(golden_section_optimum(lambda v: calls.append(v) or score(v))), None
+    except SqccError as exc:
+        return f"{type(exc).__name__}: {exc}", len(calls)
+
+
+@pytest.mark.parametrize("size", [1, 2, len(SEARCH_ROWS)])
+def test_lockstep_equals_a_plain_search(size):
+    """Each row searched alone, with any other row, or with all, gets the optimum
+    (by repr: to the last bit, evaluations and bracket included) or the error of
+    the plain one-row search in ``oracles``, wherever its rows fail."""
+    plain = {name: _plain_search(name) for name in SEARCH_ROWS}
+    assert {name: failure for name, (_, failure) in plain.items()} == {
+        name: fails_at for name, (_, fails_at) in SEARCH_ROWS.items()}
+    failures = set()
+    for names in itertools.combinations(SEARCH_ROWS, size):
+        fake = _FakeScores(names)
+        for name, result in zip(names, _lockstep(fake, len(names))):
+            got = (f"{type(result).__name__}: {result}" if isinstance(result, SqccError)
+                   else repr((result.v_star, result.k_star, result.evaluations,
+                              result.bracket)))
+            assert got == plain[name][0], (names, name)
+        failures.update((names[row], lone) for row, lone in fake.failures)
+    # a lone row's float steps meet the errors, inside a search of two rows too, while
+    # with all rows the interior one steps on with them to the end
+    lone = size < len(SEARCH_ROWS)
+    assert {("mid-error", lone), ("last-step-error", lone)} <= failures
 
 
 @pytest.mark.parametrize("model", ["sqcc", "baseline"])

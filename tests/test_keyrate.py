@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from sqccqkd import gaussian
+from sqccqkd import gaussian, keyrate
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import PhysicalityError
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (
     _holevo,
-    _lockstep,
     _mutual_information,
-    _Rows,
     _table,
     optimise_v,
     rate_at,
@@ -203,11 +201,11 @@ class TestOptimiseV:
         ref = brute_force_optimum(qos_objective(chan, 1e-3), n_points=3000)
         assert opt.k_star == ref == 0.0
 
-    def test_grid_density_invariance(self):
-        rows = _Rows([ChannelParams(0.7, 0.05)], [1e-3], RenormStrategy.B_PRESERVING,
-                     0.95, "sqcc", None)
-        k60 = _lockstep(rows.scores, 1, 60)[0].k_star
-        k240 = _lockstep(rows.scores, 1, 240)[0].k_star
+    def test_grid_density_invariance(self, monkeypatch):
+        chan = ChannelParams(0.7, 0.05)
+        k60 = optimise_v(chan, 1e-3).k_star
+        monkeypatch.setattr(keyrate, "_COARSE_POINTS", 240)
+        k240 = optimise_v(chan, 1e-3).k_star
         assert k240 == pytest.approx(k60, rel=1e-5)
 
     def test_sandwich_bound(self):
