@@ -31,6 +31,7 @@ from .channel import (
 from .errors import Checks, DomainError, NumericError, PhysicalityError, SqccError
 from .finitekey import SecurityParams, _check_correlation, _worst_case
 from .gaussian import (
+    _PHYSICALITY_SLACK,
     _REASONS,
     _check_finite,
     _check_overflow,
@@ -64,6 +65,9 @@ _COARSE_POINTS = 60  # log-spaced V of the grid that brackets each row's maximum
 # elements per kernel call of a V search: the kernel holds about 40 float64
 # arrays of this length, so a block bounds its working memory near 0.7 MB
 _BLOCK = 2048
+# near a pure state chi cancels to 0 within rounding that a 50-digit oracle bounds below
+# g(1 + slack) = 1.6e-8, the entropy of an eigenvalue the verdict's slack above vacuum
+_CHI_FLOOR = -_entropy(Checks(), 1.0 + _PHYSICALITY_SLACK)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def _holevo(checks: Checks, a, b, c, verdict=None):
     lam3 = _conditional(checks, a, b, c)
     chi = (_entropy(checks, verdict.lambda1) + _entropy(checks, verdict.lambda2)
            - _entropy(checks, lam3))
-    checks.add(chi < -1e-12, NumericError, "negative holevo bound {:.3e}", chi)
+    checks.add(chi < _CHI_FLOOR, NumericError, "negative holevo bound {:.3e}", chi)
     return _where(chi < 0.0, 0.0, chi)
 
 
@@ -352,9 +356,8 @@ def _lockstep(scores, n_rows: int) -> list[Optimum | SqccError]:
 
     values = evaluate(np.arange(n_rows), np.tile(grid, (n_rows, 1)))
     i_best = np.argmax(values, axis=1)  # NaN only on failed rows, reported by error
-    # per row: the bracket in log V, the two inner points and their scores
     state = np.full((6, n_rows), math.nan)
-    lo, hi, x1, x2, f1, f2 = state  # views: a step of the state updates them
+    lo, hi, x1, x2, f1, f2 = state  # views of each row's bracket, inner points, scores
     lo[:] = np.array(logs)[np.maximum(i_best - 1, 0)]
     hi[:] = np.array(logs)[np.minimum(i_best + 1, _COARSE_POINTS - 1)]
     x1[:] = hi - _GOLDEN * (hi - lo)

@@ -3,8 +3,10 @@
 Nothing here may import from the code paths under test beyond plain data:
 the error-function oracle is a Maclaurin series / Laplace continued
 fraction, the moment oracles integrate truncated-Gaussian densities with
-adaptive quadrature, the beta oracle integrates the density directly, and
-the shots-file oracle writes its rows with the csv module.
+adaptive quadrature, the beta oracle integrates the density directly, the
+Holevo oracle works in 50-digit decimals, the V-search oracle steps one row
+on Python floats, and the shots-file oracle writes its rows with the csv
+module.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy import integrate
@@ -137,6 +140,36 @@ def rate_from_triple(a: float, b: float, c: float, beta: float) -> tuple:
     lam3 = a - c * c / (b + 1.0)
     chi = entropy_g(lam1) + entropy_g(lam2) - entropy_g(lam3)
     return i_ab, chi, beta * i_ab - chi
+
+
+def holevo_decimal(a: float, b: float, c: float, digits: int = 50) -> dict:
+    """The symplectic invariants, eigenvalues and chi of a triple, to ``digits`` digits.
+
+    The floats are exact binary numbers, so only the arithmetic here rounds:
+    d1 = a^2 + b^2 - 2c^2 and d2 = ab - c^2, the eigenvalues lambda1 >= lambda2
+    of the state, lambda3 of mode A given heterodyne of mode B, and chi =
+    g(lambda1) + g(lambda2) - g(lambda3) with g = 0 at or below 1.  A negative
+    discriminant d1^2 - 4 d2^2 (a triple unphysical by the rounding of its
+    entries) is taken as 0, as ``rate_from_triple`` takes it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b, c = Decimal(a), Decimal(b), Decimal(c)
+        ln2 = Decimal(2).ln()
+
+        def g(x):
+            if x <= 1:
+                return Decimal(0)
+            xp, xm = (x + 1) / 2, (x - 1) / 2
+            return (xp * xp.ln() - xm * xm.ln()) / ln2
+
+        d1 = a * a + b * b - 2 * c * c
+        d2 = a * b - c * c
+        root = max(d1 * d1 - 4 * d2 * d2, Decimal(0)).sqrt()
+        lam1, lam2 = ((d1 + root) / 2).sqrt(), ((d1 - root) / 2).sqrt()
+        lam3 = a - c * c / (b + 1)
+        return {"d1": d1, "d2": d2, "lambda1": lam1, "lambda2": lam2, "lambda3": lam3,
+                "chi": g(lam1) + g(lam2) - g(lam3)}
 
 
 def brute_force_optimum(objective, n_points: int = 10_000,

@@ -538,6 +538,17 @@ class TestHardenedInputs:
             "999.9999999999998", "8.518864943775455", "")
         assert "failed" not in capsys.readouterr().err
 
+    def test_pure_state_at_large_v_is_a_row(self, tmp_path, capsys):
+        """At T = 1 and eps = 0 chi cancels to 0 within rounding that grows with V; at
+        this V it is -1.3e-12, and the floor of -1e-12 on chi flagged the row ("negative
+        holevo bound -1.320e-12")."""
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep-asymptotic", "--T", "1", "--eps", "0", "--W", "0.5",
+                         "--V", "415.7809240652578", "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["chi_EB"], row["K"], row["error"]) == ("0.0", "7.317988165334075", "")
+        assert "failed" not in capsys.readouterr().err
+
 
 # one bad value per checked option, in the order in which values are checked
 BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,

@@ -20,7 +20,7 @@ from sqccqkd.keyrate import (
 from sqccqkd.postprocess import RenormStrategy, required_displacement
 
 from helpers import on_point, on_triple, qos_objective, shared
-from oracles import brute_force_optimum, rate_from_triple
+from oracles import brute_force_optimum, holevo_decimal, rate_from_triple
 
 REF_PROTO = ProtocolParams(5.0, 12.0, 0.95)
 REF_CHAN = ChannelParams(0.1, 0.05)
@@ -222,3 +222,33 @@ class TestOptimiseV:
             ProtocolParams(5.0, required_displacement(5.0, chan, 1e-12), 0.95), chan)["K"]
         assert near_half == pytest.approx(k0, abs=1e-12)
         assert tiny_w == pytest.approx(k0, abs=1e-6)
+
+
+class TestHolevoFloor:
+    """Near a pure state g(lambda1) + g(lambda2) - g(lambda3) cancels to 0 within a
+    rounding that grows with V; the floor on a negative chi must lie beyond it."""
+
+    @pytest.mark.parametrize("t", [1.0, 1.0 - 1e-6, 0.999])
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6])
+    def test_rounding_is_within_the_floor(self, t, eps, monkeypatch):
+        """On each state the chain takes chi of, the 50-digit chi is >= 0, and where it
+        is within the floor of 0 the chain's chi is within the floor of it."""
+        triples = []
+        holevo = keyrate._holevo
+        monkeypatch.setattr(keyrate, "_holevo", lambda checks, a, b, c, verdict=None: (
+            triples.append((a, b, c)) or holevo(checks, a, b, c, verdict)))
+        cells, checks = rate_cells(np.geomspace(1.001, 1e3, 100), 0.0, t, eps, 0.0)
+        ((a, b, c),) = triples
+        bound = -keyrate._CHI_FLOOR
+        assert bound == pytest.approx(1.617e-8, rel=1e-3)  # g(1 + 1e-9)
+        for i in np.flatnonzero(checks.code == 0):
+            exact = holevo_decimal(a[i], b[i], c[i])
+            assert exact["chi"] >= 0
+            if exact["chi"] < bound:
+                assert abs(cells["chi_EB"][i] - float(exact["chi"])) < bound
+
+    def test_pure_states_are_rows(self):
+        """A lossless, noiseless channel: the floor of -1e-12 flagged 7 of these points,
+        the first at V = 415.78 ("negative holevo bound -1.320e-12")."""
+        _, checks = rate_cells(np.geomspace(1.001, 1e3, 2000), 0.0, 1.0, 0.0, 0.0)
+        assert not checks.code.any()
