@@ -199,7 +199,8 @@ SEARCH_ROWS = {
     "no-key": (lambda v: -math.inf, None),
     "coarse-error": (_failing(_peak(17.0), lambda v: v > 300.0), 50),
     "first-inner-error": (_failing(_peak(17.0), _off_grid), 61),
-    # while the other rows refine, and after the edge rows stop (77 evaluations)
+    # the late errors: while every other row refines (68), and after the rows whose
+    # maximum is at an edge stop at 77 evaluations (79)
     "mid-error": (_failing(_peak(17.0), lambda v: abs(math.log(v / 17.0)) < 1e-3), 68),
     "last-step-error": (_failing(_peak(31.0), lambda v: abs(math.log(v / 31.0)) < 1e-5),
                         79),
