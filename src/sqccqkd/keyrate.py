@@ -65,8 +65,8 @@ _COARSE_POINTS = 60  # log-spaced V of the grid that brackets each row's maximum
 # elements per kernel call of a V search: the kernel holds about 40 float64
 # arrays of this length, so a block bounds its working memory near 0.7 MB
 _BLOCK = 2048
-# near a pure state chi cancels to 0 within rounding that a 50-digit oracle bounds below
-# g(1 + slack) = 1.6e-8, the entropy of an eigenvalue the verdict's slack above vacuum
+# near a pure state chi cancels to 0 within a rounding that a 50-digit oracle bounds
+# below g(1 + slack) = 1.6e-8, the entropy of an eigenvalue one slack above vacuum
 _CHI_FLOOR = -_entropy(Checks(), 1.0 + _PHYSICALITY_SLACK)
 
 
