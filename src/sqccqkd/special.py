@@ -1,12 +1,13 @@
 """Self-contained special-function kernel.
 
-The inverse complementary error function, the regularized incomplete
-beta function and its symmetric-parameter inverse CDF, and the standard
-normal quantile.  Everything downstream (bit-error rates, confidence
-bounds, worst-case covariance estimators) is built on these scalars.
-The array kernels call libm (erfc, exp, log2, log1p) elementwise through
-the helpers at the end, so an array result equals the scalar one bit for
-bit; given a scalar they give a Python float or bool, the fastest to chain.
+The inverse complementary error function, the regularized incomplete beta
+function and its inverse CDF, which evaluates I_x only at its iterates (its
+callers' bracket ends have exact values: see ``_invert_beta``), and the normal
+quantile.  Everything downstream (bit-error rates, confidence bounds, worst-case
+covariance estimators) is built on these scalars.  The array kernels call libm
+(erfc, exp, log2, log1p) elementwise through the helpers at the end, so an array
+result equals the scalar one bit for bit; given a scalar they give a Python float
+or bool, the fastest to chain.
 """
 
 from __future__ import annotations
@@ -185,20 +186,14 @@ def beta_reg(x: float, a: float, b: float) -> float:
 def _invert_beta(z: float, a: float, b: float, lo: float, hi: float) -> float:
     """Solve I_x(a, b) = z for x in [lo, hi] by safeguarded Halley steps.
 
-    Starts from the normal approximation of Beta(a, b).  Each evaluation
-    narrows the bracket; a Halley step that would leave it, or that is not
-    at most half the step before, is replaced by bisection.  Converges on
-    interval collapse; a relative residual below ``_BISECT_REL_TOL`` exits
-    early.  An absolute criterion would be meaningless for deep-tail
-    quantiles where z itself is tiny.
+    Every call has I_lo <= z <= I_hi, so the ends are not evaluated: ``beta_reg``
+    is exactly 0.0 at x = 0 and 1.0 at x = 1, I_1/2(h, h) = 1/2 by symmetry,
+    ``beta_quantile`` solves on [0, 1] for z in (0, 1) and ``beta_inv_cdf_symmetric``
+    on [0, 1/2] only for z < 1/2.  From the normal approximation of Beta(a, b),
+    each evaluation narrows the bracket; a Halley step that would leave it, or that
+    is not at most half the step before, is replaced by bisection.  Ends on interval
+    collapse or a relative residual below ``_BISECT_REL_TOL`` (deep-tail z is tiny).
     """
-    flo = beta_reg(lo, a, b) - z
-    fhi = beta_reg(hi, a, b) - z
-    if flo > 0.0 or fhi < 0.0:
-        raise ConvergenceError(
-            f"beta inverse bracket does not straddle z={z:g} for a={a:g}, b={b:g}",
-            residual=min(abs(flo), abs(fhi)),
-        )
     ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     mean = a / (a + b)
     x = mean + normal_quantile(z) * math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))

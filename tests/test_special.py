@@ -219,7 +219,8 @@ class TestBetaInvSymmetric:
     @pytest.mark.parametrize("n", [1e4, 1e5, 1e6, 2e6])
     @pytest.mark.parametrize("z", [1e-10 / 12.0, 1e-20 / 1296.0], ids=["var", "cov"])
     def test_few_beta_reg_calls(self, monkeypatch, n, z):
-        """A finite-key quantile takes at most 6 evaluations of I_x, bracket included."""
+        """A finite-key quantile takes at most 4 evaluations of I_x, none at the
+        bracket ends 0 and 1/2, whose values its caller fixes exactly."""
         calls = []
         original = special.beta_reg
 
@@ -229,8 +230,17 @@ class TestBetaInvSymmetric:
 
         monkeypatch.setattr(special, "beta_reg", counted)
         x = beta_inv_cdf_symmetric(z, n / 2.0)
-        assert len(calls) <= 6
+        assert len(calls) <= 4
+        assert not {0.0, 0.5} & set(calls)
         assert abs(original(x, n / 2.0, n / 2.0) - z) <= 1e-10 * z
+
+    @pytest.mark.parametrize("half_n", [10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("z", [math.nextafter(0.5, 0.0), 0.5 - 1e-13, 0.5 - 1e-10])
+    def test_z_just_below_half(self, half_n, z):
+        """The computed I_1/2(h, h) misses 1/2 by rounding (-8.7e-13 at h = 1e3,
+        -3.2e-10 at h = 1e5); a z between the two is still a quantile near 1/2."""
+        x = beta_inv_cdf_symmetric(z, half_n)
+        assert 0.5 - 1e-9 <= x <= 0.5
 
     def test_reflection(self):
         x_lo = beta_inv_cdf_symmetric(0.2, 30.0)
