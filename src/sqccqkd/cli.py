@@ -239,7 +239,7 @@ def _sweep_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
     live = np.flatnonzero([isinstance(row, dict) for row in out])
     cells, checks = _Rows(chans, thresholds, model="sqcc", secs=secs, **shared).cells(
         live, np.array(v)[live])
-    cells = {name: np.atleast_1d(values).tolist() for name, values in cells.items()}
+    cells = {name: values.tolist() for name, values in cells.items()}
     for j, i in enumerate(live.tolist()):
         error = checks.error(j)
         if error is not None:
@@ -430,14 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        group = p.add_mutually_exclusive_group()
         for opt in (o for o in _OPTIONS if name in o.commands):
             kind = ({"action": "store_true"} if opt.type is bool else
                     {"type": opt.type, "choices": opt.choices,
                      "nargs": "+" if opt.many else None})
-            (group if opt.dest in _T_ALTERNATIVES else p).add_argument(
-                opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
-                default=None, help=opt.help, **kind)
+            p.add_argument(opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
+                           default=None, help=opt.help, **kind)
     return parser
 
 

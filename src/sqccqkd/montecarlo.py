@@ -272,7 +272,7 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
         if m < 100:
             raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
 
-    n_sub = max(1, min(_N_CHUNKS, n // 2))
+    n_sub = min(_N_CHUNKS, n // 2)
     size, longer = divmod(n, n_sub)
     ends = [(i + 1) * size + min(i + 1, longer) for i in range(n_sub)]
     subs = [_Moments(4) for _ in range(n_sub)]

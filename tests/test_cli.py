@@ -259,11 +259,17 @@ class TestConfigPrecedence:
 
 
 class TestUsageErrors:
-    def test_mutually_exclusive_t_and_db(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep-asymptotic", "--T", "0.5", "--db", "3",
-                      "--output", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+    def test_mutually_exclusive_t_and_db(self, tmp_path, capsys):
+        """One check decides every pair of T, db and T-grid, by flag or by file."""
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"T": [0.5]}))
+        grid = "log:0.01:0.9:4"
+        for pair in (["--T", "0.5", "--db", "3"], ["--T", "0.5", "--T-grid", grid],
+                     ["--db", "3", "--T-grid", grid], ["--db", "3", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep-asymptotic", *pair, "--output", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert "T, db and T-grid are mutually exclusive" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
