@@ -15,6 +15,7 @@ from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
 from sqccqkd.montecarlo import estimate, shot_chunks
 from sqccqkd.postprocess import RenormStrategy
+from sqccqkd.special import beta_quantile
 
 from helpers import renormalised, shared, vacuum_moments
 
@@ -284,6 +285,32 @@ class TestEstimationPipeline:
         _, est = estimate(iter([chunk]), n, 0.1)
         assert (est.e_c_point, est.e_c_bound) == (1.0, 1.0)
         assert (est.snr_point, est.snr_hat) == (0.0, 0.0)
+
+
+class TestDisclosedBitCoverage:
+    """The disclosed-bit bound covers the true error rate at its confidence level.
+
+    ``estimate`` bounds e_C by the one-sided binomial tail inversion
+    ``beta_quantile(1 - eps, k + 1, 2m - k)`` (1 when all 2m bits are wrong).
+    Drawn here directly as k ~ Binomial(2m, e), at eps = 0.05 so that misses
+    are countable, the bound must miss the true e in at most eps of the draws,
+    within 3 binomial standard errors.
+    """
+
+    EPS = 0.05
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("e", [1e-3, 0.02, 0.2])
+    @pytest.mark.parametrize("comparisons", [200, 10_000])
+    def test_miss_rate_at_most_eps(self, comparisons, e):
+        rng = np.random.default_rng(29)
+        errors = rng.binomial(comparisons, e, self.DRAWS)
+        bound = {k: 1.0 if k == comparisons else
+                 beta_quantile(1.0 - self.EPS, k + 1, comparisons - k)
+                 for k in np.unique(errors).tolist()}
+        misses = sum(e > bound[k] for k in errors.tolist())
+        limit = self.EPS + 3 * math.sqrt(self.EPS * (1 - self.EPS) / self.DRAWS)
+        assert misses / self.DRAWS <= limit
 
 
 def whole_batch_reference(batch: dict, m: int) -> dict:
