@@ -1,10 +1,11 @@
-"""Lossy thermal channel acting on the entangled source, and the prior-model comparator.
+"""Lossy thermal channel acting on the entangled source, and the state sent through it.
 
 The source is a two-mode squeezed vacuum of variance V; one mode passes a
 bosonic channel with transmissivity T and excess noise eps (shot-noise
 units, referred to the channel input), optionally with power-dependent
 phase noise.  Classical QPSK symbols ride on the same mode as large
-displacements d * exp(i*pi*(2k-1)/4), k = 1..4.
+displacements d * exp(i*pi*(2k-1)/4), k = 1..4.  The prior model lives in
+``keyrate.rate_cells`` (``model="baseline"``).
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .channel import (
 from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
 from .gaussian import _check_finite
-from .keyrate import _Rows, optimise_rows
+from .keyrate import _lockstep, _Rows
 from .montecarlo import _MAX_SHOTS, RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
 from .postprocess import RenormStrategy, _moments, _snr
 
@@ -212,33 +212,36 @@ def _batches(config: dict, d_default: list[float]) -> Iterator[dict]:
                "rng": RNG_ALGORITHM, "schedule": str(config["symbol"])}
 
 
-def _rate_inputs(config: dict, points: list[dict]):
-    """Each point's channel, threshold and, where it has an N, the run's
-    SecurityParams at that N, and the settings that the points' kernel calls share."""
-    chans = [ChannelParams(p["T"], p["eps"], p["sigma"]) for p in points]
+def _rows(config: dict, points: list[dict], model: str = "sqcc") -> _Rows:
+    """The run's kernel rows for ``model``: each point's channel and threshold and,
+    where the points have an N, the run's SecurityParams at that N."""
     # every point of a command has an N, or none has
     secs = [config["security"][p["N"]] for p in points if p["N"]]
-    shared = {"strategy": config["strategy"], "beta": points[0]["beta"]}  # one per run
-    return chans, [p["W"] for p in points], secs or None, shared
+    return _Rows([ChannelParams(p["T"], p["eps"], p["sigma"]) for p in points],
+                 [p["W"] for p in points], config["strategy"], points[0]["beta"], model,
+                 secs or None)
+
+
+def _optima(rows: _Rows, suffix: str = "") -> list[dict | SqccError]:
+    """Each row's optimum over V as cells, their names ending in ``suffix``, or the
+    error its search stopped at."""
+    names = [name + suffix for name in
+             ("v_star", "k_star", "evaluations", "bracket_low", "bracket_high")]
+    return [opt if isinstance(opt, SqccError) else
+            dict(zip(names, (opt.v_star, opt.k_star, opt.evaluations, *opt.bracket)))
+            for opt in _lockstep(rows.scores, len(rows))]
 
 
 def _sweep_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
-    """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F."""
-    chans, thresholds, secs, shared = _rate_inputs(config, points)
-    out = [{} for _ in points]
-    v = [p["V"] for p in points]
-    if config["optimize_v"]:
-        opts = optimise_rows(chans, thresholds, secs=secs, **shared)
-        for i, opt in enumerate(opts):
-            if isinstance(opt, SqccError):
-                out[i] = opt
-                continue
-            out[i] = {"v_star": opt.v_star, "k_star": opt.k_star}
-            if math.isfinite(opt.v_star):
-                v[i] = opt.v_star
+    """Pipeline diagnostics at the fixed or optimal V; points with an N add K^F.
+    The V search and the diagnostics share one set of kernel rows."""
+    rows = _rows(config, points)
+    out = _optima(rows) if config["optimize_v"] else [{} for _ in points]
     live = np.flatnonzero([isinstance(row, dict) for row in out])
-    cells, checks = _Rows(chans, thresholds, model="sqcc", secs=secs, **shared).cells(
-        live, np.array(v)[live])
+    # the optimal V where the search found a key, else the fixed one
+    v = [out[i]["v_star"] if math.isfinite(out[i].get("v_star", math.nan))
+         else points[i]["V"] for i in live.tolist()]
+    cells, checks = rows.cells(live, np.array(v))
     cells = {name: values.tolist() for name, values in cells.items()}
     for j, i in enumerate(live.tolist()):
         error = checks.error(j)
@@ -246,28 +249,16 @@ def _sweep_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
             out[i] = error
             continue
         out[i].update((name, values[j]) for name, values in cells.items())
-        if secs:
-            out[i]["epsilon_total"] = secs[i].epsilon_total()
+        if points[i]["N"]:
+            out[i]["epsilon_total"] = config["security"][points[i]["N"]].epsilon_total()
     return out
 
 
-def _optimize_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
-    chans, thresholds, secs, shared = _rate_inputs(config, points)
-    opts = optimise_rows(chans, thresholds, secs=secs, **shared)
-    return [opt if isinstance(opt, SqccError) else
-            {"v_star": opt.v_star, "k_star": opt.k_star, "evaluations": opt.evaluations,
-             "bracket_low": opt.bracket[0], "bracket_high": opt.bracket[1]}
-            for opt in opts]
-
-
 def _compare_rows(config: dict, points: list[dict]) -> list[dict | SqccError]:
-    chans, thresholds, _, shared = _rate_inputs(config, points)
-    new, old = (optimise_rows(chans, thresholds, model=model, **shared)
+    new, old = (_optima(_rows(config, points, model), "_" + model)
                 for model in ("sqcc", "baseline"))
     return [n if isinstance(n, SqccError) else o if isinstance(o, SqccError) else
-            {"v_star_sqcc": n.v_star, "k_star_sqcc": n.k_star,
-             "v_star_baseline": o.v_star, "k_star_baseline": o.k_star,
-             "advantage": n.k_star >= o.k_star}
+            {**n, **o, "advantage": n["k_star_sqcc"] >= o["k_star_baseline"]}
             for n, o in zip(new, old)]
 
 
@@ -371,7 +362,7 @@ _COMMANDS = {
         "maximise the rate over V at each point",
         ("T W eps beta sigma strategy model N v_star k_star evaluations"
          " bracket_low bracket_high error").split(),
-        lambda c: _grid(c, model="sqcc"), _optimize_rows),
+        lambda c: _grid(c, model="sqcc"), lambda c, points: _optima(_rows(c, points))),
     "simulate": _Command(
         "Monte Carlo moments at given displacement(s)",
         (_INPUT_COLUMNS + "n seed rng schedule" + _MOMENT_COLUMNS + " mean_bx_hat"

@@ -259,6 +259,9 @@ class _Rows:
         self.lone = list(zip(*(x.tolist() for x in self.columns), terms))  # as floats
         self.options = (beta, strategy, model)
 
+    def __len__(self) -> int:
+        return len(self.lone)
+
     def cells(self, rows, v, asymptotic: bool = True) -> tuple[dict, Checks]:
         """Kernel cells at ``v`` of ``rows`` (broadcasting), or of one row (an int)
         at one V on floats, which warn of nothing."""

@@ -150,6 +150,8 @@ def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise DomainError(f"n must be >= 1 and <= {_MAX_SHOTS}, got {n}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be >= 0, got {seed}")
     v = proto.modulation_variance
     checks = Checks()
     _, b, c = _shared_state(checks, v, proto.displacement, chan.transmissivity,
@@ -258,6 +260,8 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
     ``int(disclose_fraction * n)`` shots (one-sided binomial tail at
     confidence 1 - ``_EPS_PE``), inverts it to a certified SNR floor, and
     infers the rescaling from the variance-shift factor of the point estimate.
+    As b_hat = (b_d_hat + 1) / (1 + g) - 1 at the shift g of ``snr_point``, the
+    pooled variance cancels: ``delta_v_hat`` is 1 + g up to one rounding.
     """
     if n < 2:
         raise DomainError("empirical moments need at least 2 shots")

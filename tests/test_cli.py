@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sqccqkd.cli as cli
-from sqccqkd import finitekey, keyrate, montecarlo
+from sqccqkd import finitekey, keyrate, montecarlo, special
 from sqccqkd.channel import ChannelParams
 from sqccqkd.errors import NumericError
 from sqccqkd.keyrate import optimise_v, rate_at
@@ -280,6 +280,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep-asymptotic", "--T-grid", "log:0.9:0.1:5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["log:0.1:0.9", "exp:0.1:0.9:5"])
+    def test_malformed_grid_descriptor(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-asymptotic", "--T-grid", grid])
+        assert exc.value.code == 2
+        assert "grid must look like log:0.01:0.9:50" in capsys.readouterr().err
+
+    def test_malformed_grid_in_config_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_grid": "log:0.1"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-asymptotic", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config key 't_grid': grid must look like" in capsys.readouterr().err
 
     def test_log_grid_from_a_subnormal_bound(self):
         """hi / lo overflows to inf here; the grid must not."""
@@ -555,6 +570,43 @@ class TestHardenedInputs:
         assert (row["chi_EB"], row["K"], row["error"]) == ("0.0", "7.317988165334075", "")
         assert "failed" not in capsys.readouterr().err
 
+    def test_stalled_beta_inverse_flags_its_row(self, tmp_path, capsys, monkeypatch):
+        """A numerical budget that runs out flags the row, without a traceback."""
+        monkeypatch.setattr(special, "_BISECT_STEPS", 1)
+        out = tmp_path / "o.csv"
+        assert cli.main(["optimize", "--T", "0.6", "--W", "1e-3", "--N", "1e6",
+                         "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["v_star"] == ""
+        assert row["error"].startswith(
+            "beta inverse bisection stalled for a=500000, b=500000 (residual=")
+        assert "1 row(s) failed" in capsys.readouterr().err
+
+
+class TestRunErrors:
+    """A run that cannot finish exits 1 with one JSON error record on stderr."""
+
+    def test_output_below_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        assert cli.main(["optimize", "--T", "0.6", "--W", "1e-3",
+                         "--output", str(blocker / "o.csv")]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err)
+        assert set(record) == {"error", "message"}
+        assert record["error"] == "FileExistsError"
+        assert "wrote" not in out + err
+
+    def test_shots_output_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--T", "0.1", "--d", "12", "--n", "300",
+                         "--shots-output", str(tmp_path / "missing" / "s.csv"),
+                         "--output", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert json.loads(err)["error"] == "FileNotFoundError"
+        assert "wrote" not in stdout
+        assert list(tmp_path.iterdir()) == []  # no artifact, no shots file
+
 
 # one bad value per checked option, in the order in which values are checked
 BAD = {"db": -1, "p_f": 1.5, "d_rx": 0,
@@ -734,6 +786,35 @@ class TestPipelineEvaluations:
         assert len(kernel_calls) <= ceiling
         assert max(kernel_calls) <= keyrate._BLOCK  # the kernel's memory stays bounded
         assert kernel_calls[0] == keyrate._BLOCK // 60 * 60  # coarse grids, many rows
+
+    @pytest.mark.parametrize("argv, rows, models", [
+        (["sweep-asymptotic", "--W", "0.5", "1e-3", "--T-grid", "log:0.01:0.9:50",
+          "--optimize-v"], 100, 1),
+        (["sweep-finite", "--T-grid", "log:0.1:0.9:20", "--W", "1e-3", "--optimize-v",
+          "--N", "1e8"], 20, 1),
+        (["compare-baseline", "--W", "0.5", "1e-3", "--T-grid", "log:0.01:0.9:50"], 100, 2),
+    ], ids=["sweep-asymptotic", "sweep-finite", "compare-baseline"])
+    def test_row_constants_once_per_run_and_model(self, tmp_path, monkeypatch, argv,
+                                                  rows, models):
+        """A sweep's V search and its diagnostics share one set of kernel rows: each
+        row's displacement factor and finite-block terms are resolved once per model."""
+        calls = {"factor": 0, "terms": 0}
+        factor, terms = keyrate._displacement_factor, finitekey.SecurityParams._rate_terms
+
+        def counted_factor(w):
+            calls["factor"] += 1
+            return factor(w)
+
+        def counted_terms(sec):
+            calls["terms"] += 1
+            return terms(sec)
+
+        monkeypatch.setattr(keyrate, "_displacement_factor", counted_factor)
+        monkeypatch.setattr(finitekey.SecurityParams, "_rate_terms", counted_terms)
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert len(read_csv(out)) == rows
+        assert calls == {"factor": rows * models, "terms": rows if "--N" in argv else 0}
 
     @pytest.fixture
     def quantile_calls(self, monkeypatch):

@@ -100,6 +100,13 @@ class TestSampler:
         with pytest.raises(DomainError, match=f"n must be >= 1 and <= {2 ** 53}"):
             shot_chunks(REF_PROTO, REF_CHAN, 1, 2 ** 53 + 1, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        """A negative or fractional seed is a DomainError when the stream is made,
+        not numpy's error at the first chunk."""
+        with pytest.raises(DomainError, match=f"^seed must be >= 0, got {seed}$"):
+            shot_chunks(REF_PROTO, REF_CHAN, 1, 100, seed)
+
 
 class TestDiscrimination:
     def test_bit_error_rate_matches_analytic(self):

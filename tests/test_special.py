@@ -7,7 +7,7 @@ import pytest
 from scipy.special import betainc
 
 from sqccqkd import special
-from sqccqkd.errors import DomainError
+from sqccqkd.errors import ConvergenceError, DomainError
 from sqccqkd.special import (
     _erfc,
     beta_inv_cdf_symmetric,
@@ -177,6 +177,13 @@ class TestBetaReg:
             beta_reg(1.1, 2.0, 2.0)
         with pytest.raises(DomainError):
             beta_reg(0.5, 0.0, 2.0)
+
+    def test_stalled_continued_fraction_carries_its_residual(self, monkeypatch):
+        """A continued fraction that runs out of terms raises, naming its last step."""
+        monkeypatch.setattr(special, "_CF_MAX_TERMS", 1)
+        with pytest.raises(ConvergenceError, match="continued fraction stalled") as exc:
+            beta_reg(0.5, 1e3, 1e3)
+        assert exc.value.residual == pytest.approx(0.988, abs=5e-4)
 
 
 class TestBetaInvSymmetric:
