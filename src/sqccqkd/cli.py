@@ -61,13 +61,14 @@ _T_ALTERNATIVES = ("T", "db", "t_grid")  # one of them gives the transmissivitie
 
 def _parse_t_grid(descriptor: str) -> list[float]:
     """Parse 'log:lo:hi:n' or 'lin:lo:hi:n' grid descriptors."""
-    parts = descriptor.split(":")
-    if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise argparse.ArgumentTypeError(
-            f"grid must look like log:0.01:0.9:50, got {descriptor!r}")
-    kind, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
-    if not (0.0 < lo < hi) or n < 2:
-        raise argparse.ArgumentTypeError(f"invalid grid bounds in {descriptor!r}")
+    try:
+        kind, lo, hi, n = descriptor.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:  # not four fields, or one that is not a number
+        kind, lo, hi, n = "", 0.0, 0.0, 0
+    if kind not in ("log", "lin") or not 0.0 < lo < hi < math.inf or n < 2:
+        raise argparse.ArgumentTypeError("grid must look like log:0.01:0.9:50 (finite "
+                                         f"0 < lo < hi, n >= 2), got {descriptor!r}")
     if kind == "log":  # libm exp: numpy's SIMD exp would make T depend on the CPU
         step = (math.log(hi) - math.log(lo)) / (n - 1)  # hi / lo may overflow
         return [lo * math.exp(step * i) for i in range(n - 1)] + [hi]
@@ -512,7 +513,7 @@ def _merge(args: argparse.Namespace) -> dict:
 
     for opt in _OPTIONS:
         value = values[opt.dest]
-        if opt.check is not None and value is not None:
+        if opt.check is not None and value is not None and flags["command"] in opt.commands:
             with named(t_key if opt.dest == "T" else opt.dest):
                 for item in value if opt.many else [value]:
                     opt.check(item)

@@ -6,10 +6,10 @@ state after postprocessing and renormalisation; the finite-block rate
 takes chi_EB at worst-case estimates and subtracts ``finitekey``'s
 penalties.  The residual mean never enters the entropies.
 
-``rate_cells`` is the one implementation: it evaluates the whole chain
-over broadcast arrays of operating points and records, per element, the
-error the chain raises first there.  ``rate_at`` evaluates it at one
-operating point, and ``optimise_rows`` searches V for many rows in lockstep.
+``rate_cells`` checks its inputs and evaluates the whole chain, ``_chain``, over
+broadcast arrays of operating points, recording per element the error the chain
+raises first there.  ``rate_at`` evaluates it at one operating point, and
+``optimise_rows`` searches V for many rows in lockstep, through ``_chain`` too.
 """
 
 from __future__ import annotations
@@ -173,18 +173,23 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     the cells are Python floats and bools.
     """
     _check_options(strategy, model)
-    shape = ()  # one element computes on floats; a lone row passes them (terms in a list)
+    shape = ()  # one element computes on floats
     if not all(type(x) is float for x in (v, d, t, eps, sigma)):
         inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
         shape = np.broadcast(*inputs).shape
-        v, d, t, eps, sigma = ((x.item() for x in inputs) if math.prod(shape) == 1
-                               else np.broadcast_arrays(*inputs))
-    if finite is not None and math.prod(shape) == 1 and type(finite[0]) is not list:
+        v, d, t, eps, sigma = (x.item() for x in inputs) if math.prod(shape) == 1 else inputs
+    if finite is not None and math.prod(shape) == 1:
         finite = np.ravel(finite[0]).tolist(), np.ravel(finite[1])[0]
     if checks is None:
         checks = Checks(shape)
     _check_protocol(checks, v, d, beta)
     _check_channel(checks, t, eps, sigma)
+    return _chain(checks, v, d, t, eps, sigma, beta, strategy, model, finite, asymptotic)
+
+
+def _chain(checks: Checks, v, d, t, eps, sigma, beta, strategy, model, finite, asymptotic):
+    """``rate_cells`` past its entry checks, on inputs that broadcast to ``checks.shape``
+    (arrays under ``np.errstate``): every evaluation of the package runs here."""
     eps_tot, b, c = _shared_state(checks, v, d, t, eps, sigma)
     td2, snr = _snr(t, d, b)
     if model == "sqcc":
@@ -211,8 +216,9 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         mi, _, cells["K_PE"], cells["K_F"], cells["ell"] = _rate(
             checks, v, b, c, beta, finite)
         cells["I_AB"] = mi
-    if shape:  # at shape () the cells stay Python scalars
-        cells = {name: np.asarray(x).reshape(shape) for name, x in cells.items()}
+    if shape := checks.shape:  # at shape () the cells stay Python scalars
+        cells = {name: x if np.shape(x) == shape else np.broadcast_to(x, shape)
+                 for name, x in cells.items()}
     return cells, checks
 
 
@@ -249,11 +255,15 @@ class _Rows:
         _check_options(strategy, model)
         (factor,), errors = _table(_displacement_factor, thresholds, 1)
         self.finite = None if secs is None else _table(SecurityParams._rate_terms, secs, 8)
-        # T, eps, sigma, the displacement factor and the error of each row, if any
-        self.columns = (np.array([chan.transmissivity for chan in chans]),
-                        np.array([chan.excess_noise for chan in chans]),
-                        np.array([chan.phase_noise_factor for chan in chans]),
-                        factor, np.not_equal(errors, None), errors)
+        channel = [[getattr(chan, name) for chan in chans] for name in
+                   ("transmissivity", "excess_noise", "phase_noise_factor")]
+        late = []  # each row's channel error, checked once here, not at every V
+        for t, eps, sigma in zip(*channel):
+            _check_channel(constants := Checks(), t, eps, sigma)
+            late.append(constants.error())
+        # T, eps, sigma, the displacement factor, and the threshold and channel errors
+        self.columns = (*map(np.array, channel), factor, np.not_equal(errors, None), errors,
+                        np.not_equal(late, None), np.array(late, dtype=object))
         terms = ([None] * len(chans) if secs is None else
                  zip(self.finite[0].T.tolist(), self.finite[1]))
         self.lone = list(zip(*(x.tolist() for x in self.columns), terms))  # as floats
@@ -265,22 +275,23 @@ class _Rows:
     def cells(self, rows, v, asymptotic: bool = True) -> tuple[dict, Checks]:
         """Kernel cells at ``v`` of ``rows`` (broadcasting), or of one row (an int)
         at one V on floats, which warn of nothing."""
-        if isinstance(rows, np.ndarray):
-            checks = Checks(np.broadcast(rows, v).shape)
-            t, eps, sigma, factor, invalid, errors = (x[rows] for x in self.columns)
-            finite = None if self.finite is None else (self.finite[0][:, rows],
-                                                        self.finite[1][rows])
-            with np.errstate(all="ignore"):
-                d = _displacement(v, t, eps, factor)
-        else:
-            t, eps, sigma, factor, invalid, errors, finite = self.lone[rows]
-            checks, d = Checks(), _displacement(v, t, eps, factor)
+        if not isinstance(rows, np.ndarray):
+            return self._cells(Checks(), v, *self.lone[rows], asymptotic)
+        finite = self.finite and (self.finite[0][:, rows], self.finite[1][rows])
+        with np.errstate(all="ignore"):
+            return self._cells(Checks(np.broadcast(rows, v).shape), v,
+                               *(x[rows] for x in self.columns), finite, asymptotic)
+
+    def _cells(self, checks, v, t, eps, sigma, factor, invalid, errors, bad, late, finite,
+               asymptotic):
+        d = _displacement(v, t, eps, factor)
         checks.add(invalid, errors)
         checks.add(np.logical_not(_isfinite(d)), DomainError, "required displacement "
                    "overflows: V + eps - 1 + 2 / T is not finite at V = {}, eps = {}, "
                    "T = {}", v, eps, t)
-        return rate_cells(v, d, t, eps, sigma, *self.options, finite,
-                          asymptotic, checks)
+        _check_protocol(checks, v, d, self.options[0])
+        checks.add(bad, late)  # the channel's, after the protocol's as in rate_cells
+        return _chain(checks, v, d, t, eps, sigma, *self.options, finite, asymptotic)
 
     def scores(self, rows, v) -> tuple[np.ndarray, dict]:
         """The rate (finite-block with SecurityParams) where feasible, else -inf.

@@ -268,23 +268,20 @@ def _elementwise(fn, outside: float, ufunc=None):
     A scalar gives a Python float.  An array goes to ``ufunc`` if one is given:
     only a correctly rounded one, as sqrt is, gives ``fn``'s bits on every CPU.
     """
-    def guarded(x):
+    def apply(x):
+        if isinstance(x, np.ndarray):
+            if ufunc is not None:
+                return ufunc(x)
+            items = x.ravel().tolist()
+            try:
+                values = np.fromiter(map(fn, items), float, len(items))
+            except (ValueError, OverflowError):  # again, each element guarded
+                values = np.fromiter(map(apply, items), float, len(items))
+            return values.reshape(x.shape)
         try:
             return fn(x)
         except (ValueError, OverflowError):
             return outside
-
-    def apply(x):
-        if not isinstance(x, np.ndarray):
-            return guarded(x)
-        if ufunc is not None:
-            return ufunc(x)
-        items = x.ravel().tolist()
-        try:
-            values = np.fromiter(map(fn, items), float, len(items))
-        except (ValueError, OverflowError):
-            values = np.fromiter(map(guarded, items), float, len(items))
-        return values.reshape(x.shape)
 
     return apply
 
@@ -306,7 +303,8 @@ def _div(x, y):
     try:
         return x / y
     except ZeroDivisionError:
-        return float(np.float64(x) / y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(x) / y)
 
 
 def _isfinite(x):

@@ -258,6 +258,10 @@ class TestConfigPrecedence:
         assert (tmp_path / "optimize.csv").exists()
 
 
+# descriptors of four fields whose bound is not finite or whose count is not an integer
+NOT_FINITE_OR_NOT_INTEGER = ("log:0.1:inf:5", "lin:0.1:inf:5", "log:0.1:0.9:5.0")
+
+
 class TestUsageErrors:
     def test_mutually_exclusive_t_and_db(self, tmp_path, capsys):
         """One check decides every pair of T, db and T-grid, by flag or by file."""
@@ -276,12 +280,21 @@ class TestUsageErrors:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_grid_descriptor(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep-asymptotic", "--T-grid", "log:0.9:0.1:5"])
-        assert exc.value.code == 2
+    def test_bad_grid_descriptor(self, capsys):
+        """A bound out of order or not finite, or a count that is not an integer, is
+        the parser's usage error naming the descriptor, and numpy warns of nothing."""
+        for grid in ("log:0.9:0.1:5", *NOT_FINITE_OR_NOT_INTEGER):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["sweep-asymptotic", "--T-grid", grid])
+            assert exc.value.code == 2
+            assert "--T-grid: grid must look like log:0.01:0.9:50" in (
+                err := capsys.readouterr().err)
+            assert repr(grid) in err
 
-    @pytest.mark.parametrize("grid", ["log:0.1:0.9", "exp:0.1:0.9:5"])
+    @pytest.mark.parametrize("grid", ["log:0.1:0.9", "exp:0.1:0.9:5",
+                                      *NOT_FINITE_OR_NOT_INTEGER])
     def test_malformed_grid_descriptor(self, capsys, grid):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep-asymptotic", "--T-grid", grid])
@@ -747,15 +760,16 @@ class TestEveryCommandFlags:
 class TestPipelineEvaluations:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """The element count of each ``keyrate.rate_cells`` call."""
+        """The element count of each ``keyrate._chain`` call: every evaluation, from
+        ``rate_cells`` or from a search row, passes through it."""
         calls = []
-        original = keyrate.rate_cells
+        original = keyrate._chain
 
-        def counted(v, *args, **kwargs):
+        def counted(checks, v, *args):
             calls.append(np.size(v))
-            return original(v, *args, **kwargs)
+            return original(checks, v, *args)
 
-        monkeypatch.setattr(keyrate, "rate_cells", counted)
+        monkeypatch.setattr(keyrate, "_chain", counted)
         return calls
 
     @pytest.mark.parametrize("argv, ceiling", [
@@ -786,6 +800,15 @@ class TestPipelineEvaluations:
         assert len(kernel_calls) <= ceiling
         assert max(kernel_calls) <= keyrate._BLOCK  # the kernel's memory stays bounded
         assert kernel_calls[0] == keyrate._BLOCK // 60 * 60  # coarse grids, many rows
+
+    @pytest.mark.parametrize("extra", [[], ["--N", "1e6"]], ids=["asymptotic", "N1e6"])
+    def test_lone_search_call_pattern(self, tmp_path, kernel_calls, extra):
+        """A lone search is one call on its 60-point coarse grid, then one one-element
+        call for each later evaluation: its two first inner points and 17 steps."""
+        assert cli.main(["optimize", "--T", "0.6", "--W", "1e-3", *extra,
+                         "--output", str(tmp_path / "o.csv")]) == 0
+        assert read_csv(tmp_path / "o.csv")[0]["evaluations"] == "79"
+        assert kernel_calls == [60] + [1] * 19
 
     @pytest.mark.parametrize("argv, rows, models", [
         (["sweep-asymptotic", "--W", "0.5", "1e-3", "--T-grid", "log:0.01:0.9:50",

@@ -11,6 +11,7 @@ gives each row the optimum of its own search.
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
-from sqccqkd.errors import DomainError, NumericError, SqccError
+from sqccqkd.errors import Checks, DomainError, NumericError, SqccError
 from sqccqkd.finitekey import SecurityParams
-from sqccqkd.keyrate import _lockstep, _table, optimise_rows, optimise_v, rate_cells
-from sqccqkd.postprocess import RenormStrategy, required_displacement
+from sqccqkd.keyrate import (_lockstep, _Rows, _table, optimise_rows, optimise_v,
+                             rate_cells)
+from sqccqkd.postprocess import (RenormStrategy, _displacement, _displacement_factor,
+                                 required_displacement)
 
 from helpers import rate_rows, renormalised
 from oracles import golden_section_optimum, rate_from_triple
@@ -329,3 +332,81 @@ def test_margin_error_meets_the_chain_at_the_estimators():
                                finite=_table(SecurityParams._rate_terms, [sec] * 3, 8))
         assert [str(checks.error(i)) for i in range(3)] == [
             error, "c must be finite", "displacement 1e+160 is too large"]
+
+
+# rows that fail, each in its own way: (channel, threshold, beta, block or None)
+FAILING_ROWS = {
+    "beta": (ChannelParams(0.6, 0.05), 1e-3, 1.5, None),
+    "threshold": (ChannelParams(0.6, 0.05), 0.7, 0.95, None),
+    "tiny-T": (ChannelParams(1e-320, 0.05), 1e-3, 0.95, None),  # 2 / T overflows
+    "huge-eps": (ChannelParams(0.6, 1e300), 1e-3, 0.95, None),
+    "smoothing": (ChannelParams(0.6, 0.05), 1e-3, 0.95,
+                  SecurityParams(block_size=1e6, eps_s=1e-200)),
+    # a channel built without ChannelParams' own check
+    "channel": (SimpleNamespace(transmissivity=1.5, excess_noise=0.05,
+                                phase_noise_factor=0.0), 1e-3, 0.95, None),
+}
+# a V below the search's range, its first coarse V (as the search computes it), an
+# inner V, its upper end, and inf, where every displacement overflows
+ROW_V = [0.5, math.exp(math.log(1.001)), 5.0, 1e3, math.inf]
+
+
+@np.errstate(all="ignore")
+def _kernel_errors(chans, thresholds, beta, secs, v):
+    """Each row's error at each V (rows x V) as ``rate_cells`` reports it at the row's
+    inputs, given the checks a row makes before the kernel: its threshold's, then
+    whether its displacement overflows."""
+    t, eps, sigma = (np.array([[getattr(chan, name)] for chan in chans])
+                     for name in ("transmissivity", "excess_noise", "phase_noise_factor"))
+    (factor,), errors = _table(_displacement_factor, thresholds, 1)
+    d = _displacement(v, t, eps, factor[:, None])
+    checks = Checks(d.shape)
+    checks.add(np.not_equal(errors, None)[:, None], errors[:, None])
+    checks.add(~np.isfinite(d), DomainError, "required displacement overflows: V + eps "
+               "- 1 + 2 / T is not finite at V = {}, eps = {}, T = {}", v, eps, t)
+    finite = None
+    if secs is not None:
+        table, errors = _table(SecurityParams._rate_terms, secs, 8)
+        finite = table[:, :, None], errors[:, None]
+    _, checks = rate_cells(v, d, t, eps, sigma, beta, finite=finite,
+                           asymptotic=secs is None, checks=checks)
+    return [[checks.error((i, j)) for j in range(v.shape[1])] for i in range(len(chans))]
+
+
+def _described(error):
+    return None if error is None else (type(error), str(error))
+
+
+@pytest.mark.parametrize("name", FAILING_ROWS)
+@pytest.mark.parametrize("among_valid", [False, True], ids=["alone", "among-valid"])
+def test_row_errors_are_the_public_kernels(name, among_valid):
+    """A search row checks its channel once, not at each evaluation, and every
+    element still reports the error ``rate_cells`` reports at its inputs: on arrays
+    and on floats, and as the first error of its V search."""
+    chan, w, beta, sec = FAILING_ROWS[name]
+    chans, thresholds, secs = [chan], [w], None if sec is None else [sec]
+    if among_valid:
+        chans = [ChannelParams(0.3, 0.05), chan, ChannelParams(0.9, 0.01)]
+        thresholds = [1e-3, w, 0.2]
+        secs = None if sec is None else [SecurityParams(block_size=1e6), sec,
+                                         SecurityParams(block_size=1e8)]
+    v = np.tile(ROW_V, (len(chans), 1))
+    expected = [[_described(e) for e in row]
+                for row in _kernel_errors(chans, thresholds, beta, secs, v)]
+    bad = chans.index(chan)
+    assert all(error is not None for error in expected[bad])  # the row fails at every V
+    rows = _Rows(chans, thresholds, RenormStrategy.B_PRESERVING, beta, "sqcc", secs)
+    _, checks = rows.cells(np.arange(len(chans))[:, None], v, asymptotic=sec is None)
+    assert [[_described(checks.error((i, j))) for j in range(len(ROW_V))]
+            for i in range(len(chans))] == expected
+    for i, j in itertools.product(range(len(chans)), range(len(ROW_V))):
+        _, checks = rows.cells(i, ROW_V[j], asymptotic=sec is None)
+        assert _described(checks.error()) == expected[i][j], (i, ROW_V[j])
+    # each search stops at its first coarse V, where the row fails first
+    results = optimise_rows(chans, thresholds, beta=beta, secs=secs)
+    assert _described(results[bad]) == expected[bad][1]
+    with pytest.raises(type(results[bad]), match=re.escape(str(results[bad]))):
+        optimise_v(chan, w, beta=beta, sec=sec)
+    if name == "beta":  # every row fails with it
+        assert [_described(r) for r in results] == len(chans) * [
+            (DomainError, "reconciliation_efficiency must be in (0, 1], got 1.5")]
