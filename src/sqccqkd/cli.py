@@ -112,7 +112,8 @@ _SECURITY = {"p_f": "frame_success", "d_rx": "discretization_bits", **{k: k for 
 _OPTIONS = (
     _Option("db", many=True, default=(), check=attenuation_db_to_transmissivity,
             help="attenuation value(s) in dB (converted to T)"),
-    _Option("t_grid", _parse_t_grid, flag="--T-grid", help="grid descriptor log:lo:hi:n"),
+    _Option("t_grid", _parse_t_grid, commands=_RATE, flag="--T-grid",
+            help="grid descriptor log:lo:hi:n"),
     _Option("p_f", commands=_FINITE, check=_security("frame_success"),
             help="frame success probability"),
     _Option("d_rx", int, commands=_FINITE, check=_security("discretization_bits"),

@@ -154,8 +154,7 @@ def _rate(checks: Checks, a, b, c, reconciliation_efficiency, finite=None, verdi
 @np.errstate(all="ignore")
 def rate_cells(v, d, t, eps, sigma, beta=0.95,
                strategy: RenormStrategy = RenormStrategy.B_PRESERVING,
-               model: str = "sqcc", finite=None, asymptotic: bool = True,
-               checks: Checks | None = None) -> tuple[dict, Checks]:
+               model: str = "sqcc", finite=None, asymptotic: bool = True) -> tuple[dict, Checks]:
     """The closed-form chain at broadcast arrays of (V, d, T, eps, sigma).
 
     ``model`` "sqcc" postprocesses and renormalises with ``strategy``;
@@ -166,11 +165,9 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     ``e_C``, the moments and ``delta_v`` for "sqcc", ``feasible``; with
     ``asymptotic`` also ``I_AB``, ``chi_EB`` and ``K``; with ``finite`` (see
     ``_rate``, broadcasting per element) also ``K_PE``, ``K_F`` and
-    ``ell``) and the checks, whose
-    ``error(index)`` is the exception the chain raises first on that
-    element alone.  ``checks`` may carry errors found before the chain.
-    Cells of a failed element are meaningless; at the broadcast shape ()
-    the cells are Python floats and bools.
+    ``ell``) and the checks, whose ``error(index)`` is the exception the chain
+    raises first on that element alone.  Cells of a failed element are
+    meaningless; at the broadcast shape () the cells are Python floats and bools.
     """
     _check_options(strategy, model)
     shape = ()  # one element computes on floats
@@ -180,8 +177,7 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
         v, d, t, eps, sigma = (x.item() for x in inputs) if math.prod(shape) == 1 else inputs
     if finite is not None and math.prod(shape) == 1:
         finite = np.ravel(finite[0]).tolist(), np.ravel(finite[1])[0]
-    if checks is None:
-        checks = Checks(shape)
+    checks = Checks(shape)
     _check_protocol(checks, v, d, beta)
     _check_channel(checks, t, eps, sigma)
     return _chain(checks, v, d, t, eps, sigma, beta, strategy, model, finite, asymptotic)

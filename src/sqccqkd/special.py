@@ -3,16 +3,18 @@
 The inverse complementary error function, the regularized incomplete beta
 function and its inverse CDF, which evaluates I_x only at its iterates (its
 callers' bracket ends have exact values: see ``_invert_beta``), and the normal
-quantile.  Everything downstream (bit-error rates, confidence bounds, worst-case
-covariance estimators) is built on these scalars.  The array kernels call libm
-(erfc, exp, log2, log1p) elementwise through the helpers at the end, so an array
-result equals the scalar one bit for bit; given a scalar they give a Python float
-or bool, the fastest to chain.
+quantile, the standard library's ``statistics.NormalDist().inv_cdf`` (Wichura's
+AS241, near 1 ulp).  Everything downstream (bit-error rates, confidence bounds,
+worst-case covariance estimators) is built on these scalars.  The array kernels
+call libm (erfc, exp, log2, log1p) elementwise through the helpers at the end, so
+an array result equals the scalar one bit for bit; given a scalar they give a
+Python float or bool, the fastest to chain.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -42,45 +44,7 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-# Rational initial estimate for the normal quantile (Acklam's coefficients),
-# refined below to machine precision with Halley steps on erfc.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-_NQ_P_LOW = 0.02425
-
-
-def _normal_quantile_estimate(p: float) -> float:
-    # valid for 0 < p <= 0.5; relative error ~1e-9 before refinement
-    if p < _NQ_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q
-                 + _NQ_C[4]) * q + _NQ_C[5]) / \
-               ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r
-             + _NQ_A[4]) * r + _NQ_A[5]) * q / \
-           (((((_NQ_B[0] * r + _NQ_B[1]) * r + _NQ_B[2]) * r + _NQ_B[3]) * r
-             + _NQ_B[4]) * r + 1.0)
-
-
-def _normal_quantile_half(p: float) -> float:
-    # p in (0, 0.5]; two Halley refinements pin the residual to ~1 ulp
-    x = _normal_quantile_estimate(p)
-    for _ in range(2):
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-        density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if density <= 0.0:
-            break
-        u = err / density
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(z: float) -> float:
@@ -88,11 +52,7 @@ def normal_quantile(z: float) -> float:
     z = _require_finite("z", z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"normal_quantile requires 0 < z < 1, got {z}")
-    if z == 0.5:
-        return 0.0
-    if z > 0.5:
-        return -_normal_quantile_half(1.0 - z)
-    return _normal_quantile_half(z)
+    return _NORMAL.inv_cdf(z)
 
 
 def _erfc_inv_positive(y: float) -> float:
@@ -100,7 +60,7 @@ def _erfc_inv_positive(y: float) -> float:
     t = -normal_quantile(0.5 * y) / _SQRT2
     for _ in range(2):
         tt = t * t
-        if tt > 700.0:  # derivative underflows; estimate already exact to ~1e-9 rel
+        if tt > 700.0:  # derivative underflows; the AS241 start is already near 1 ulp
             break
         t += (math.erfc(t) - y) * (_SQRT_PI / 2.0) * math.exp(tt)
     return t

@@ -436,20 +436,20 @@ class TestHardenedInputs:
             capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["--T", "0.1", "0.2"],
-        ["--db", "3", "10"],
-        ["--T-grid", "log:0.1:0.9:2"],
-        ["--config", "{dir}/cfg.json"],
+    @pytest.mark.parametrize("argv, message", [
+        (["--T", "0.1", "0.2"], "simulate runs at one T, got 2 transmissivities"),
+        (["--db", "3", "10"], "simulate runs at one T, got 2 transmissivities"),
+        (["--T-grid", "log:0.1:0.9:2"], "unrecognized arguments: --T-grid"),
+        (["--config", "{dir}/cfg.json"], "simulate runs at one T, got 2 transmissivities"),
     ], ids=["T", "db", "T-grid", "config"])
-    def test_simulate_takes_one_t(self, tmp_path, capsys, argv):
-        """A simulate run is one batch per displacement at a single T."""
+    def test_simulate_takes_one_t(self, tmp_path, capsys, argv, message):
+        """A simulate run is one batch per displacement at a single T; it has no grid."""
         (tmp_path / "cfg.json").write_text(json.dumps({"T": [0.1, 0.2]}))
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", *[arg.format(dir=tmp_path) for arg in argv],
                       "--n", "300", "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
-        assert "simulate runs at one T, got 2 transmissivities" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("argv, values", [

@@ -360,17 +360,17 @@ def _kernel_errors(chans, thresholds, beta, secs, v):
                      for name in ("transmissivity", "excess_noise", "phase_noise_factor"))
     (factor,), errors = _table(_displacement_factor, thresholds, 1)
     d = _displacement(v, t, eps, factor[:, None])
-    checks = Checks(d.shape)
-    checks.add(np.not_equal(errors, None)[:, None], errors[:, None])
-    checks.add(~np.isfinite(d), DomainError, "required displacement overflows: V + eps "
+    before = Checks(d.shape)
+    before.add(np.not_equal(errors, None)[:, None], errors[:, None])
+    before.add(~np.isfinite(d), DomainError, "required displacement overflows: V + eps "
                "- 1 + 2 / T is not finite at V = {}, eps = {}, T = {}", v, eps, t)
     finite = None
     if secs is not None:
         table, errors = _table(SecurityParams._rate_terms, secs, 8)
         finite = table[:, :, None], errors[:, None]
-    _, checks = rate_cells(v, d, t, eps, sigma, beta, finite=finite,
-                           asymptotic=secs is None, checks=checks)
-    return [[checks.error((i, j)) for j in range(v.shape[1])] for i in range(len(chans))]
+    _, checks = rate_cells(v, d, t, eps, sigma, beta, finite=finite, asymptotic=secs is None)
+    return [[before.error((i, j)) or checks.error((i, j)) for j in range(v.shape[1])]
+            for i in range(len(chans))]
 
 
 def _described(error):
