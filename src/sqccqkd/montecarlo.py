@@ -36,6 +36,10 @@ _CHUNK = 16_384  # shots drawn, classified and accumulated at a time
 
 _MAX_SHOTS = 2 ** 53  # the largest batch; every count up to it is exact as a float
 
+# all ones, read-only: its slices sum up to _CHUNK rows in _Moments.add
+_ONES = np.ones(_CHUNK)
+_ONES.flags.writeable = False
+
 _N_CHUNKS = 16  # sub-batches of the standard errors
 
 _EPS_PE = 1e-10  # failure probability of the disclosed-bit error-rate bound
@@ -97,10 +101,6 @@ class EstimationResult:
     delta_v_hat: float
 
 
-def _make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _centroids(proto: ProtocolParams, chan: ChannelParams) -> np.ndarray:
     """Analytic per-symbol outcome centroids, shape (4, 2)."""
     sqrt_t = math.sqrt(chan.transmissivity)
@@ -145,7 +145,9 @@ def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
     index 1..4.  Outcomes are the 4-dimensional Gaussian with the shared
     state's mean and its ``_outcome_covariance``, generated through the
     lower-triangular factor of the covariance, from the stream of one
-    generator drawing all n symbols and then an (n, 4) normal array.
+    generator drawing all n symbols and then an (n, 4) normal array.  The
+    uniform symbols take (n + 1) // 2 of its 64-bit words, so the normals come
+    from a second generator advanced that far, drawn alongside the symbols.
     Arguments are checked here, before the first chunk is drawn.
     """
     if not 1 <= n <= _MAX_SHOTS:
@@ -170,22 +172,31 @@ def shot_chunks(proto: ProtocolParams, chan: ChannelParams,
 
 def _draw(lower: np.ndarray, centroids: np.ndarray, symbol_schedule: str | int,
           n: int, seed: int) -> Iterator[ShotChunk]:
-    table = np.vstack([np.full(2, np.nan), centroids])  # row k: symbol k's centroid
-    symbol_rng = normal_rng = _make_rng(seed)
+    # row k: symbol k's centroid as one complex number x + iy (row 0 is never taken)
+    table = np.vstack([np.full(2, np.nan), centroids]).view(np.complex128).ravel()
+    seeds = np.random.SeedSequence(seed)
+    symbol_rng = normal_rng = np.random.Generator(np.random.Philox(seeds))
     uniform = symbol_schedule == "uniform-random"
-    if uniform:  # the normals follow all n symbols: a second generator skips them
-        normal_rng = _make_rng(seed)
-        for start in range(0, n, _CHUNK):
-            normal_rng.integers(1, 5, size=min(_CHUNK, n - start), dtype=np.int64)
+    if uniform:
+        # an int64 symbol in [1, 5) takes one 32-bit word, so the normals start
+        # (n + 1) // 2 64-bit words in; each Philox counter step yields four
+        words = (n + 1) // 2
+        bits = np.random.Philox(seeds)
+        bits.advance(words // 4)
+        bits.random_raw(words % 4)
+        normal_rng = np.random.Generator(bits)
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
         symbols = (symbol_rng.integers(1, 5, size=k, dtype=np.int64) if uniform
                    else np.full(k, symbol_schedule, dtype=np.int64))
         joint = normal_rng.standard_normal((k, 4)) @ lower.T
-        bob = joint[:, 2:] + table.take(symbols, axis=0)
-        decided = _classify(bob)
-        joint[:, 2:] = bob - table.take(decided, axis=0)
-        yield ShotChunk(start, joint, bob, symbols, decided)
+        # (bob_x, bob_y) as complex: adding a centroid adds both coordinates
+        post = joint.view(np.complex128)[:, 1]
+        bob = post + table.take(symbols)
+        bob_raw = bob.view(np.float64).reshape(k, 2)
+        decided = _classify(bob_raw)
+        np.subtract(bob, table.take(decided), out=post)
+        yield ShotChunk(start, joint, bob_raw, symbols, decided)
 
 
 def _bit_errors(true_symbols: np.ndarray, decided_symbols: np.ndarray) -> np.ndarray:
@@ -206,7 +217,7 @@ class _Moments:
         if k:
             # numpy's column sums of narrow rows are slow, and so is subtracting
             # the mean from each row: subtract it in place from a column-major copy
-            mean = np.ones(k) @ rows / k
+            mean = (_ONES[:k] if k <= len(_ONES) else np.ones(k)) @ rows / k
             centred = np.array(rows, order="F")
             centred -= mean
             self.merge(k, mean, centred.T @ centred)
@@ -216,7 +227,7 @@ class _Moments:
         n = self.n + k
         delta = mean - self.mean
         self.mean = self.mean + delta * (k / n)
-        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * k / n)
+        self.m2 = self.m2 + m2 + delta[:, None] * delta * (self.n * k / n)
         self.n = n
 
 

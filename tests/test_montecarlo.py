@@ -186,10 +186,12 @@ class TestEmpiricalMoments:
             estimate(shot_chunks(REF_PROTO, REF_CHAN, 1, 1, 20), 1)
 
     @pytest.mark.parametrize("dim", [2, 4])
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 4_099, 16_384])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 4_099, 16_384, montecarlo._CHUNK + 1])
     def test_add_keeps_the_bits_of_centring_by_rows(self, k, dim):
         """``_Moments.add`` centres a column-major copy of its rows; the BLAS
-        product of it sums as the row-major ``rows - mean`` did, bit for bit."""
+        product of it sums as the row-major ``rows - mean`` did, bit for bit.
+        Its mean sums with a slice of a shared ones vector, or, past ``_CHUNK``
+        rows, with a new one, as a fresh ``np.ones(k)`` does."""
         rng = np.random.default_rng(1000 * k + dim)
         scale = np.array([1.0, 3.0, 1e-3, 7.0])[:dim]
         wide = rng.standard_normal((k + 3, dim))
@@ -417,3 +419,90 @@ class TestStreamedPass:
         chunks = shot_chunks(REF_PROTO, REF_CHAN, 1, 100, 33)
         with pytest.raises(DomainError):
             estimate(chunks, 101)
+
+
+def draw_args(monkeypatch, proto, chan, schedule, n, seed) -> tuple:
+    """The arguments ``shot_chunks`` passes to ``_draw``: the Cholesky factor, the
+    centroids, the schedule, n and the seed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_draw", lambda *args: args)
+        return shot_chunks(proto, chan, schedule, n, seed)
+
+
+def redrawn_chunks(lower, centroids, schedule, n, seed):
+    """The stream as a plain reference makes it: a second generator draws and discards
+    the n symbols chunk by chunk, so that its normals follow them, and the centroids
+    are gathered as (k, 2) rows, added and subtracted."""
+    table = np.vstack([np.full(2, np.nan), centroids])
+    symbol_rng = normal_rng = np.random.Generator(np.random.Philox(seed))
+    uniform = schedule == "uniform-random"
+    if uniform:
+        normal_rng = np.random.Generator(np.random.Philox(seed))
+        for start in range(0, n, montecarlo._CHUNK):
+            normal_rng.integers(1, 5, size=min(montecarlo._CHUNK, n - start),
+                                dtype=np.int64)
+    for start in range(0, n, montecarlo._CHUNK):
+        k = min(montecarlo._CHUNK, n - start)
+        symbols = (symbol_rng.integers(1, 5, size=k, dtype=np.int64) if uniform
+                   else np.full(k, schedule, dtype=np.int64))
+        joint = normal_rng.standard_normal((k, 4)) @ lower.T
+        bob = joint[:, 2:] + table[symbols]
+        decided = montecarlo._classify(bob)
+        joint[:, 2:] = bob - table[decided]
+        yield start, joint, bob, symbols, decided
+
+
+def assert_same_chunks(got, ref) -> None:
+    """Chunk for chunk, every array equal bit for bit (NaN payloads and signed zeros)."""
+    got, ref = list(got), list(ref)
+    assert len(got) == len(ref)
+    for chunk, (start, joint, bob, symbols, decided) in zip(got, ref):
+        assert chunk.start == start
+        assert chunk.bob_raw.shape == bob.shape
+        for a, b in ((chunk.joint, joint), (chunk.bob_raw, bob)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(chunk.true_symbols, symbols)
+        assert np.array_equal(chunk.decided_symbols, decided)
+
+
+class TestShotStream:
+    # (n + 1) // 2 % 4 is 1, 1, 2, 3, 0, 0, 0, 1, 1 and 2: the normals start at
+    # every offset within a Philox block of four words
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16_383, 16_384, 16_385,
+                                   2 * 16_384 + 1, 100_003])
+    @pytest.mark.parametrize("chunk", [7, 1_000, montecarlo._CHUNK])
+    @pytest.mark.parametrize("schedule", ["uniform-random", 2])
+    def test_advancing_matches_drawing_the_symbols(self, monkeypatch, schedule, n, chunk):
+        """The normals start where the n symbols end, whatever the chunk size:
+        bit-identical shots to a stream that draws the symbols and discards them."""
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        proto = ProtocolParams(5.0, 8.0, 0.95)
+        args = draw_args(monkeypatch, proto, REF_CHAN, schedule, n, 35)
+        assert_same_chunks(shot_chunks(proto, REF_CHAN, schedule, n, 35),
+                           redrawn_chunks(*args))
+
+    def test_chunk_size_keeps_the_shots(self, monkeypatch):
+        """One stream, cut at 7, 1,000 or the default chunk size, holds the same shots."""
+        def joined(chunk):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            return whole(REF_PROTO, REF_CHAN, "uniform-random", 20_001, 36)
+        ref = joined(montecarlo._CHUNK)
+        for chunk in (7, 1_000):
+            got = joined(chunk)
+            for name in ref:
+                assert np.array_equal(got[name].view(np.int64), ref[name].view(np.int64))
+
+    @pytest.mark.parametrize("schedule", ["uniform-random", 1])
+    def test_complex_redisplacement_matches_the_gathers(self, schedule):
+        """Adding and subtracting centroids as complex numbers is two real additions:
+        NaNs, infinities, zeros and subnormals come out as the gathers make them."""
+        lower = np.diag([1.0, 1.0, 1e-310, 1e300])  # bob_x subnormal, bob_y huge
+        centroids = np.array([[-0.0, 0.0], [-1e-310, np.inf], [np.nan, -0.0],
+                              [1e300, -1e300]])
+        args = (lower, centroids, schedule, 5_003, 37)
+        with np.errstate(invalid="ignore"):
+            chunks = list(montecarlo._draw(*args))
+            assert_same_chunks(chunks, redrawn_chunks(*args))
+        post = np.concatenate([c.joint[:, 2:] for c in chunks])
+        assert np.isnan(post).any() and np.isinf(post).any()
+        assert (np.isfinite(post) & (np.abs(post) < np.finfo(float).tiny)).any()
