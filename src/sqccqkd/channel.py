@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Checks, DomainError
 from .gaussian import _check_finite
-from .special import _isfinite, _sqrt
+from .special import _isfinite, _real, _sqrt
 
 __all__ = [
     "ChannelParams",
@@ -36,8 +36,8 @@ class ChannelParams:
 
     def __post_init__(self):
         checks = Checks()
-        _check_channel(checks, self.transmissivity, self.excess_noise,
-                       self.phase_noise_factor)
+        _check_channel(checks, *map(_real, (self.transmissivity, self.excess_noise,
+                                            self.phase_noise_factor)))
         checks.raise_first()
 
 
@@ -51,8 +51,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         checks = Checks()
-        _check_protocol(checks, self.modulation_variance, self.displacement,
-                        self.reconciliation_efficiency)
+        _check_protocol(checks, *map(_real, (self.modulation_variance, self.displacement,
+                                             self.reconciliation_efficiency)))
         checks.raise_first()
 
 
@@ -108,6 +108,7 @@ def qpsk_symbol(displacement: float, symbol_index: int) -> complex:
 
 def attenuation_db_to_transmissivity(db: float) -> float:
     """Convert channel attenuation in dB to transmissivity."""
+    db = _real(db)
     if not (db >= 0.0 and math.isfinite(db)):
         raise DomainError(f"attenuation must be >= 0 dB, got {db}")
     return 10.0 ** (-db / 10.0)

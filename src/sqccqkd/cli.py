@@ -38,7 +38,8 @@ from .errors import Checks, DomainError, SqccError
 from .finitekey import SecurityParams
 from .gaussian import _check_finite
 from .keyrate import _lockstep, _Rows
-from .montecarlo import _MAX_SHOTS, RNG_ALGORITHM, ShotChunk, estimate, shot_chunks
+from .montecarlo import (_MAX_SHOTS, RNG_ALGORITHM, ShotChunk, _disclosed, estimate,
+                         shot_chunks)
 from .postprocess import RenormStrategy, _moments, _snr
 
 __all__ = ["main"]
@@ -347,8 +348,7 @@ _MOMENT_COLUMNS = " snr e_C a_d b_d c_d a_hat a_se b_hat b_se c_hat c_se e_C_hat
 # the reference operating point of the moment-validation sweep, which no config-file
 # value changes.  One fixed symbol: the analytic moments describe a single classical
 # sub-ensemble, and by symmetry every sub-ensemble matches.
-_FIG2 = {"V": 5.0, "T": [0.1], "eps": 0.05, "sigma": 0.0, "symbol": 1, "disclose": None,
-         "shots_output": ""}
+_FIG2 = {"V": 5.0, "T": [0.1], "eps": 0.05, "sigma": 0.0, "symbol": 1}
 
 _COMMANDS = {
     "sweep-asymptotic": _Command(
@@ -529,12 +529,10 @@ def _merge(args: argparse.Namespace) -> dict:
         with named(t_key):
             raise DomainError(
                 f"simulate runs at one T, got {len(values['T'])} transmissivities")
-    if values["disclose"] is not None:  # as estimate checks it
-        m = int(values["disclose"] * values["n"])
-        if m < 100:
-            with named("disclose", "n"):
-                raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
-    if flags["command"] in _SIM and values["shots_output"] and len(values["d"]) > 1:
+    if values["disclose"] is not None:
+        with named("disclose", "n"):
+            _disclosed(values["disclose"], values["n"])
+    if values["shots_output"] and len(values["d"]) > 1:
         with named("d", "shots_output"):
             raise DomainError(f"--shots-output holds the shots of one displacement, "
                               f"got {len(values['d'])} displacements")

@@ -40,8 +40,9 @@ class Checks:
     def __init__(self, shape=()):
         self.shape = tuple(shape)
         self._count = 0  # a check's number is its position, from 1
-        self._sites = {}  # number -> (failed, error, message, args) where it may fail
-        self._code = None
+        self._sites = {}  # number -> (failed, error, message, args) where it fails
+        # 1 + the index of each element's first failed check; 0 where none fails
+        self.code = np.zeros(self.shape, np.intp)
 
     def add(self, failed, error, message: str = "", *args) -> None:
         """Record a check; the message is ``message.format`` of each argument's element.
@@ -50,20 +51,9 @@ class Checks:
         errors found before the computation, such as per-row constants.
         """
         self._count += 1
-        if isinstance(failed, np.ndarray) or failed:
+        if (isinstance(failed, np.ndarray) or failed) and np.count_nonzero(failed):
             self._sites[self._count] = (failed, error, message, args)
-            self._code = None
-
-    @property
-    def code(self) -> np.ndarray:
-        """1 + the index of each element's first failed check; 0 where none fails."""
-        if self._code is None:
-            code = np.zeros(self.shape, dtype=np.intp)
-            for number, (failed, *_) in self._sites.items():
-                if np.count_nonzero(failed):
-                    code = np.where((code == 0) & failed, number, code)
-            self._code = code
-        return self._code
+            self.code = np.where((self.code == 0) & failed, self._count, self.code)
 
     def error(self, index=()) -> SqccError | None:
         """The error of the element at ``index``, or None."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Checks, DomainError
-from .special import _div, _sqrt, beta_inv_cdf_symmetric
+from .special import _div, _real, _sqrt, beta_inv_cdf_symmetric
 
 __all__ = ["SecurityParams"]
 
@@ -43,6 +43,7 @@ class SecurityParams:
     eps_cal: float = 1e-10
 
     def __post_init__(self):
+        object.__setattr__(self, "block_size", _real(self.block_size))  # 10**400 is N = inf
         if not (self.block_size >= 2):
             raise DomainError(f"block_size must be >= 2, got {self.block_size}")
         if not (0.0 < self.frame_success <= 1.0):

@@ -48,7 +48,7 @@ from .postprocess import (
     _rescale,
     _snr,
 )
-from .special import _div, _exp, _isfinite, _log2, _where
+from .special import _div, _exp, _isfinite, _log2, _real, _where
 
 __all__ = [
     "Optimum",
@@ -171,8 +171,9 @@ def rate_cells(v, d, t, eps, sigma, beta=0.95,
     """
     _check_options(strategy, model)
     shape = ()  # one element computes on floats
+    beta = _real(beta)
     if not all(type(x) is float for x in (v, d, t, eps, sigma)):
-        inputs = [np.asarray(x, dtype=float) for x in (v, d, t, eps, sigma)]
+        inputs = [np.asarray(_real(x), dtype=float) for x in (v, d, t, eps, sigma)]
         shape = np.broadcast(*inputs).shape
         v, d, t, eps, sigma = (x.item() for x in inputs) if math.prod(shape) == 1 else inputs
     if finite is not None and math.prod(shape) == 1:
@@ -263,7 +264,7 @@ class _Rows:
         terms = ([None] * len(chans) if secs is None else
                  zip(self.finite[0].T.tolist(), self.finite[1]))
         self.lone = list(zip(*(x.tolist() for x in self.columns), terms))  # as floats
-        self.options = (beta, strategy, model)
+        self.options = (_real(beta), strategy, model)
 
     def __len__(self) -> int:
         return len(self.lone)

@@ -175,16 +175,15 @@ def _draw(lower: np.ndarray, centroids: np.ndarray, symbol_schedule: str | int,
     # row k: symbol k's centroid as one complex number x + iy (row 0 is never taken)
     table = np.vstack([np.full(2, np.nan), centroids]).view(np.complex128).ravel()
     seeds = np.random.SeedSequence(seed)
-    symbol_rng = normal_rng = np.random.Generator(np.random.Philox(seeds))
+    symbol_rng = np.random.Generator(np.random.Philox(seeds))
     uniform = symbol_schedule == "uniform-random"
-    if uniform:
-        # an int64 symbol in [1, 5) takes one 32-bit word, so the normals start
-        # (n + 1) // 2 64-bit words in; each Philox counter step yields four
-        words = (n + 1) // 2
-        bits = np.random.Philox(seeds)
-        bits.advance(words // 4)
-        bits.random_raw(words % 4)
-        normal_rng = np.random.Generator(bits)
+    # an int64 symbol in [1, 5) takes one 32-bit word, so the normals start (n + 1) // 2
+    # 64-bit words in (none for a fixed symbol); each Philox counter step yields four
+    words = (n + 1) // 2 if uniform else 0
+    bits = np.random.Philox(seeds)
+    bits.advance(words // 4)
+    bits.random_raw(words % 4)
+    normal_rng = np.random.Generator(bits)
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
         symbols = (symbol_rng.integers(1, 5, size=k, dtype=np.int64) if uniform
@@ -258,6 +257,14 @@ def _snr_from_error_rate(e_c: float) -> float:
     return _displacement_factor(e_c) ** 2
 
 
+def _disclosed(fraction: float, n: int) -> int:
+    """The shots of a batch of n whose bits a fraction discloses: at least 100."""
+    m = int(fraction * n)
+    if m < 100:
+        raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
+    return m
+
+
 @np.errstate(all="ignore")
 def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | None = None
              ) -> tuple[EmpiricalMoments, EstimationResult | None]:
@@ -283,9 +290,7 @@ def estimate(chunks: Iterable[ShotChunk], n: int, disclose_fraction: float | Non
         if not 0.0 < disclose_fraction < 1.0:
             raise DomainError(
                 f"disclose_fraction must be in (0, 1), got {disclose_fraction}")
-        m = int(disclose_fraction * n)
-        if m < 100:
-            raise DomainError(f"disclosed sample too small: {m} shots (need >= 100)")
+        m = _disclosed(disclose_fraction, n)
 
     n_sub = min(_N_CHUNKS, n // 2)
     size, longer = divmod(n, n_sub)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .channel import ChannelParams
+from .channel import ChannelParams, ProtocolParams
 from .errors import Checks, DomainError, NumericError
 from .gaussian import _check_finite, _check_overflow, _physicality
 from .special import _div, _erfc, _exp, _sqrt, _where, erfc_inv
@@ -32,10 +32,6 @@ class RenormStrategy(enum.Enum):
 
     B_PRESERVING = "b-preserving"
     C_PRESERVING = "c-preserving"
-
-
-def _check_snr(checks: Checks, snr) -> None:
-    checks.add(snr < 0.0, DomainError, "snr must be >= 0, got {}", snr)
 
 
 def _error_rate(snr):
@@ -56,7 +52,7 @@ def _snr(t, d, b):
 
 def _moments(checks: Checks, td2, snr, b, c):
     """(e_c, delta, b_d, c_d) after discrimination and re-displacement, over arrays."""
-    _check_snr(checks, snr)
+    checks.add(snr < 0.0, DomainError, "snr must be >= 0, got {}", snr)
     e_c = _error_rate(snr)
     delta = _shrinkage(snr)
     b_d = b + 2.0 * td2 * e_c - 2.0 * (b + 1.0) * delta - 2.0 * td2 * e_c * e_c
@@ -112,9 +108,5 @@ def required_displacement(modulation_variance: float, chan: ChannelParams,
     exactly).  W = 0.5 needs no classical separation and returns 0.
     """
     factor = _displacement_factor(qos_threshold)
-    if not (1.0 <= modulation_variance < math.inf):
-        raise DomainError(
-            f"modulation_variance must be >= 1, got {modulation_variance}"
-        )
-    return float(_displacement(modulation_variance, chan.transmissivity,
-                              chan.excess_noise, factor))
+    v = ProtocolParams(modulation_variance).modulation_variance
+    return float(_displacement(v, chan.transmissivity, chan.excess_noise, factor))

@@ -17,8 +17,9 @@ import pytest
 import sqccqkd.cli as cli
 from sqccqkd import finitekey, keyrate, montecarlo, special
 from sqccqkd.channel import ChannelParams
-from sqccqkd.errors import NumericError
+from sqccqkd.errors import DomainError, NumericError
 from sqccqkd.keyrate import optimise_v, rate_at
+from sqccqkd.montecarlo import estimate, shot_chunks
 from sqccqkd.channel import ProtocolParams
 
 from oracles import write_shots_csv
@@ -400,14 +401,33 @@ class TestHardenedInputs:
         assert exc.value.code == 2
         assert f"{key} must be >= " in capsys.readouterr().err
 
-    def test_small_disclosed_sample_is_usage_error(self, tmp_path, capsys):
-        """int(0.1 * 500) = 50 disclosed shots: the run once wrote a flagged row."""
+    @pytest.mark.parametrize("n, fraction, m", [
+        (500, 0.1, 50), (999, 0.1, 99), (175, 0.57, 99), (1001, 0.0999, 99),
+        (1000, 0.1, 100), (200, 0.5, 100),
+    ])
+    def test_small_disclosed_sample_is_usage_error(self, tmp_path, capsys, n, fraction,
+                                                   m):
+        """Below int(f n) = 100 disclosed shots, exit 2 exactly where ``estimate``
+        raises, with its message: 50 shots once wrote a flagged row."""
+        chunks = shot_chunks(ProtocolParams(5.0, 12.0), ChannelParams(0.1, 0.05),
+                             "uniform-random", n, 42)
+        try:
+            estimate(chunks, n, fraction)
+            message = None
+        except DomainError as exc:
+            message = str(exc)
+        argv = ["simulate", "--T", "0.1", "--d", "12", "--n", str(n),
+                "--disclose", str(fraction), "--output", str(tmp_path / "o.csv")]
+        assert message == (None if m >= 100 else
+                           f"disclosed sample too small: {m} shots (need >= 100)")
+        if message is None:
+            assert cli.main(argv) == 0
+            assert read_csv(tmp_path / "o.csv")[0]["error"] == ""
+            return
         with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--T", "0.1", "--d", "12", "--n", "500",
-                      "--disclose", "0.1", "--output", str(tmp_path / "o.csv")])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "disclosed sample too small: 50 shots (need >= 100)\n")
+        assert capsys.readouterr().err.endswith(f"{message}\n")
         assert not any(tmp_path.iterdir())
 
     def test_shot_count_beyond_floats_is_usage_error(self, tmp_path, capsys):

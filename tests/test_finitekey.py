@@ -5,13 +5,16 @@ import math
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from sqccqkd.channel import ChannelParams, ProtocolParams
 from sqccqkd.errors import DomainError
-from sqccqkd.finitekey import SecurityParams
+from sqccqkd.finitekey import SecurityParams, _confidence_shrink
 from sqccqkd.keyrate import _holevo, optimise_v, rate_at
 from sqccqkd.postprocess import required_displacement
+from sqccqkd.special import _NORMAL_HALF_N
 
 from helpers import on_triple, worst_case_estimators
 
@@ -160,6 +163,17 @@ class TestWorstCaseEstimators:
         expected = -2.0 * normal_quantile(1e-10 / 12.0) / math.sqrt(4.0 * n + 4.0)
         assert delta_var == pytest.approx(expected, rel=1e-12)
         assert delta_var == pytest.approx(6.7e-4, rel=0.1)
+
+    @pytest.mark.parametrize("half_n", np.geomspace(
+        math.nextafter(_NORMAL_HALF_N, math.inf), 5e8, 10).tolist())
+    def test_normal_branch_never_narrower(self, half_n):
+        """Above _NORMAL_HALF_N the shrink is Normal(1/2, 1/(8h + 4))'s, which is too
+        wide, by 0.86/h to 24/h relative: conservative.  A higher-order expansion
+        there must not turn it narrower than the exact Beta quantile's."""
+        for eps_pe in np.geomspace(1e-20, 1e-2, 19).tolist():
+            for z in (eps_pe / 12.0, eps_pe ** 2 / 1296.0):
+                exact = 1.0 - 2.0 * betaincinv(half_n, half_n, z)
+                assert _confidence_shrink(z, 2.0 * half_n) >= exact, (eps_pe, z)
 
     def test_strict_worst_direction(self):
         """Variances inflate, correlation deflates, for any finite block."""

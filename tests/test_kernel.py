@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqccqkd.channel import ChannelParams, ProtocolParams
+from sqccqkd.channel import ChannelParams, ProtocolParams, attenuation_db_to_transmissivity
 from sqccqkd.errors import Checks, DomainError, NumericError, SqccError
 from sqccqkd.finitekey import SecurityParams
 from sqccqkd.keyrate import (_lockstep, _Rows, _table, optimise_rows, optimise_v,
-                             rate_cells)
+                             rate_at, rate_cells)
 from sqccqkd.postprocess import (RenormStrategy, _displacement, _displacement_factor,
                                  required_displacement)
+from sqccqkd.special import (beta_inv_cdf_symmetric, beta_quantile, beta_reg, erfc_inv,
+                              normal_quantile)
 
 from helpers import rate_rows, renormalised
 from oracles import golden_section_optimum, rate_from_triple
@@ -312,6 +314,47 @@ def test_channel_error_is_per_element():
             ChannelParams(*channel)
     _, checks = rate_cells(5.0, 3.0, 0.0, 0.05, 0.0)  # one element computes on scalars
     assert str(checks.error()) == "transmissivity must be in (0, 1], got 0.0"
+
+
+_CHAN = ChannelParams(0.5, 0.05)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda x: ProtocolParams(x), id="ProtocolParams-V"),
+    pytest.param(lambda x: ProtocolParams(5.0, x), id="ProtocolParams-d"),
+    pytest.param(lambda x: ChannelParams(0.5, x), id="ChannelParams-eps"),
+    pytest.param(lambda x: ChannelParams(0.5, 0.0, x), id="ChannelParams-sigma"),
+    pytest.param(lambda x: attenuation_db_to_transmissivity(x), id="attenuation_db"),
+    pytest.param(lambda x: rate_at(ProtocolParams(5.0), _CHAN, sec=SecurityParams(x)),
+                 id="rate_at-N"),
+    pytest.param(lambda x: optimise_v(_CHAN, 1e-3, sec=SecurityParams(x)),
+                 id="optimise_v-N"),
+    pytest.param(lambda x: optimise_v(_CHAN, 1e-3, beta=x), id="optimise_v-beta"),
+    pytest.param(lambda x: rate_cells(x, 1.0, 0.5, 0.05, 0.0)[1].raise_first(),
+                 id="rate_cells-V"),
+    pytest.param(lambda x: rate_cells(5.0, 1.0, 0.5, 0.05, 0.0, x)[1].raise_first(),
+                 id="rate_cells-beta"),
+    pytest.param(lambda x: required_displacement(x, _CHAN, 1e-3),
+                 id="required_displacement"),
+    pytest.param(lambda x: beta_quantile(0.5, x, 2), id="beta_quantile-a"),
+    pytest.param(lambda x: beta_quantile(0.5, 2, x), id="beta_quantile-b"),
+    pytest.param(lambda x: erfc_inv(x), id="erfc_inv"),
+    pytest.param(lambda x: normal_quantile(x), id="normal_quantile"),
+    pytest.param(lambda x: beta_reg(0.5, x, 2), id="beta_reg"),
+    pytest.param(lambda x: beta_inv_cdf_symmetric(0.25, x), id="beta_inv_cdf_symmetric"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_beyond_floats_fails_as_its_infinity(call, sign):
+    """An int too large for a float raises the DomainError its infinity raises.
+
+    It once ended in OverflowError: the parameter classes accepted 10**400 as
+    finite, and ``rate_at``, ``optimise_v``, ``shot_chunks`` and
+    ``required_displacement`` then failed to convert it.
+    """
+    with pytest.raises(DomainError) as at_infinity:
+        call(sign * math.inf)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(at_infinity.value))}$"):
+        call(sign * 10 ** 400)
 
 
 def test_margin_error_meets_the_chain_at_the_estimators():
