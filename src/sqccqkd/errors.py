@@ -40,7 +40,7 @@ class Checks:
     def __init__(self, shape=()):
         self.shape = tuple(shape)
         self._count = 0  # a check's number is its position, from 1
-        self._sites = {}  # number -> (failed, error, message, args) where it fails
+        self._sites = {}  # number -> (error, message, args) of each check that fails
         # 1 + the index of each element's first failed check; 0 where none fails
         self.code = np.zeros(self.shape, np.intp)
 
@@ -52,7 +52,7 @@ class Checks:
         """
         self._count += 1
         if (isinstance(failed, np.ndarray) or failed) and np.count_nonzero(failed):
-            self._sites[self._count] = (failed, error, message, args)
+            self._sites[self._count] = (error, message, args)
             self.code = np.where((self.code == 0) & failed, self._count, self.code)
 
     def error(self, index=()) -> SqccError | None:
@@ -60,7 +60,7 @@ class Checks:
         number = int(self.code[index]) if self._sites else 0
         if number == 0:
             return None
-        _, error, message, args = self._sites[number]
+        error, message, args = self._sites[number]
         if not isinstance(error, type):
             return self._item(error, index)
         return error(message.format(*(self._item(arg, index) for arg in args)))
